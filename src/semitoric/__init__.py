@@ -72,6 +72,7 @@ from .graph import (
 from .polygon import (
     BoundaryChains,
     MarkedPoint,
+    PolygonFacts,
     SemitoricPolygon,
     ValidationReport,
     Violation,

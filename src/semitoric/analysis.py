@@ -17,6 +17,7 @@ disagreement raises instead of guessing.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
@@ -24,14 +25,8 @@ from typing import Literal
 from .cuts import ENUMERATION_LIMIT, enumerate_presentations, shear_normal_form, split_marks
 from .errors import DomainError, SemitoricError
 from .geometry import Point, primitive_direction
-from .polygon import SemitoricPolygon, boundary_chains, slice_heights
-from .vertices import (
-    VertexKind,
-    classify_vertex,
-    is_delzant_polygon,
-    isotropy_weights,
-    zk_chains,
-)
+from .polygon import SemitoricPolygon, boundary_chains
+from .vertices import VertexKind, classify_vertex, is_delzant_polygon, isotropy_weights
 
 
 @dataclass(frozen=True)
@@ -46,42 +41,25 @@ class PiecewiseLinear:
         xs, ys = self.breakpoints, self.values
         if not xs[0] <= x <= xs[-1]:
             raise DomainError(f"{x} outside [{xs[0]}, {xs[-1]}]")
-        for i in range(len(xs) - 1):
-            if xs[i] <= x <= xs[i + 1]:
-                t = (x - xs[i]) / (xs[i + 1] - xs[i])
-                return ys[i] + t * (ys[i + 1] - ys[i])
-        raise AssertionError("unreachable")
+        i = bisect_left(xs, x)
+        if xs[i] == x:
+            return ys[i]
+        t = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+        return ys[i - 1] + t * (ys[i] - ys[i - 1])
 
     def segment_slope(self, index: int) -> Fraction:
         xs, ys = self.breakpoints, self.values
         return (ys[index + 1] - ys[index]) / (xs[index + 1] - xs[index])
 
-    def slope_before(self, x: Fraction) -> Fraction:
-        i = self.breakpoints.index(x)
-        if i == 0:
-            raise DomainError(f"{x} has no segment on its left")
-        return self.segment_slope(i - 1)
-
-    def slope_after(self, x: Fraction) -> Fraction:
-        i = self.breakpoints.index(x)
-        if i == len(self.breakpoints) - 1:
-            raise DomainError(f"{x} has no segment on its right")
-        return self.segment_slope(i)
-
-
-def _columns(polygon: SemitoricPolygon) -> tuple[Fraction, ...]:
-    xs = {v.x for v in polygon.vertices} | {m.position.x for m in polygon.marks}
-    return tuple(sorted(xs))
-
 
 def dh_function(polygon: SemitoricPolygon) -> PiecewiseLinear:
     """Density of the pushforward of the Liouville measure: slice length per column."""
-    xs = _columns(polygon)
+    facts = polygon.facts
     values = []
-    for x in xs:
-        bottom, top = slice_heights(polygon, x)
+    for x in facts.columns:
+        bottom, top = facts.slice_at(x)
         values.append(top - bottom)
-    return PiecewiseLinear(xs, tuple(values))
+    return PiecewiseLinear(facts.columns, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -109,11 +87,9 @@ class JumpReport:
         return all(entry.consistent for entry in self.entries)
 
 
-def _weight_term(polygon: SemitoricPolygon, x: Fraction, side: Literal["top", "bottom"]) -> Fraction:
-    """-1/(a*b) if the boundary point of that side at x is elliptic-elliptic, else 0."""
-    bottom_y, top_y = slice_heights(polygon, x)
-    point = Point(x, top_y if side == "top" else bottom_y)
-    if point not in polygon.vertices:
+def _weight_term(polygon: SemitoricPolygon, point: Point) -> Fraction:
+    """-1/(a*b) if the boundary point is an elliptic-elliptic vertex, else 0."""
+    if point not in polygon.facts.index:
         return Fraction(0)
     if classify_vertex(polygon, point).kind is VertexKind.FAKE:
         return Fraction(0)
@@ -124,13 +100,16 @@ def _weight_term(polygon: SemitoricPolygon, x: Fraction, side: Literal["top", "b
 def dh_jump_report(polygon: SemitoricPolygon) -> JumpReport:
     """Check the slope-jump identity at every interior critical column."""
     density = dh_function(polygon)
+    facts = polygon.facts
     entries = []
-    for x in density.breakpoints[1:-1]:
-        left = density.slope_before(x)
-        right = density.slope_after(x)
-        e_top = _weight_term(polygon, x, "top")
-        e_bottom = _weight_term(polygon, x, "bottom")
-        marks_here = sum(m.multiplicity for m in polygon.marks if m.position.x == x)
+    for i in range(1, len(density.breakpoints) - 1):
+        x = density.breakpoints[i]
+        left = density.segment_slope(i - 1)
+        right = density.segment_slope(i)
+        bottom_y, top_y = facts.slice_at(x)
+        e_top = _weight_term(polygon, Point(x, top_y))
+        e_bottom = _weight_term(polygon, Point(x, bottom_y))
+        marks_here = facts.multiplicity_at(x)
         entries.append(
             JumpEntry(
                 x=x,
@@ -169,16 +148,13 @@ class OrbitCounts:
 
 def orbit_counts(polygon: SemitoricPolygon, x: Fraction) -> OrbitCounts:
     x = Fraction(x)
-    if not polygon.j_min < x < polygon.j_max:
+    facts = polygon.facts
+    if not facts.j_min < x < facts.j_max:
         raise DomainError(f"orbit counts are defined for interior columns only, got x = {x}")
     ee = sum(
-        1
-        for v in polygon.vertices
-        if v.x == x and classify_vertex(polygon, v).kind is not VertexKind.FAKE
+        1 for v in facts.vertices_at.get(x, ()) if classify_vertex(polygon, v).kind is not VertexKind.FAKE
     )
-    ff = sum(m.multiplicity for m in polygon.marks if m.position.x == x)
-    zk = sum(1 for chain in zk_chains(polygon) if chain.start_vertex.x < x < chain.end_vertex.x)
-    return OrbitCounts(ee=ee, ff=ff, zk=zk)
+    return OrbitCounts(ee=ee, ff=facts.multiplicity_at(x), zk=facts.runs_over(x))
 
 
 @dataclass(frozen=True)
@@ -217,9 +193,10 @@ def adaptability(polygon: SemitoricPolygon, limit: int = ENUMERATION_LIMIT) -> A
     Raises CriteriaDisagreement when the two verdicts differ, which signals
     invalid input or a bug rather than a legal state.
     """
+    facts = polygon.facts
     violating = []
-    for x in _columns(polygon):
-        if not polygon.j_min < x < polygon.j_max:
+    for x in facts.columns:
+        if not facts.j_min < x < facts.j_max:
             continue
         counts = orbit_counts(polygon, x)
         if counts.total >= 3:

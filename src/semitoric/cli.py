@@ -30,7 +30,7 @@ from .errors import (
 )
 from .geometry import Point, format_rational, parse_rational
 from .graph import build_graph, canonical_graph
-from .polygon import SemitoricPolygon
+from .polygon import SemitoricPolygon, require_valid
 from .serialization import emit_dot, parse_polygon, serialize_polygon
 from .vertices import classify_vertex, is_smooth_vertex
 
@@ -50,8 +50,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(source: str) -> SemitoricPolygon:
+    """The validated polygon named by a file path or ``corpus:NAME``."""
     if source.startswith("corpus:"):
-        return corpus_get(source[len("corpus:") :]).polygon
+        return require_valid(corpus_get(source[len("corpus:") :]).polygon)
     try:
         with open(source, "rb") as handle:
             text = handle.read()
@@ -101,29 +102,14 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_validate(args, out) -> int:
-    from .polygon import validate
-
-    if args.file.startswith("corpus:"):
-        polygon = corpus_get(args.file[len("corpus:") :]).polygon
-    else:
-        try:
-            with open(args.file, "rb") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.file}: {exc}") from None
-        try:
-            polygon = parse_polygon(text)
-        except ValidationFailure as exc:
-            for violation in exc.report.violations:
-                print(f"violation {violation.rule} at {violation.location}: {violation.message}", file=out)
-            return EXIT_INVALID
-    report = validate(polygon)
-    if report.valid:
-        print("valid", file=out)
-        return EXIT_OK
-    for violation in report.violations:
-        print(f"violation {violation.rule} at {violation.location}: {violation.message}", file=out)
-    return EXIT_INVALID
+    try:
+        _load(args.file)
+    except ValidationFailure as exc:
+        for violation in exc.report.violations:
+            print(f"violation {violation.rule} at {violation.location}: {violation.message}", file=out)
+        return EXIT_INVALID
+    print("valid", file=out)
+    return EXIT_OK
 
 
 def _cmd_classify(args, out) -> int:
@@ -243,15 +229,19 @@ _HANDLERS = {
 }
 
 
+# built once per process: parsing keeps no state in the parser, and _Parser
+# raises instead of exiting, so one instance serves every call
+_PARSER = _build_parser()
+
+
 def run_cli(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
-        parser.print_usage(err)
+        _PARSER.print_usage(err)
         return EXIT_USAGE
     try:
         return _HANDLERS[args.command](args, out)

@@ -10,6 +10,7 @@ translation maps.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -26,11 +27,15 @@ def parse_rational(text: object) -> Fraction:
     """Parse an exact rational written as ``"p"`` or ``"p/q"`` with q > 0.
 
     Decimal and float notations are rejected: the file formats carry
-    bit-exact rationals only.
+    bit-exact rationals only.  p and q are limited to the interpreter's
+    int-string conversion limit (4300 digits by default).
     """
     if not isinstance(text, str) or _RATIONAL_PATTERN.fullmatch(text) is None:
         raise GeometryError(f"rationals must be p/q strings, got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise GeometryError(f"p and q are limited to {sys.get_int_max_str_digits()} digits each") from None
 
 
 def format_rational(value: Fraction) -> str:

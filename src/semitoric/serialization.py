@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 
-from .errors import GeometryError, ParseError
+from .errors import GeometryError, ParseError, ValidationFailure
 from .geometry import Point, format_rational, parse_rational
 from .graph import FAT, KarshonGraph, canonical_form
-from .polygon import MarkedPoint, SemitoricPolygon, _structure_violations, require_valid
+from .polygon import MarkedPoint, SemitoricPolygon, require_valid
 
 
 def _rational_field(raw, where: str):
@@ -35,11 +35,16 @@ def parse_polygon(text: str | bytes) -> SemitoricPolygon:
     report.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past the int-string limit
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
     raw_vertices = data.get("vertices")
@@ -55,8 +60,11 @@ def parse_polygon(text: str | bytes) -> SemitoricPolygon:
                 _rational_field(pair[1], f"vertices[{i}][1]"),
             )
         )
+    raw_marks = data.get("marked_points", [])
+    if not isinstance(raw_marks, list):
+        raise ParseError("\"marked_points\" must be an array")
     marks = []
-    for i, raw in enumerate(data.get("marked_points", [])):
+    for i, raw in enumerate(raw_marks):
         if not isinstance(raw, dict):
             raise ParseError(f"marked_points[{i}] must be an object")
         for key in ("x", "y", "multiplicity", "cut"):
@@ -71,11 +79,12 @@ def parse_polygon(text: str | bytes) -> SemitoricPolygon:
         except GeometryError as exc:
             raise ParseError(f"marked_points[{i}]: {exc}") from None
 
-    polygon = SemitoricPolygon(tuple(vertices), tuple(marks))
-    for violation in _structure_violations(polygon):
-        if violation.rule == "not-counter-clockwise":
-            raise ParseError("not counter-clockwise: vertices must be listed CCW")
-    return require_valid(polygon)
+    try:
+        return require_valid(SemitoricPolygon(tuple(vertices), tuple(marks)))
+    except ValidationFailure as exc:
+        if any(violation.rule == "not-counter-clockwise" for violation in exc.report.violations):
+            raise ParseError("not counter-clockwise: vertices must be listed CCW") from None
+        raise
 
 
 def serialize_polygon(polygon: SemitoricPolygon) -> str:

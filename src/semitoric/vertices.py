@@ -14,21 +14,28 @@ classes are:
 Everything else is invalid data.  For a hidden Delzant vertex the sign of
 det(u Aw) is pinned to -s: the cut-switched presentation must again be
 convex, and that presentation has the masked corner as a real corner.
+
+The rules here (:func:`classify_corner`, :func:`extract_k_runs`) run once per
+polygon, inside the sweep that builds its
+:class:`~semitoric.polygon.PolygonFacts`; the public functions read the
+stored results and raise a stored error again, so none of them scans the
+polygon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
-from typing import Literal
+from fractions import Fraction
+from typing import Literal, Mapping, Union
 
-from .errors import ClassificationError, DomainError
+from .errors import ClassificationError, DomainError, SemitoricError
 from .geometry import LatticeVector, Point, det2, primitive_direction, shear_vector
 from .polygon import (
+    BoundaryChains,
     MarkedPoint,
     SemitoricPolygon,
-    boundary_chains,
+    _unwrap,
     slice_heights,
     vertical_edge_endpoints,
 )
@@ -88,46 +95,41 @@ def cut_degrees(polygon: SemitoricPolygon) -> dict[Point, tuple[int, int]]:
     Raises ClassificationError when cuts of both signs end at one point,
     which cannot happen for a polygon with strictly interior marks.
     """
-    out: dict[Point, tuple[int, int]] = {}
-    for mark in polygon.marks:
-        endpoint = cut_endpoint(polygon, mark)
-        if endpoint in out:
-            degree, sign = out[endpoint]
-            if sign != mark.cut_sign:
-                raise ClassificationError(f"cuts of both signs end at {endpoint}")
-            out[endpoint] = (degree + mark.multiplicity, sign)
-        else:
-            out[endpoint] = (mark.multiplicity, mark.cut_sign)
-    return out
+    return dict(_unwrap(polygon.facts.cut_degrees))
 
 
-def outgoing_primitives(polygon: SemitoricPolygon, vertex: Point) -> tuple[LatticeVector, LatticeVector]:
-    """Primitive tangents of the two incident edges, directed away from the vertex."""
-    verts = polygon.vertices
-    try:
-        i = verts.index(vertex)
-    except ValueError:
-        raise DomainError(f"{vertex} is not a vertex of the polygon") from None
-    prev_v, next_v = verts[i - 1], verts[(i + 1) % len(verts)]
+def _outgoing(verts: tuple[Point, ...], i: int) -> tuple[LatticeVector, LatticeVector]:
+    prev_v, vertex, next_v = verts[i - 1], verts[i], verts[(i + 1) % len(verts)]
     return (
         primitive_direction(prev_v.x - vertex.x, prev_v.y - vertex.y),
         primitive_direction(next_v.x - vertex.x, next_v.y - vertex.y),
     )
 
 
+def outgoing_primitives(polygon: SemitoricPolygon, vertex: Point) -> tuple[LatticeVector, LatticeVector]:
+    """Primitive tangents of the two incident edges, directed away from the vertex."""
+    i = polygon.facts.index.get(vertex)
+    if i is None:
+        raise DomainError(f"{vertex} is not a vertex of the polygon")
+    return _outgoing(polygon.vertices, i)
+
+
 def _flip(v: LatticeVector) -> LatticeVector:
     return LatticeVector(-v.a, -v.b)
 
 
-def _tangent_frame(polygon: SemitoricPolygon, vertex: Point) -> tuple[LatticeVector, LatticeVector]:
-    """The classification frame (u, w) at a vertex.
+def _tangent_frame(
+    verts: tuple[Point, ...], i: int, j_min: Fraction, j_max: Fraction
+) -> tuple[LatticeVector, LatticeVector]:
+    """The classification frame (u, w) at vertex i.
 
     Interior vertex: u, w are the left/right edge tangents with positive
     first component.  Vertical edge endpoint: the vertical edge contributes
     its outgoing direction on its own side.  Single extreme vertex: u is the
     bottom-side tangent, w the top-side one (both normalised rightward).
     """
-    d_prev, d_next = outgoing_primitives(polygon, vertex)
+    vertex = verts[i]
+    d_prev, d_next = _outgoing(verts, i)
     left = [d for d in (d_prev, d_next) if d.a < 0]
     right = [d for d in (d_prev, d_next) if d.a > 0]
     vertical = [d for d in (d_prev, d_next) if d.a == 0]
@@ -135,9 +137,9 @@ def _tangent_frame(polygon: SemitoricPolygon, vertex: Point) -> tuple[LatticeVec
     if len(vertical) == 2:
         raise ClassificationError(f"{vertex} lies between two vertical edges")
     if len(vertical) == 1:
-        if vertex.x == polygon.j_min and right:
+        if vertex.x == j_min and right:
             return vertical[0], right[0]
-        if vertex.x == polygon.j_max and left:
+        if vertex.x == j_max and left:
             return _flip(left[0]), vertical[0]
         raise ClassificationError(f"{vertex} touches a vertical edge at an interior column")
     if left and right:
@@ -153,15 +155,17 @@ def _tangent_frame(polygon: SemitoricPolygon, vertex: Point) -> tuple[LatticeVec
     return first, second  # bottom side has the larger slope at the right tip
 
 
-@cache
-def classify_vertex(polygon: SemitoricPolygon, vertex: Point) -> VertexClassification:
-    """Classify one vertex as Delzant, hidden Delzant, or fake.
+def classify_corner(
+    verts: tuple[Point, ...], i: int, j_min: Fraction, j_max: Fraction, cut_degrees: Union[Mapping, SemitoricError]
+) -> VertexClassification:
+    """The class of vertex i of a cycle, given the moment interval and the cut degrees.
 
-    Raises ClassificationError when no class matches; on validated polygons
-    exactly one always does.
+    Raises ClassificationError when no class matches, and the stored error
+    when the cut degrees could not be tallied.
     """
-    u, w = _tangent_frame(polygon, vertex)
-    degree, sign = cut_degrees(polygon).get(vertex, (0, 0))
+    vertex = verts[i]
+    u, w = _tangent_frame(verts, i, j_min, j_max)
+    degree, sign = _unwrap(cut_degrees).get(vertex, (0, 0))
     if degree == 0:
         if abs(det2(u, w)) == 1:
             return VertexClassification(vertex, VertexKind.DELZANT, 0, None, u, w)
@@ -180,6 +184,18 @@ def classify_vertex(polygon: SemitoricPolygon, vertex: Point) -> VertexClassific
     raise ClassificationError(
         f"{vertex}: cut degree {degree} gives |det(u Aw)| = {abs(d)}, neither unimodular nor parallel"
     )
+
+
+def classify_vertex(polygon: SemitoricPolygon, vertex: Point) -> VertexClassification:
+    """Classify one vertex as Delzant, hidden Delzant, or fake.
+
+    Raises ClassificationError when no class matches; on validated polygons
+    exactly one always does.
+    """
+    found = polygon.facts.classes.get(vertex)
+    if found is None:
+        raise DomainError(f"{vertex} is not a vertex of the polygon")
+    return _unwrap(found)
 
 
 def is_smooth_vertex(polygon: SemitoricPolygon, vertex: Point) -> bool:
@@ -221,11 +237,14 @@ def isotropy_weights(polygon: SemitoricPolygon, vertex: Point) -> tuple[int, int
     return weights[0], weights[1]
 
 
-@cache
 def zk_chains(polygon: SemitoricPolygon) -> tuple[ZkChain, ...]:
     """Extract every maximal k >= 2 run on the top and bottom boundaries."""
+    return polygon.facts.k_runs()
+
+
+def extract_k_runs(bc: BoundaryChains, classes: Mapping[Point, object]) -> tuple[ZkChain, ...]:
+    """The k-runs of both chains, given every vertex's class (or its error)."""
     chains: list[ZkChain] = []
-    bc = boundary_chains(polygon)
     for side, path in (("bottom", bc.bottom), ("top", bc.top)):
         edges = list(zip(path, path[1:]))
         ks = [primitive_direction(b.x - a.x, b.y - a.y).a for a, b in edges]
@@ -237,7 +256,7 @@ def zk_chains(polygon: SemitoricPolygon) -> tuple[ZkChain, ...]:
                 continue
             j = i
             while j + 1 < len(edges):
-                joint = classify_vertex(polygon, edges[j][1])
+                joint = _unwrap(classes[edges[j][1]])
                 if joint.kind is not VertexKind.FAKE:
                     break
                 if ks[j + 1] != k:
@@ -254,7 +273,7 @@ def zk_chains(polygon: SemitoricPolygon) -> tuple[ZkChain, ...]:
                 edges=tuple(edges[i : j + 1]),
             )
             for pole in (chain.start_vertex, chain.end_vertex):
-                if classify_vertex(polygon, pole).kind is VertexKind.FAKE:
+                if _unwrap(classes[pole]).kind is VertexKind.FAKE:
                     raise ClassificationError(f"chain pole {pole} classifies as fake")
             chains.append(chain)
             i = j + 1

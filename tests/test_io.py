@@ -1,8 +1,11 @@
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semitoric import (
     DomainError,
@@ -252,3 +255,105 @@ class TestCli:
         first = self.run("graph", "corpus:NONADAPT3", "--format", "json")
         second = self.run("graph", "corpus:NONADAPT3", "--format", "json")
         assert first == second
+
+
+class TestHostileInput:
+    def run_file(self, tmp_path, payload: bytes, command="validate"):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(payload)
+        out, err = io.StringIO(), io.StringIO()
+        return run_cli([command, str(path)], out, err), out.getvalue(), err.getvalue()
+
+    def test_oversized_rational(self, tmp_path):
+        huge = "1" * (sys.get_int_max_str_digits() + 1)
+        text = '{"vertices": [["0","0"],["%s","0"],["0","1"]]}' % huge
+        with pytest.raises(ParseError, match=f"{sys.get_int_max_str_digits()} digits"):
+            parse_polygon(text)
+        assert self.run_file(tmp_path, text.encode())[0] == 2
+
+    def test_longest_rational_accepted(self):
+        digits = sys.get_int_max_str_digits()
+        big = "1" + "0" * (digits - 1)
+        polygon = parse_polygon('{"vertices": [["0","0"],["%s","0"],["0","%s"]]}' % (big, big))
+        assert polygon.vertices[1] == pt(10 ** (digits - 1), 0)
+
+    def test_not_utf8(self, tmp_path):
+        with pytest.raises(ParseError, match="UTF-8"):
+            parse_polygon(b'{"vertices": "\xff"}')
+        assert self.run_file(tmp_path, b"\xff\xfe\x00")[0] == 2
+
+    def test_deep_nesting(self, tmp_path):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_polygon("[" * 100000)
+        assert self.run_file(tmp_path, b"[" * 100000)[0] == 2
+
+    def test_marks_not_an_array(self, tmp_path):
+        text = '{"vertices": [["0","0"],["1","0"],["0","1"]], "marked_points": 5}'
+        with pytest.raises(ParseError, match="marked_points"):
+            parse_polygon(text)
+        assert self.run_file(tmp_path, text.encode())[0] == 2
+
+    def test_oversized_json_integer(self, tmp_path):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        text = '{"vertices": [["0","0"],["1","0"],["0","1"]], "marked_points": [{"x":"1/4","y":"1/4","multiplicity":%s,"cut":-1}]}'
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_polygon(text % digits)
+        assert self.run_file(tmp_path, (text % digits).encode())[0] == 2
+
+    @pytest.mark.parametrize("field", ["multiplicity", "cut"])
+    def test_boolean_mark_fields_rejected(self, tmp_path, field):
+        mark = {"x": "1", "y": "1/4", "multiplicity": 1, "cut": 1}
+        mark[field] = True
+        text = json.dumps({"vertices": [["0", "0"], ["1", "0"], ["2", "1"]], "marked_points": [mark]})
+        with pytest.raises(ParseError, match=field if field == "multiplicity" else "cut sign"):
+            parse_polygon(text)
+        assert self.run_file(tmp_path, text.encode())[0] == 2
+
+
+_SUBCOMMANDS = [
+    ["validate"],
+    ["classify"],
+    ["graph"],
+    ["graph", "--format", "dot"],
+    ["dh"],
+    ["adaptable"],
+    ["switch-cut", "--index", "0"],
+    ["presentations"],
+    ["presentations", "--delzant-only"],
+    ["self-intersection", "--side", "left"],
+    ["chop", "--vertex", "0,0", "--size", "1/3"],
+]
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_rationals = st.builds(
+    lambda p, q: str(p) if q == 1 else f"{p}/{q}", st.integers(-3, 4), st.integers(1, 3)
+)
+_polygon_texts = st.builds(
+    lambda vertices, marks: json.dumps({"vertices": vertices, "marked_points": marks}).encode(),
+    st.lists(st.lists(_rationals, min_size=2, max_size=2), max_size=6) | _json_values,
+    st.lists(
+        st.fixed_dictionaries(
+            {
+                "x": _rationals,
+                "y": _rationals,
+                "multiplicity": st.one_of(st.integers(-1, 3), st.booleans(), _json_values),
+                "cut": st.sampled_from([-1, 1, 0, True, 1.0]),
+            }
+        ),
+        max_size=3,
+    )
+    | _json_values,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=st.one_of(st.binary(max_size=300), _polygon_texts), argv=st.sampled_from(_SUBCOMMANDS))
+def test_cli_on_arbitrary_bytes_only_exits(tmp_path_factory, payload, argv):
+    path = tmp_path_factory.getbasetemp() / "arbitrary.json"
+    path.write_bytes(payload)
+    code = run_cli([argv[0], str(path), *argv[1:]], io.StringIO(), io.StringIO())
+    assert code in (0, 1, 2, 64)
