@@ -45,10 +45,7 @@ from .geometry import (
     GlobalShear,
     LatticeVector,
     Point,
-    Rational,
     VerticalShear,
-    apply_global_shear,
-    apply_vertical_shear,
     cross,
     det2,
     format_rational,

@@ -44,9 +44,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 64
         raise _UsageError(message)
+
+    def print_help(self, file=None):  # -h: run_cli writes the text to its own `out`
+        raise _HelpRequested(self.format_help())
 
 
 def _load(source: str) -> SemitoricPolygon:
@@ -243,6 +250,9 @@ def run_cli(argv, out=None, err=None) -> int:
         print(f"usage error: {exc}", file=err)
         _PARSER.print_usage(err)
         return EXIT_USAGE
+    except _HelpRequested as exc:
+        out.write(str(exc))
+        return EXIT_OK
     try:
         return _HANDLERS[args.command](args, out)
     except (ParseError, ValidationFailure) as exc:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, PresentationError, ValidationFailure
-from .geometry import GlobalShear, Point, cross, primitive_direction
+from .geometry import GlobalShear, Point, VerticalShear, cross, primitive_direction
 from .polygon import (
     MarkedPoint,
     SemitoricPolygon,
@@ -74,20 +74,20 @@ def _merge_collinear(cycle: Sequence[Point]) -> tuple[Point, ...]:
     return kept
 
 
-def _apply_column_shears(
-    polygon: SemitoricPolygon,
-    shears: Sequence[tuple[Fraction, int]],
-    flips: frozenset[int],
-) -> SemitoricPolygon:
-    """Shear the polygon by a sum of column kinks and flip the given marks."""
-
-    def offset(x: Fraction) -> Fraction:
-        return sum((coeff * (x - pivot) for pivot, coeff in shears if x > pivot), Fraction(0))
+def _flip_cuts(polygon: SemitoricPolygon, flips: frozenset[int]) -> SemitoricPolygon:
+    """Flip the given marks' cuts, shearing right of each one's column."""
+    shears = [
+        VerticalShear(m.position.x, m.cut_sign * m.multiplicity)
+        for i, m in enumerate(polygon.marks)
+        if i in flips
+    ]
 
     def image(p: Point) -> Point:
-        return Point(p.x, p.y + offset(p.x))
+        for shear in shears:
+            p = shear.apply(p)
+        return p
 
-    cycle = _subdivide_at_columns(polygon.vertices, (pivot for pivot, _ in shears))
+    cycle = _subdivide_at_columns(polygon.vertices, (shear.pivot_x for shear in shears))
     new_vertices = _merge_collinear([image(p) for p in cycle])
     new_marks = tuple(
         MarkedPoint(
@@ -111,11 +111,7 @@ def switch_cut(polygon: SemitoricPolygon, index: int) -> SemitoricPolygon:
     """
     if not 0 <= index < len(polygon.marks):
         raise DomainError(f"mark index {index} out of range (have {len(polygon.marks)} marks)")
-    mark = polygon.marks[index]
-    coefficient = mark.cut_sign * mark.multiplicity
-    return _apply_column_shears(
-        polygon, [(mark.position.x, coefficient)], frozenset((index,))
-    )
+    return _flip_cuts(polygon, frozenset((index,)))
 
 
 def enumerate_presentations(
@@ -132,15 +128,7 @@ def enumerate_presentations(
             -mark.cut_sign if i in flips else mark.cut_sign
             for i, mark in enumerate(polygon.marks)
         )
-        if flips:
-            shears = [
-                (polygon.marks[i].position.x, polygon.marks[i].cut_sign * polygon.marks[i].multiplicity)
-                for i in flips
-            ]
-            member = _apply_column_shears(polygon, shears, flips)
-        else:
-            member = polygon
-        members.append((signs, member))
+        members.append((signs, _flip_cuts(polygon, flips) if flips else polygon))
     return PresentationSet(base=polygon, members=tuple(members))
 
 

@@ -14,11 +14,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import GeometryError
-
-Rational = Fraction
 
 _RATIONAL_PATTERN = re.compile(r"-?\d+(/[1-9]\d*)?")
 
@@ -39,8 +37,17 @@ def parse_rational(text: object) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Inverse of :func:`parse_rational`: ``"p/q"``, or plain ``"p"`` for integers."""
-    return str(value)
+    """Inverse of :func:`parse_rational`: ``"p/q"``, or plain ``"p"`` for integers.
+
+    A computed value whose p or q passes the int-string conversion limit
+    raises ``GeometryError``.
+    """
+    try:
+        return str(value)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise GeometryError(
+            f"a computed rational exceeds {sys.get_int_max_str_digits()} digits in p or q"
+        ) from None
 
 
 def _exact(value) -> Fraction:
@@ -140,10 +147,6 @@ class VerticalShear:
         return Point(point.x, point.y + self.coefficient * (point.x - self.pivot_x))
 
 
-def apply_vertical_shear(points: Sequence[Point], shear: VerticalShear) -> list[Point]:
-    return [shear.apply(p) for p in points]
-
-
 @dataclass(frozen=True)
 class GlobalShear:
     """Vertical-line-preserving affine map (x, y) -> (x, slope*x + y + offset).
@@ -162,7 +165,3 @@ class GlobalShear:
 
     def apply(self, point: Point) -> Point:
         return Point(point.x, self.slope * point.x + point.y + self.offset)
-
-
-def apply_global_shear(points: Sequence[Point], shear: GlobalShear) -> list[Point]:
-    return [shear.apply(p) for p in points]

@@ -16,24 +16,17 @@ the canonical form below makes checkable byte-for-byte.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError
 from .geometry import format_rational
 from .polygon import SemitoricPolygon, boundary_chains, vertical_edge_endpoints
 from .vertices import VertexKind, classify_vertex, zk_chains
 
 ISOLATED = "isolated"
 FAT = "fat"
-
-# permutation budget for breaking label ties deterministically
-TIE_BLOCK_LIMIT = 8
-TIE_PRODUCT_LIMIT = 40320
-
 
 @dataclass(frozen=True)
 class GraphVertex:
@@ -111,58 +104,70 @@ def _sort_key(vertex: GraphVertex):
 def canonical_form(graph: KarshonGraph) -> KarshonGraph:
     """Provenance-stripped copy with vertices sorted and ties broken.
 
-    Vertices sort by (label, kind, area).  Isolated vertices sharing a label
-    are interchangeable up to their edge incidences, so each tied block is
-    permuted and the serialization-minimal assignment wins; blocks above
-    size 8 raise rather than risking nondeterminism.
+    Vertices sort by (label, kind, area); tied fat vertices keep their input
+    order.  Tied isolated vertices serialize alike, so the order that makes
+    :func:`serialize_graph` smallest is read off the edge list, in polynomial
+    time: the vertices with edges take their block's textually first ids
+    (``"10"`` before ``"9"``), and where two do, which goes first is a bit.
+    Each run of the edge list keeps the bits that make it smallest: a fixed
+    bit, or one equal or opposite to another pair's (two parallel chains).
+    Bits left open do not change the bytes.  A tied block may hold at most two
+    vertices with edges, each with at most one outgoing edge, as the graph of
+    every polygon does; other graphs raise ValueError.
     """
     stripped = [GraphVertex(v.kind, v.label, v.genus, v.area) for v in graph.vertices]
-    order = sorted(range(len(stripped)), key=lambda i: _sort_key(stripped[i]))
-
-    blocks: list[list[int]] = []  # positions in `order` holding tied isolated vertices
+    blocks: dict[tuple, list[int]] = {}
+    for i in sorted(range(len(stripped)), key=lambda i: _sort_key(stripped[i])):
+        blocks.setdefault(_sort_key(stripped[i]), []).append(i)
+    touched = {v for e in graph.edges for v in (e.source, e.target)}
+    slot: dict[int, int] = {}  # vertex -> position, where known
+    choice: dict[int, tuple[int, tuple[int, int]]] = {}  # vertex of a pair -> (pair, position per bit)
+    bound = {-1: (-1, 0)}  # pair -> (root, parity), its bit being root's xor parity; root -1 has bit 0
     start = 0
-    while start < len(order):
-        end = start
-        while (
-            end + 1 < len(order)
-            and _sort_key(stripped[order[end + 1]]) == _sort_key(stripped[order[start]])
-        ):
-            end += 1
-        if end > start and stripped[order[start]].kind == ISOLATED:
-            blocks.append(list(range(start, end + 1)))
-        start = end + 1
+    for block in blocks.values():
+        positions = sorted(range(start, start + len(block)), key=str)
+        bearing = [v for v in block if v in touched and stripped[v].kind == ISOLATED]
+        forked = len(bearing) == 2 and any(sum(e.source == v for e in graph.edges) > 1 for v in bearing)
+        if len(bearing) > 2 or forked:
+            raise ValueError("a tied block has more than two vertices with edges, or a fork")
+        if len(bearing) == 2:
+            first, second = positions[:2]
+            choice.update({bearing[0]: (start, (first, second)), bearing[1]: (start, (second, first))})
+            bound[start] = (start, 0)
+        else:
+            slot.update(zip(bearing, positions))
+        slot.update(zip([v for v in block if v not in bearing], sorted(positions[len(bearing) :])))
+        start += len(block)
 
-    def realize(assignment: tuple[tuple[int, ...], ...]) -> KarshonGraph:
-        slots = list(order)
-        for block, perm in zip(blocks, assignment):
-            originals = [order[pos] for pos in block]
-            for pos, which in zip(block, perm):
-                slots[pos] = originals[which]
-        position = {old: new for new, old in enumerate(slots)}
-        vertices = tuple(stripped[old] for old in slots)
-        edges = tuple(
-            sorted(
-                (GraphEdge(position[e.source], position[e.target], e.weight) for e in graph.edges),
-                key=lambda e: (e.source, e.target, e.weight),
-            )
-        )
-        return KarshonGraph(vertices, edges)
+    runs: dict[tuple[int, int], list[GraphEdge]] = {}  # a pair's outgoing edges; a source's into a pair
+    for e in graph.edges:
+        if e.source in choice:
+            runs.setdefault((min(choice[e.source][1]), -1), []).append(e)
+        elif e.target in choice:
+            runs.setdefault((slot[e.source], min(choice[e.target][1])), []).append(e)
+    for key in sorted(runs):
+        pairs = {choice[v][0] for e in runs[key] for v in (e.source, e.target) if v in choice}
+        free = sorted({bound[p][0] for p in pairs} - {-1})
+        tried: dict[str, list[dict[int, int]]] = {}
+        for code in range(1 << len(free)):
+            guess = {r: code >> i & 1 for i, r in enumerate(free)} | {-1: 0}
+            bits = {p: guess[bound[p][0]] ^ bound[p][1] for p in pairs}
+            place = slot | {v: options[bits[p]] for v, (p, options) in choice.items() if p in pairs}
+            edges = tuple(GraphEdge(place[e.source], place[e.target], e.weight) for e in runs[key])
+            tried.setdefault(serialize_graph(KarshonGraph((), edges)), []).append(guess)
+        winners = tried[min(tried)]
+        for i, q in enumerate(free):
+            for r in (-1, *free[:i]):
+                if bound[r][0] == r and len({w[r] ^ w[q] for w in winners}) == 1:
+                    flip = winners[0][r] ^ winners[0][q]
+                    bound = {p: (r, par ^ flip) if root == q else (root, par) for p, (root, par) in bound.items()}
+                    break
+        assert len(winners) == 1 << sum(bound[r][0] == r for r in free)
 
-    if not blocks:
-        return realize(())
-    for block in blocks:
-        if len(block) > TIE_BLOCK_LIMIT:
-            raise DomainError(f"{len(block)} same-label vertices exceed the tie-break budget")
-    total = 1
-    for block in blocks:
-        for n in range(2, len(block) + 1):
-            total *= n
-        if total > TIE_PRODUCT_LIMIT:
-            raise DomainError("too many tied vertex blocks to break ties deterministically")
-    candidates = itertools.product(
-        *(itertools.permutations(range(len(block))) for block in blocks)
-    )
-    return min((realize(a) for a in candidates), key=serialize_graph)
+    slot.update((v, options[bound[p][1]]) for v, (p, options) in choice.items())
+    edges = [GraphEdge(slot[e.source], slot[e.target], e.weight) for e in graph.edges]
+    edges.sort(key=lambda e: (e.source, e.target, e.weight))
+    return KarshonGraph(tuple(stripped[v] for v in sorted(slot, key=slot.get)), tuple(edges))
 
 
 def canonical_graph(graph: KarshonGraph) -> str:

@@ -8,6 +8,8 @@ from semitoric import (
     GlobalShear,
     MarkedPoint,
     Point,
+    PresentationError,
+    SemitoricPolygon,
     cut_degrees,
     cut_endpoint,
     dh_function,
@@ -53,6 +55,14 @@ class TestSwitchCut:
     def test_bad_index(self, corpus):
         with pytest.raises(DomainError):
             switch_cut(corpus["FF1"], 1)
+
+    def test_inconsistent_presentation(self, corpus):
+        # an upward cut from the square's centre ends mid-edge, so this is no
+        # valid presentation; switching it kinks the top edge inward there
+        square = corpus["SQUARE"]
+        polygon = SemitoricPolygon(square.vertices, (MarkedPoint(pt(Fraction(1, 2), Fraction(1, 2)), 1, 1),))
+        with pytest.raises(PresentationError, match=r"not-strictly-convex at \(1/2, 1\)"):
+            switch_cut(polygon, 0)
 
     def test_commutes_with_global_shear_up_to_normal_form(self, corpus):
         rng = random.Random(7)

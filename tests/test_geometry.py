@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,6 @@ from semitoric import (
     LatticeVector,
     Point,
     VerticalShear,
-    apply_global_shear,
-    apply_vertical_shear,
     det2,
     format_rational,
     parse_rational,
@@ -38,6 +37,12 @@ class TestRationals:
     def test_round_trip(self):
         for text in ("0", "5", "-5", "1/2", "-22/7"):
             assert format_rational(parse_rational(text)) == text
+
+    def test_format_past_digit_limit(self):
+        # a computed value may pass the int-string limit that parsing enforces
+        too_long = Fraction(1, 10 ** sys.get_int_max_str_digits() + 1)
+        with pytest.raises(GeometryError, match="digits"):
+            format_rational(too_long)
 
     def test_points_reject_floats(self):
         with pytest.raises(GeometryError):
@@ -83,9 +88,9 @@ class TestDet2:
 class TestVerticalShear:
     def test_examples(self):
         fixed = VerticalShear(Fraction(1), -1)
-        assert apply_vertical_shear([Point(1, Fraction(1, 4))], fixed) == [Point(1, Fraction(1, 4))]
-        assert apply_vertical_shear([Point(2, 1)], fixed) == [Point(2, 0)]
-        assert apply_vertical_shear([Point(0, 5)], VerticalShear(Fraction(1), 7)) == [Point(0, 5)]
+        assert fixed.apply(Point(1, Fraction(1, 4))) == Point(1, Fraction(1, 4))
+        assert fixed.apply(Point(2, 1)) == Point(2, 0)
+        assert VerticalShear(Fraction(1), 7).apply(Point(0, 5)) == Point(0, 5)
 
     @given(small_ints, small_ints, small_ints, small_ints)
     def test_inverse(self, px, c, x, y):
@@ -97,7 +102,7 @@ class TestVerticalShear:
 
 class TestGlobalShear:
     def test_examples(self):
-        assert apply_global_shear([Point(2, 1)], GlobalShear(1, Fraction(0))) == [Point(2, 3)]
+        assert GlobalShear(1, Fraction(0)).apply(Point(2, 1)) == Point(2, 3)
         p = Point(Fraction(7, 3), Fraction(-2, 5))
         assert GlobalShear(0, Fraction(0)).apply(p) == p
         assert GlobalShear(0, Fraction(1, 2)).apply(Point(1, Fraction(1, 4))) == Point(1, Fraction(3, 4))

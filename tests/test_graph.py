@@ -1,10 +1,12 @@
 import json
+import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
+import graph_oracle
 from semitoric import (
-    DomainError,
     GraphEdge,
     GraphVertex,
     KarshonGraph,
@@ -12,9 +14,13 @@ from semitoric import (
     build_graph,
     canonical_form,
     canonical_graph,
+    corpus_get,
+    corpus_names,
+    enumerate_presentations,
     graphs_equal,
     kirwan_check,
 )
+from semitoric.graph import _sort_key
 
 
 class TestBuildGraph:
@@ -104,10 +110,39 @@ class TestCanonicalGraph:
         two = KarshonGraph((south, pole, spectator), (GraphEdge(0, 1, 2),))
         assert canonical_graph(one) == canonical_graph(two)
 
-    def test_tie_block_budget(self):
+    def test_nine_tied_vertices(self):
+        # one block of nine interchangeable vertices: no order is tried
         vertices = tuple(GraphVertex("isolated", Fraction(1)) for _ in range(9))
-        with pytest.raises(DomainError):
-            canonical_graph(KarshonGraph(vertices, ()))
+        data = json.loads(canonical_graph(KarshonGraph(vertices, ())))
+        assert data["vertices"] == [{"id": i, "kind": "isolated", "label": "1"} for i in range(9)]
+        assert data["edges"] == []
+
+    def test_ids_compare_as_text(self):
+        # the edge-bearing vertex of the tied block 9..10 takes id 10: "10" < "9"
+        vertices = tuple(GraphVertex("isolated", Fraction(0 if i < 9 else 1)) for i in range(11))
+        graph = KarshonGraph(vertices, (GraphEdge(0, 9, 2),))
+        assert json.loads(canonical_graph(graph))["edges"] == [{"from": 0, "to": 10, "weight": 2}]
+
+    def test_parallel_chains_through_tied_columns(self):
+        # bottom and top chains cross two tied columns with equal weights, so
+        # the two pairs' orders are linked; the first block holds ids 7..10
+        labels = [0, 1, 1, 2, 2, 3] + [1, 1, 2, 2] + [-1, -2, -3, -4, -5, -6]
+        edges = ((0, 1, 2), (0, 2, 2), (1, 3, 3), (2, 4, 3), (3, 5, 2), (4, 5, 2))
+        graph = KarshonGraph(
+            tuple(GraphVertex("isolated", Fraction(x)) for x in labels),
+            tuple(GraphEdge(*e) for e in edges),
+        )
+        rng = random.Random(3)
+        expected = graph_oracle.canonical_graph(graph)
+        for _ in range(20):
+            assert canonical_graph(relabel(graph, rng)) == expected
+
+    def test_outside_polygon_shape_refused(self):
+        # three same-label vertices with edges: no polygon's graph has this
+        vertices = tuple(GraphVertex("isolated", Fraction(x)) for x in (0, 1, 1, 1))
+        edges = tuple(GraphEdge(0, i, 2) for i in (1, 2, 3))
+        with pytest.raises(ValueError, match="more than two vertices with edges"):
+            canonical_graph(KarshonGraph(vertices, edges))
 
     def test_graphs_equal(self, corpus):
         assert graphs_equal(build_graph(corpus["FF1"]), build_graph(corpus["FF1UP"]))
@@ -124,6 +159,101 @@ class TestCanonicalGraph:
         keys = [(v.label, v.kind, v.area or Fraction(0)) for v in graph.vertices]
         assert keys == sorted(keys)
         assert all(v.provenance is None for v in graph.vertices)
+
+
+def relabel(graph: KarshonGraph, rng: random.Random) -> KarshonGraph:
+    """The same graph with its vertices listed in a random order."""
+    order = list(range(len(graph.vertices)))
+    rng.shuffle(order)
+    new_id = {old: new for new, old in enumerate(order)}
+    return KarshonGraph(
+        tuple(graph.vertices[old] for old in order),
+        tuple(GraphEdge(new_id[e.source], new_id[e.target], e.weight) for e in graph.edges),
+    )
+
+
+def boundary_graph(rng: random.Random) -> KarshonGraph:
+    """A random graph shaped like the graph of a polygon.
+
+    Columns 0..c-1.  Each end column holds one extreme vertex or one fat
+    vertex; each inner column a bottom and/or a top boundary vertex and up to
+    three focus-focus vertices.  Edges join consecutive vertices of the
+    bottom chain and of the top chain, left to right.
+    """
+    vertices: list[GraphVertex] = []
+    bottom: list[int] = []
+    top: list[int] = []
+
+    def add(vertex: GraphVertex, *chains: list[int]) -> None:
+        for chain in chains:
+            chain.append(len(vertices))
+        vertices.append(vertex)
+
+    columns = rng.randint(3, 9)
+    for x in range(columns):
+        if x in (0, columns - 1):
+            if rng.random() < 0.3:
+                add(GraphVertex("fat", Fraction(x), genus=0, area=Fraction(rng.randint(1, 3))))
+            else:
+                add(GraphVertex("isolated", Fraction(x)), bottom, top)
+            continue
+        for chain in (bottom, top):
+            if rng.random() < 0.8:
+                add(GraphVertex("isolated", Fraction(x)), chain)
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            add(GraphVertex("isolated", Fraction(x)))
+    edges = [
+        GraphEdge(a, b, rng.choice((2, 2, 3, 3, 4, 12)))
+        for chain in (bottom, top)
+        for a, b in zip(chain, chain[1:])
+        if rng.random() < 0.6
+    ]
+    return KarshonGraph(tuple(vertices), tuple(edges))
+
+
+def tied_blocks(graph: KarshonGraph) -> list[list[int]]:
+    """Sorted positions grouped into the blocks the oracle permutes."""
+    keys = sorted(_sort_key(v) for v in graph.vertices)
+    blocks: dict = {}
+    for position, key in enumerate(keys):
+        if key[1] == "isolated":
+            blocks.setdefault(key, []).append(position)
+    return [block for block in blocks.values() if len(block) > 1]
+
+
+class TestAgainstOracle:
+    """Byte-identical to the exhaustive permutation search it replaced."""
+
+    def test_corpus_fuzz_and_presentation_families(self, derived_polygons):
+        rng = random.Random(11)
+        polygons = [corpus_get(name).polygon for name in corpus_names()] + derived_polygons
+        checked = 0
+        for polygon in polygons:
+            for _, member in enumerate_presentations(polygon).members:
+                graph = build_graph(member)
+                for _ in range(3):
+                    image = relabel(graph, rng)
+                    assert canonical_graph(image) == graph_oracle.canonical_graph(image)
+                    checked += 1
+        assert checked > 1000
+
+    def test_synthetic_boundary_graphs(self):
+        # tied blocks across ids 9 and 10, where text and numeric order part;
+        # the oracle's search is kept to at most 6! orders per graph
+        rng = random.Random(5)
+        checked = 0
+        while checked < 300:
+            graph = boundary_graph(rng)
+            blocks = tied_blocks(graph)
+            if not 11 <= len(graph.vertices) <= 25:
+                continue
+            if not any(9 in block and 10 in block for block in blocks):
+                continue
+            if prod(factorial(len(block)) for block in blocks) > 720:
+                continue
+            graph = relabel(graph, rng)
+            assert canonical_graph(graph) == graph_oracle.canonical_graph(graph)
+            checked += 1
 
 
 class TestBetti:

@@ -251,6 +251,41 @@ class TestCli:
         assert "hidden-delzant" in out
         assert out.count("\n") == 3
 
+    def test_help_top_level(self):
+        code, out, err = self.run("-h")
+        assert code == 0 and out.startswith("usage: semitoric") and err == ""
+
+    def test_help_after_subcommand(self):
+        code, out, err = self.run("graph", "corpus:FF1", "-h")
+        assert code == 0 and out.startswith("usage: semitoric graph") and err == ""
+
+    def test_graph_multiplicity_nine_mark(self, tmp_path):
+        # one mark of multiplicity 9: a block of nine tied graph vertices
+        path = tmp_path / "nine.json"
+        path.write_text(
+            '{"vertices": [["0","0"],["1","0"],["2","9"],["2","10"],["0","10"]],'
+            ' "marked_points": [{"x":"1","y":"10/3","multiplicity":9,"cut":-1}]}'
+        )
+        code, out, _ = self.run("graph", str(path))
+        assert code == 0
+        labels = [v["label"] for v in json.loads(out)["vertices"] if v["kind"] == "isolated"]
+        assert labels == ["1"] * 9
+
+    @pytest.mark.parametrize("columns", [16, 64])
+    def test_graph_staircase(self, tmp_path, columns):
+        # vertical edges at x = 0 and x = columns + 1, and a bottom and a top
+        # vertex at every x in between: one tied pair per column, no edges
+        last = columns + 1
+        height = last * (last - 1) + 1
+        bottom = [[str(x), str(x * (x - 1) // 2)] for x in range(last + 1)]
+        top = [[str(x), str(height - x * (x - 1) // 2)] for x in range(last, -1, -1)]
+        path = tmp_path / "staircase.json"
+        path.write_text(json.dumps({"vertices": bottom + top}))
+        code, out, _ = self.run("graph", str(path))
+        assert code == 0
+        data = json.loads(out)
+        assert len(data["vertices"]) == 2 * columns + 2 and data["edges"] == []
+
     def test_output_deterministic(self):
         first = self.run("graph", "corpus:NONADAPT3", "--format", "json")
         second = self.run("graph", "corpus:NONADAPT3", "--format", "json")
@@ -292,6 +327,16 @@ class TestHostileInput:
         with pytest.raises(ParseError, match="marked_points"):
             parse_polygon(text)
         assert self.run_file(tmp_path, text.encode())[0] == 2
+
+    def test_oversized_computed_rational(self, tmp_path):
+        # every input is accepted, but the new vertex's denominator has 8600 digits
+        side = f"1/{10 ** 4299 + 1}"
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"vertices": [["0", "0"], [side, "0"], [side, side], ["0", side]]}))
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["chop", str(path), "--vertex", f"{side},{side}", "--size", f"1/{10 ** 4299 + 3}"]
+        assert run_cli(argv, out, err) == 1
+        assert "digits" in err.getvalue() and out.getvalue() == ""
 
     def test_oversized_json_integer(self, tmp_path):
         digits = "1" * (sys.get_int_max_str_digits() + 1)
