@@ -12,7 +12,11 @@ jump report recomputes both sides of this identity from independent data.
 Adaptability (the circle action extends to a torus action) is decided twice:
 by orbit counting per column, and by searching the cut-sign family for a
 presentation that is a Delzant polygon.  The two verdicts must agree; a
-disagreement raises instead of guessing.
+disagreement raises instead of guessing.  Both are polynomial in the number
+m of focus-focus points: the search tries the k + 1 up-counts of each column
+of k points on their own (k new presentations, not 2^m), because a cut
+switch changes the polygon only on and right of its column, and right of it
+by a unimodular shear.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from itertools import accumulate, chain, product
+from typing import Collection, Iterator, Literal, Sequence
 
-from .cuts import ENUMERATION_LIMIT, enumerate_presentations, shear_normal_form, split_marks
-from .errors import DomainError, SemitoricError
+from .cuts import _flip_cuts, shear_normal_form, split_marks
+from .errors import DomainError, PresentationError, SemitoricError
 from .geometry import Point, primitive_direction
 from .polygon import SemitoricPolygon, boundary_chains
-from .vertices import VertexKind, classify_vertex, is_delzant_polygon, isotropy_weights
+from .vertices import VertexKind, classify_vertex, is_smooth_vertex, isotropy_weights
 
 
 @dataclass(frozen=True)
@@ -169,29 +174,103 @@ class CriteriaDisagreement(SemitoricError):
     """The orbit-count and Delzant-presentation criteria returned different verdicts."""
 
 
-def _delzant_members(polygon: SemitoricPolygon, limit: int):
-    """Delzant presentations over unit-split marks, with their sign vectors.
+def _flip_codes(signs: Sequence[int], shifts: Collection[int]) -> Iterator[int]:
+    """Increasing bit codes over marks of these cut signs whose flips move the up-count by one of ``shifts``.
+
+    Flipping a mark of sign s moves the up-count by -s.  A branch is walked
+    only while a wanted shift is still in reach of the lower bits, so every
+    code found costs O(len(signs)) steps.
+    """
+    ups = list(accumulate((s > 0 for s in signs), initial=0))  # up marks among the first i
+
+    def walk(i: int, wanted: frozenset[int]) -> Iterator[int]:
+        if not any(-ups[i] <= d <= i - ups[i] for d in wanted):
+            return
+        if i == 0:
+            yield 0
+            return
+        yield from walk(i - 1, wanted)
+        for code in walk(i - 1, frozenset(d + signs[i - 1] for d in wanted)):
+            yield code | 1 << (i - 1)
+
+    return walk(len(signs), frozenset(shifts))
+
+
+def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, list[tuple[int, ...]]]:
+    """The unit-split polygon, and the sign vector of each of its Delzant presentations.
 
     Splitting lets coincident focus-focus points take independent cut signs,
-    which is the family the existence criterion quantifies over.
+    which is the family the existence criterion quantifies over.  Flipping
+    unit mark i is bit i of a code, and sign vectors come in increasing
+    code order.
+
+    A switch at column x shears the half-plane right of x unimodularly, so
+    no boundary point off column x changes class, smoothness or validity,
+    and near x the presentation depends only on the column's up-count.  So
+    each column is tried alone at each of its up-counts (one presentation
+    built and validated per count, by the smallest code reaching it), and
+    the Delzant presentations are the codes whose up-count at every column
+    keeps that column's vertices smooth.
+
+    When some presentations are invalid, the one of the smallest code raises
+    its PresentationError, as when all 2^m were built in code order.  It is
+    one of the builds.  With a valid unit-split polygon, a column is invalid
+    only at some up-counts, and each is built by its smallest code.  With an
+    invalid one, every presentation is invalid, since switching a valid
+    presentation gives a valid one; so code 1, built for the first column,
+    fails first.
     """
     unit = split_marks(polygon)
-    if len(unit.marks) > limit:
-        raise DomainError(
-            f"{len(unit.marks)} focus-focus points exceed the enumeration bound {limit}"
+    columns = []  # (x, index of its first unit mark, the column's cut signs)
+    first = 0
+    for x, marks in unit.facts.marks_at.items():  # in mark order
+        columns.append((x, first, tuple(mark.cut_sign for mark in marks)))
+        first += len(marks)
+
+    shapes = []  # per column: up-count shift -> its presentation
+    failures = {}  # code -> the PresentationError of its presentation
+    for x, first, signs in columns:
+        by_shift = {0: unit}
+        for shift in range(-signs.count(1), signs.count(-1) + 1):
+            if shift:
+                code = next(_flip_codes(signs, (shift,)))
+                flips = frozenset(first + b for b in range(len(signs)) if code >> b & 1)
+                try:
+                    by_shift[shift] = _flip_cuts(unit, flips)
+                except PresentationError as exc:
+                    failures[code << first] = exc
+        shapes.append(by_shift)
+    if failures:
+        raise failures[min(failures)]
+
+    # no cut ends off the mark columns, so there a valid polygon's vertices are
+    # Delzant, and an unclassifiable vertex raises its error here
+    on_columns = {x for x, _, _ in columns}
+    if not all(is_smooth_vertex(unit, v) for v in unit.vertices if v.x not in on_columns):
+        return unit, []
+    per_column = []  # per column: the signs of every flip pattern that keeps its vertices smooth
+    for (x, _, signs), by_shift in zip(columns, shapes):
+        kept = [
+            shift
+            for shift, shape in by_shift.items()
+            if all(is_smooth_vertex(shape, v) for v in shape.facts.vertices_at.get(x, ()))
+        ]
+        per_column.append(
+            [tuple(-s if code >> b & 1 else s for b, s in enumerate(signs)) for code in _flip_codes(signs, kept)]
         )
-    family = enumerate_presentations(unit, limit)
-    return [(signs, member) for signs, member in family.members if is_delzant_polygon(member)]
+    # the last column's bits are the highest, so it varies slowest
+    return unit, [tuple(chain.from_iterable(reversed(choice))) for choice in product(*reversed(per_column))]
 
 
-def adaptability(polygon: SemitoricPolygon, limit: int = ENUMERATION_LIMIT) -> AdaptabilityVerdict:
+def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
     """Decide extendability of the circle action, by both criteria.
 
     (i)  every interior column carries at most two non-free orbits;
     (ii) some presentation in the (unit-split) cut family is Delzant.
 
-    Raises CriteriaDisagreement when the two verdicts differ, which signals
-    invalid input or a bug rather than a legal state.
+    Both are polynomial in the number of focus-focus points.  Raises
+    CriteriaDisagreement when the two verdicts differ, which signals invalid
+    input or a bug rather than a legal state.
     """
     facts = polygon.facts
     violating = []
@@ -202,7 +281,7 @@ def adaptability(polygon: SemitoricPolygon, limit: int = ENUMERATION_LIMIT) -> A
         if counts.total >= 3:
             violating.append((x, counts))
     by_counts = not violating
-    delzant = _delzant_members(polygon, limit)
+    _, delzant = _delzant_signs(polygon)
     by_existence = bool(delzant)
     if by_counts != by_existence:
         raise CriteriaDisagreement(
@@ -212,20 +291,18 @@ def adaptability(polygon: SemitoricPolygon, limit: int = ENUMERATION_LIMIT) -> A
     return AdaptabilityVerdict(
         adaptable=by_counts,
         violating_levels=tuple(violating),
-        delzant_signs=tuple(signs for signs, _ in delzant),
+        delzant_signs=tuple(delzant),
         criteria_agree=True,
     )
 
 
-def delzant_presentations(
-    polygon: SemitoricPolygon, limit: int = ENUMERATION_LIMIT
-) -> tuple[SemitoricPolygon, ...]:
+def delzant_presentations(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, ...]:
     """All Delzant members of the cut family, in shear normal form, deduplicated."""
-    out = []
-    for _, member in _delzant_members(polygon, limit):
-        normal = shear_normal_form(member)
-        if normal not in out:
-            out.append(normal)
+    unit, delzant = _delzant_signs(polygon)
+    out: dict[SemitoricPolygon, None] = {}  # first-seen order
+    for signs in delzant:
+        flips = frozenset(i for i, mark in enumerate(unit.marks) if mark.cut_sign != signs[i])
+        out.setdefault(shear_normal_form(_flip_cuts(unit, flips) if flips else unit))
     return tuple(out)
 
 

@@ -137,8 +137,11 @@ def split_marks(polygon: SemitoricPolygon) -> SemitoricPolygon:
 
     The polygon and all its invariants are unchanged; only the sign choices
     reachable by switching become finer (one per underlying focus-focus
-    point instead of one per entry).
+    point instead of one per entry).  A polygon whose marks are all unit
+    marks already is returned as it is, with the facts it has computed.
     """
+    if all(mark.multiplicity == 1 for mark in polygon.marks):
+        return polygon
     units = []
     for mark in polygon.marks:
         units.extend(

@@ -98,14 +98,19 @@ def serialize_graph(graph: KarshonGraph) -> str:
 
 
 def _sort_key(vertex: GraphVertex):
-    return (vertex.label, vertex.kind, vertex.area if vertex.area is not None else Fraction(0))
+    return (
+        vertex.label,
+        vertex.kind,
+        vertex.area if vertex.area is not None else Fraction(0),
+        vertex.genus if vertex.genus is not None else 0,
+    )
 
 
 def canonical_form(graph: KarshonGraph) -> KarshonGraph:
     """Provenance-stripped copy with vertices sorted and ties broken.
 
-    Vertices sort by (label, kind, area); tied fat vertices keep their input
-    order.  Tied isolated vertices serialize alike, so the order that makes
+    Vertices sort by (label, kind, area, genus), every field a fat vertex
+    serializes.  Tied isolated vertices serialize alike, so the order that makes
     :func:`serialize_graph` smallest is read off the edge list, in polynomial
     time: the vertices with edges take their block's textually first ids
     (``"10"`` before ``"9"``), and where two do, which goes first is a bit.

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
+import adaptability_oracle
+from conftest import focus_ladder, multi_column_polygons
 from semitoric import (
     DomainError,
     MarkedPoint,
@@ -149,6 +152,73 @@ class TestAdaptability:
         for polygon in list(corpus.values()) + derived_polygons:
             if not vertical_edge_endpoints(polygon):
                 assert adaptability(polygon).adaptable
+
+
+def outcome(function, polygon):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return function(polygon)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestPerColumnSearch:
+    """The per-column search answers exactly as building all 2^m presentations."""
+
+    @pytest.fixture
+    def oracle(self, monkeypatch):
+        # both oracle functions enumerate the same family: build it once per polygon
+        monkeypatch.setattr(adaptability_oracle, "_delzant_members", cache(adaptability_oracle._delzant_members))
+        return adaptability_oracle
+
+    def agree(self, oracle, polygons):
+        for polygon in polygons:
+            assert outcome(adaptability, polygon) == outcome(oracle.adaptability, polygon), polygon
+            assert outcome(delzant_presentations, polygon) == outcome(oracle.delzant_presentations, polygon), polygon
+
+    def test_corpus_and_fuzz(self, oracle, corpus, derived_polygons):
+        self.agree(oracle, list(corpus.values()) + derived_polygons)
+
+    def test_multi_column(self, oracle):
+        polygons = multi_column_polygons(200, max_marks=8)
+        assert max(len({m.position.x for m in p.marks}) for p in polygons) == 4
+        self.agree(oracle, polygons)
+
+    def test_unvalidated_input(self, oracle, corpus):
+        # errors must match too: a corner of |det| 2 and no marks, a cut ending
+        # off the vertices, and marks whose sign was flipped without reshaping
+        polygons = [
+            SemitoricPolygon((pt(0, 0), pt(2, 0), pt(0, 1))),
+            SemitoricPolygon(corpus["SQUARE"].vertices, (MarkedPoint(pt(Fraction(1, 2), Fraction(1, 2)), 1, 1),)),
+        ]
+        for polygon in multi_column_polygons(40, seed=7, max_marks=6):
+            marks = list(polygon.marks)
+            marks[-1] = MarkedPoint(marks[-1].position, 1, -marks[-1].cut_sign)
+            polygons.append(SemitoricPolygon(polygon.vertices, tuple(marks)))
+        self.agree(oracle, polygons)
+
+    def test_builds_per_column(self, monkeypatch):
+        import semitoric.analysis as analysis
+
+        built = []
+        flip_cuts = analysis._flip_cuts
+        monkeypatch.setattr(analysis, "_flip_cuts", lambda *args: built.append(1) or flip_cuts(*args))
+        for polygon in multi_column_polygons(50, seed=11):
+            built.clear()
+            verdict = adaptability(polygon)
+            # one build per up-count of a column other than the present one
+            assert len(built) == polygon.total_multiplicity
+            built.clear()
+            delzant_presentations(polygon)
+            assert len(built) <= polygon.total_multiplicity + len(verdict.delzant_signs)
+
+    def test_seventeen_points(self):
+        # past the old 16-point enumeration bound: one mark per column, all Delzant
+        verdict = adaptability(focus_ladder([1] * 17))
+        assert verdict.adaptable
+        assert len(verdict.delzant_signs) == 2**17
+        assert verdict.delzant_signs[1] == (1,) + (-1,) * 16
+        assert verdict.delzant_signs[-1] == (1,) * 17
 
 
 class TestDelzantPresentations:

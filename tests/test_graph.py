@@ -110,6 +110,12 @@ class TestCanonicalGraph:
         two = KarshonGraph((south, pole, spectator), (GraphEdge(0, 1, 2),))
         assert canonical_graph(one) == canonical_graph(two)
 
+    def test_fat_vertices_differing_only_in_genus(self):
+        # genus is part of the sort key, so input order cannot decide the output
+        first = GraphVertex("fat", Fraction(0), genus=0, area=Fraction(1))
+        second = GraphVertex("fat", Fraction(0), genus=1, area=Fraction(1))
+        assert graphs_equal(KarshonGraph((first, second), ()), KarshonGraph((second, first), ()))
+
     def test_nine_tied_vertices(self):
         # one block of nine interchangeable vertices: no order is tried
         vertices = tuple(GraphVertex("isolated", Fraction(1)) for _ in range(9))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corpus_polygons_under_ops, focus_ladder
 from semitoric import (
     DomainError,
     ParseError,
@@ -286,6 +287,12 @@ class TestCli:
         data = json.loads(out)
         assert len(data["vertices"]) == 2 * columns + 2 and data["edges"] == []
 
+    def test_adaptable_twenty_points(self, tmp_path):
+        # past the old 16-point enumeration bound, with a triple column at x = 9
+        path = tmp_path / "twenty.json"
+        path.write_text(serialize_polygon(focus_ladder([1] * 8 + [3] + [1] * 9)))
+        assert self.run("adaptable", str(path)) == (0, "non-adaptable\nviolating level x=9: E=0, FF=3, S=0\n", "")
+
     def test_output_deterministic(self):
         first = self.run("graph", "corpus:NONADAPT3", "--format", "json")
         second = self.run("graph", "corpus:NONADAPT3", "--format", "json")
@@ -402,3 +409,11 @@ def test_cli_on_arbitrary_bytes_only_exits(tmp_path_factory, payload, argv):
     path.write_bytes(payload)
     code = run_cli([argv[0], str(path), *argv[1:]], io.StringIO(), io.StringIO())
     assert code in (0, 1, 2, 64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polygon=corpus_polygons_under_ops())
+def test_serialize_parse_round_trip(polygon):
+    text = serialize_polygon(polygon)
+    assert parse_polygon(text) == polygon
+    assert serialize_polygon(parse_polygon(text)) == text
