@@ -29,9 +29,9 @@ from typing import Collection, Iterator, Literal, Sequence
 
 from .cuts import _flip_cuts, shear_normal_form, split_marks
 from .errors import DomainError, PresentationError, SemitoricError
-from .geometry import Point, primitive_direction
+from .geometry import Point
 from .polygon import SemitoricPolygon, boundary_chains
-from .vertices import VertexKind, classify_vertex, is_smooth_vertex, isotropy_weights
+from .vertices import VertexKind, classify_vertex, is_smooth_vertex, isotropy_weights, outgoing_primitives
 
 
 @dataclass(frozen=True)
@@ -315,16 +315,11 @@ def self_intersection(polygon: SemitoricPolygon, side: Literal["left", "right"])
     |det| of the two outgoing primitives.
     """
     chains = boundary_chains(polygon)
-    if side == "left":
-        if chains.left_vertical is None:
-            raise DomainError("no vertical edge on the left side")
-        bottom_out = primitive_direction(chains.bottom[1].x - chains.bottom[0].x, chains.bottom[1].y - chains.bottom[0].y)
-        top_out = primitive_direction(chains.top[1].x - chains.top[0].x, chains.top[1].y - chains.top[0].y)
-        return bottom_out.b - top_out.b
-    if side == "right":
-        if chains.right_vertical is None:
-            raise DomainError("no vertical edge on the right side")
-        bottom_out = primitive_direction(chains.bottom[-2].x - chains.bottom[-1].x, chains.bottom[-2].y - chains.bottom[-1].y)
-        top_out = primitive_direction(chains.top[-2].x - chains.top[-1].x, chains.top[-2].y - chains.top[-1].y)
-        return bottom_out.b - top_out.b
-    raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+    if side not in ("left", "right"):
+        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+    edge = chains.left_vertical if side == "left" else chains.right_vertical
+    if edge is None:
+        raise DomainError(f"no vertical edge on the {side} side")
+    # the non-vertical edge leaving each endpoint, bottom endpoint first
+    bottom_out, top_out = (next(d for d in outgoing_primitives(polygon, end) if d.a) for end in edge)
+    return bottom_out.b - top_out.b

@@ -28,10 +28,9 @@ def _edge_parameter(vertex: Point, other: Point, direction: LatticeVector) -> Fr
 
 def chop_allowance(polygon: SemitoricPolygon, vertex: Point) -> Fraction:
     """Largest size bound for a chop at the vertex (exclusive): min edge length."""
-    verts = polygon.vertices
-    i = verts.index(vertex)
+    toward_prev, toward_next = outgoing_primitives(polygon, vertex)  # raises DomainError off the vertices
+    verts, i = polygon.vertices, polygon.facts.index[vertex]
     prev_v, next_v = verts[i - 1], verts[(i + 1) % len(verts)]
-    toward_prev, toward_next = outgoing_primitives(polygon, vertex)
     return min(
         _edge_parameter(vertex, prev_v, toward_prev),
         _edge_parameter(vertex, next_v, toward_next),
@@ -45,8 +44,7 @@ def corner_chop(polygon: SemitoricPolygon, vertex: Point, delta: Fraction) -> Se
         raise DomainError("chop size must be positive")
     if classify_vertex(polygon, vertex).kind is not VertexKind.DELZANT:
         raise DomainError(f"vertex is not Delzant: {vertex}")
-    verts = polygon.vertices
-    i = verts.index(vertex)
+    verts, i = polygon.vertices, polygon.facts.index[vertex]
     prev_v, next_v = verts[i - 1], verts[(i + 1) % len(verts)]
     toward_prev, toward_next = outgoing_primitives(polygon, vertex)
     if delta >= _edge_parameter(vertex, prev_v, toward_prev):

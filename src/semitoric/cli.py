@@ -31,7 +31,7 @@ from .errors import (
 from .geometry import Point, format_rational, parse_rational
 from .graph import build_graph, canonical_graph
 from .polygon import SemitoricPolygon, require_valid
-from .serialization import emit_dot, parse_polygon, serialize_polygon
+from .serialization import emit_dot, parse_polygon, polygon_data, serialize_polygon
 from .vertices import classify_vertex, is_smooth_vertex
 
 EXIT_OK = 0
@@ -186,14 +186,11 @@ def _cmd_switch_cut(args, out) -> int:
 def _cmd_presentations(args, out) -> int:
     polygon = _load(args.file)
     if args.delzant_only:
-        rows = [
-            {"polygon": json.loads(serialize_polygon(p))}
-            for p in delzant_presentations(polygon)
-        ]
+        rows = [{"polygon": polygon_data(p)} for p in delzant_presentations(polygon)]
     else:
         family = enumerate_presentations(polygon)
         rows = [
-            {"signs": list(signs), "polygon": json.loads(serialize_polygon(member))}
+            {"signs": list(signs), "polygon": polygon_data(member)}
             for signs, member in family.members
         ]
     print(json.dumps(rows, separators=(",", ":")), file=out)

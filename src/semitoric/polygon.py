@@ -7,14 +7,16 @@ The endpoint of a cut is the boundary point directly above (+1) or below (-1)
 the mark; validation requires every endpoint to be a polygon vertex, which is
 where the fake and hidden-Delzant vertex classes live.
 
-Everything the library reads about a polygon is one immutable
-:class:`PolygonFacts` value: the boundary chains and vertical edges, the
-slice heights at every column, the cut degrees, each vertex's class and the
-k-runs.  It is computed on first use by a single left-to-right sweep (the
-k-runs on first request) and kept on the polygon instance, outside equality,
-hashing, repr and pickling, so it lives exactly as long as the polygon.  Two threads racing on first use can only
-compute equal values twice.  A fact whose computation fails stores the error,
-and every reader raises a fresh copy of it.
+Everything the library reads about a polygon is one :class:`PolygonFacts`
+value, kept on the polygon instance outside equality, hashing, repr and
+pickling, so it lives exactly as long as the polygon.  Each of its facts
+(the boundary chains and vertical edges, the slice heights at every column,
+the cut degrees, each vertex's class, the k-runs) is computed on first read
+and kept.  A fact whose computation fails is not kept: every read raises
+again, with the same type and message.  Only the vertex classes hold errors,
+one per unclassifiable vertex, so validation can report them all.  A reader
+computes only what it reads: a degenerate polygon is rejected without a
+vertex being classified.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
-from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     ClassificationError,
@@ -84,10 +86,10 @@ class SemitoricPolygon:
 
     @property
     def facts(self) -> PolygonFacts:
-        """This polygon's facts, swept on first use and kept on the instance."""
+        """This polygon's facts, made on first use and kept on the instance."""
         facts = self.__dict__.get("_facts")
         if facts is None:
-            facts = _sweep(self)
+            facts = PolygonFacts(self.vertices, self.marks)
             object.__setattr__(self, "_facts", facts)
         return facts
 
@@ -142,68 +144,116 @@ class BoundaryChains:
     right_vertical: Optional[tuple[Point, Point]]
 
 
-def _unwrap(fact):
-    """A stored fact, or a fresh copy of the error stored in its place, raised."""
-    if isinstance(fact, SemitoricError):
-        raise type(fact)(*fact.args)
-    return fact
-
-
-@dataclass(frozen=True, eq=False)
 class PolygonFacts:
-    """What the library reads about one polygon, from one left-to-right sweep.
+    """What the library reads about one polygon, each fact computed on first read.
 
-    Entries that may hold a SemitoricError hold the error their computation
-    raised; the public readers raise a fresh copy of it.
+    A fact whose computation raises is not kept, so every read raises again.
+    Only :attr:`classes` holds errors, one per unclassifiable vertex.
     """
 
-    structure: tuple[Violation, ...]  # structural rule violations, empty when well formed
-    j_min: Fraction
-    j_max: Fraction
-    chains: Union[BoundaryChains, SemitoricError]
-    on_vertical: frozenset[Point]  # endpoints of the vertical edges
-    index: Mapping[Point, int]  # vertex -> its first position in polygon.vertices
-    columns: tuple[Fraction, ...]  # sorted x of every vertex and every mark
-    heights: Mapping[Fraction, tuple[Fraction, Fraction]]  # (bottom, top) at each column in [j_min, j_max]
-    vertices_at: Mapping[Fraction, tuple[Point, ...]]  # column -> its vertices, in polygon order
-    marks_at: Mapping[Fraction, tuple[MarkedPoint, ...]]
-    cut_degrees: Union[Mapping[Point, tuple[int, int]], SemitoricError]  # endpoint -> (degree, sign)
-    classes: Mapping[Point, object]  # vertex -> VertexClassification or SemitoricError
+    def __init__(self, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...]):
+        self.vertices, self.marks = vertices, marks
+        self.j_min, self.j_max = min(v.x for v in vertices), max(v.x for v in vertices)
+        self.index: dict[Point, int] = {}  # vertex -> its first position in vertices
+        self.vertices_at: dict[Fraction, tuple[Point, ...]] = {}  # column -> its vertices, in polygon order
+        for i, v in enumerate(vertices):
+            self.index.setdefault(v, i)
+            self.vertices_at[v.x] = self.vertices_at.get(v.x, ()) + (v,)
+        self.columns = tuple(sorted({v.x for v in vertices} | {m.position.x for m in marks}))  # every vertex and mark x
+        self.marks_at = {x: tuple(group) for x, group in groupby(marks, key=lambda m: m.position.x)}
+
+    @cached_property
+    def structure(self) -> tuple[Violation, ...]:
+        """Structural rule violations, empty when the polygon is well formed."""
+        return tuple(_structure_violations(self.vertices))
+
+    @cached_property
+    def chains(self) -> BoundaryChains:
+        if self.structure:
+            raise GeometryError(f"degenerate polygon: {self.structure[0].message}")
+        return _split_boundary(self.vertices, self.j_min, self.j_max)
+
+    @cached_property
+    def on_vertical(self) -> frozenset[Point]:
+        """The endpoints of the vertical edges."""
+        return frozenset(p for edge in (self.chains.left_vertical, self.chains.right_vertical) if edge for p in edge)
+
+    @cached_property
+    def heights(self) -> dict[Fraction, tuple[Fraction, Fraction]]:
+        """(bottom, top) at each column in [j_min, j_max], from one walk along each chain."""
+        chains = self.chains
+        inside = [x for x in self.columns if self.j_min <= x <= self.j_max]
+        return dict(zip(inside, zip(_heights_along(chains.bottom, inside), _heights_along(chains.top, inside))))
 
     def slice_at(self, x: Fraction) -> tuple[Fraction, Fraction]:
         """(y_bottom, y_top) at x: a lookup at a column, a bisection elsewhere."""
-        chains = _unwrap(self.chains)
         found = self.heights.get(x)
         if found is not None:
             return found
         if not self.j_min <= x <= self.j_max:
             raise DomainError(f"x = {x} is outside the moment interval [{self.j_min}, {self.j_max}]")
-        return _height_at(chains.bottom, x), _height_at(chains.top, x)
+        return _height_at(self.chains.bottom, x), _height_at(self.chains.top, x)
+
+    def cut_endpoint(self, mark: MarkedPoint) -> Point:
+        """Boundary point where the mark's cut lands: top for +1, bottom for -1."""
+        bottom_y, top_y = self.slice_at(mark.position.x)
+        return Point(mark.position.x, top_y if mark.cut_sign > 0 else bottom_y)
+
+    @cached_property
+    def cut_degrees(self) -> dict[Point, tuple[int, int]]:
+        """Cut endpoint -> (total multiplicity, common sign)."""
+        out: dict[Point, tuple[int, int]] = {}
+        for mark in self.marks:
+            endpoint = self.cut_endpoint(mark)
+            degree, sign = out.get(endpoint, (0, mark.cut_sign))
+            if sign != mark.cut_sign:
+                raise ClassificationError(f"cuts of both signs end at {endpoint}")
+            out[endpoint] = (degree + mark.multiplicity, sign)
+        return out
+
+    @cached_property
+    def classes(self) -> dict[Point, object]:
+        """Vertex -> its VertexClassification, or the SemitoricError classifying it raised.
+
+        Errors are kept here so that validation can report every
+        unclassifiable vertex; a reader raises a fresh copy of the error.
+        """
+        from .vertices import classify_corner  # deferred: the lattice rules live there
+
+        if not self.structure:
+            # every tangent frame of a well-formed polygon is sound, so a failed
+            # tally is each vertex's error: tally once, not once per vertex
+            try:
+                self.cut_degrees
+            except SemitoricError as exc:
+                return dict.fromkeys(self.index, exc.with_traceback(None))
+        classes: dict[Point, object] = {}
+        for v, i in self.index.items():
+            try:
+                classes[v] = classify_corner(self, i)
+            except SemitoricError as exc:
+                classes[v] = exc.with_traceback(None)
+        return classes
 
     def multiplicity_at(self, x: Fraction) -> int:
         return sum(m.multiplicity for m in self.marks_at.get(x, ()))
 
+    @cached_property
     def k_runs(self) -> tuple:
-        """The ZkChain runs of both chains, extracted on first use."""
-        return self._runs()[0]
+        """The ZkChain runs of both chains."""
+        from .vertices import extract_k_runs  # deferred: the lattice rules live there
+
+        return extract_k_runs(self.chains, self.classes)
+
+    @cached_property
+    def _run_xs(self) -> tuple[list[Fraction], list[Fraction]]:
+        """The sorted start x and the sorted end x of the k-runs."""
+        return sorted(r.start_vertex.x for r in self.k_runs), sorted(r.end_vertex.x for r in self.k_runs)
 
     def runs_over(self, x: Fraction) -> int:
         """Number of k-runs whose open x-span contains x."""
-        _, starts, ends = self._runs()
+        starts, ends = self._run_xs
         return bisect_left(starts, x) - bisect_right(ends, x)  # a run ending left of x starts left of it
-
-    def _runs(self):
-        found = self.__dict__.get("_k_runs")
-        if found is None:
-            from .vertices import extract_k_runs  # deferred: the lattice rules live there
-
-            try:
-                runs = extract_k_runs(_unwrap(self.chains), self.classes)
-                found = runs, tuple(sorted(r.start_vertex.x for r in runs)), tuple(sorted(r.end_vertex.x for r in runs))
-            except SemitoricError as exc:
-                found = exc.with_traceback(None)
-            object.__setattr__(self, "_k_runs", found)
-        return _unwrap(found)
 
 
 def _height_at(path: Sequence[Point], x: Fraction) -> Fraction:
@@ -224,8 +274,7 @@ def _heights_along(path: Sequence[Point], columns: Sequence[Fraction]) -> list[F
     return ys
 
 
-def _structure_violations(polygon: SemitoricPolygon) -> list[Violation]:
-    verts = polygon.vertices
+def _structure_violations(verts: tuple[Point, ...]) -> list[Violation]:
     if len(verts) < 3:
         return [Violation("too-few-vertices", "polygon", f"{len(verts)} vertices, need at least 3")]
     if len(set(verts)) != len(verts):
@@ -268,83 +317,18 @@ def _split_boundary(verts: tuple[Point, ...], j_min: Fraction, j_max: Fraction) 
     return BoundaryChains(bottom=bottom, top=top, left_vertical=left_vertical, right_vertical=right_vertical)
 
 
-def _tally_cuts(marks, heights, chains, j_min, j_max):
-    """Cut endpoint -> (total multiplicity, common sign), or the first error."""
-    if marks and isinstance(chains, SemitoricError):
-        return chains
-    out: dict[Point, tuple[int, int]] = {}
-    for mark in marks:
-        x = mark.position.x
-        if x not in heights:
-            return DomainError(f"x = {x} is outside the moment interval [{j_min}, {j_max}]")
-        endpoint = Point(x, heights[x][1] if mark.cut_sign > 0 else heights[x][0])
-        degree, sign = out.get(endpoint, (0, mark.cut_sign))
-        if sign != mark.cut_sign:
-            return ClassificationError(f"cuts of both signs end at {endpoint}")
-        out[endpoint] = (degree + mark.multiplicity, sign)
-    return out
-
-
-def _sweep(polygon: SemitoricPolygon) -> PolygonFacts:
-    """The facts of a polygon: both chains walked once over the sorted columns, then each vertex classified."""
-    from .vertices import classify_corner  # deferred: the lattice rules live there
-
-    verts, marks = polygon.vertices, polygon.marks
-    j_min, j_max = min(v.x for v in verts), max(v.x for v in verts)
-    structure = tuple(_structure_violations(polygon))
-    columns = tuple(sorted({v.x for v in verts} | {m.position.x for m in marks}))
-    heights: dict[Fraction, tuple[Fraction, Fraction]] = {}
-    on_vertical: frozenset[Point] = frozenset()
-    if structure:
-        chains: Union[BoundaryChains, SemitoricError] = GeometryError(f"degenerate polygon: {structure[0].message}")
-    else:
-        chains = _split_boundary(verts, j_min, j_max)
-        inside = [x for x in columns if j_min <= x <= j_max]
-        heights = dict(zip(inside, zip(_heights_along(chains.bottom, inside), _heights_along(chains.top, inside))))
-        on_vertical = frozenset(p for edge in (chains.left_vertical, chains.right_vertical) if edge for p in edge)
-    index: dict[Point, int] = {}
-    vertices_at: dict[Fraction, tuple[Point, ...]] = {}
-    for i, v in enumerate(verts):
-        index.setdefault(v, i)
-        vertices_at[v.x] = vertices_at.get(v.x, ()) + (v,)
-    cut_degrees = _tally_cuts(marks, heights, chains, j_min, j_max)
-    classes: dict[Point, object] = {}
-    for v, i in index.items():
-        try:
-            classes[v] = classify_corner(verts, i, j_min, j_max, cut_degrees)
-        except SemitoricError as exc:
-            classes[v] = exc.with_traceback(None)
-    frozen = MappingProxyType
-    return PolygonFacts(
-        structure=structure,
-        j_min=j_min,
-        j_max=j_max,
-        chains=chains,
-        on_vertical=on_vertical,
-        index=frozen(index),
-        columns=columns,
-        heights=frozen(heights),
-        vertices_at=frozen(vertices_at),
-        marks_at=frozen({x: tuple(group) for x, group in groupby(marks, key=lambda m: m.position.x)}),
-        cut_degrees=cut_degrees if isinstance(cut_degrees, SemitoricError) else frozen(cut_degrees),
-        classes=frozen(classes),
-    )
-
-
 def boundary_chains(polygon: SemitoricPolygon) -> BoundaryChains:
     """Split the boundary into bottom/top paths and the extreme vertical edges.
 
     Raises GeometryError when the polygon is degenerate (not strictly convex
     counter-clockwise).
     """
-    return _unwrap(polygon.facts.chains)
+    return polygon.facts.chains
 
 
 def vertical_edge_endpoints(polygon: SemitoricPolygon) -> frozenset[Point]:
     """Vertices incident to a vertical edge (images of fixed surfaces)."""
-    facts = polygon.facts
-    _unwrap(facts.chains)
-    return facts.on_vertical
+    return polygon.facts.on_vertical
 
 
 def slice_heights(polygon: SemitoricPolygon, x: Fraction) -> tuple[Fraction, Fraction]:
@@ -392,14 +376,16 @@ def validate(polygon: SemitoricPolygon) -> ValidationReport:
         if not bottom_y < y < top_y:
             violations.append(Violation("mark-not-interior", where, "marked point is not strictly inside the polygon"))
             continue
-        endpoint = Point(x, top_y if mark.cut_sign > 0 else bottom_y)
+        endpoint = facts.cut_endpoint(mark)
         if endpoint not in facts.index:
             message = f"cut endpoint {endpoint} is not a vertex of the polygon"
             violations.append(Violation("cut-endpoint-not-vertex", where, message))
     if violations:
         return ValidationReport({}, tuple(violations))
-    if isinstance(facts.cut_degrees, SemitoricError):
-        return ValidationReport({}, (Violation("conflicting-cut-signs", "marks", str(facts.cut_degrees)),))
+    try:
+        facts.cut_degrees  # raises when cuts of both signs end at one vertex
+    except ClassificationError as exc:
+        return ValidationReport({}, (Violation("conflicting-cut-signs", "marks", str(exc)),))
 
     classifications: dict[Point, object] = {}
     for vertex in polygon.vertices:

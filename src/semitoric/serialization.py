@@ -87,9 +87,9 @@ def parse_polygon(text: str | bytes) -> SemitoricPolygon:
         raise
 
 
-def serialize_polygon(polygon: SemitoricPolygon) -> str:
-    """Canonical byte-stable text for a valid polygon."""
-    data = {
+def polygon_data(polygon: SemitoricPolygon) -> dict:
+    """The JSON value of a polygon file, before encoding."""
+    return {
         "vertices": [[format_rational(v.x), format_rational(v.y)] for v in polygon.vertices],
         "marked_points": [
             {
@@ -101,7 +101,11 @@ def serialize_polygon(polygon: SemitoricPolygon) -> str:
             for m in polygon.marks
         ],
     }
-    return json.dumps(data, separators=(",", ":"))
+
+
+def serialize_polygon(polygon: SemitoricPolygon) -> str:
+    """Canonical byte-stable text for a valid polygon."""
+    return json.dumps(polygon_data(polygon), separators=(",", ":"))
 
 
 def emit_dot(graph: KarshonGraph) -> str:

@@ -15,11 +15,11 @@ Everything else is invalid data.  For a hidden Delzant vertex the sign of
 det(u Aw) is pinned to -s: the cut-switched presentation must again be
 convex, and that presentation has the masked corner as a real corner.
 
-The rules here (:func:`classify_corner`, :func:`extract_k_runs`) run once per
-polygon, inside the sweep that builds its
-:class:`~semitoric.polygon.PolygonFacts`; the public functions read the
-stored results and raise a stored error again, so none of them scans the
-polygon.
+The rules here (:func:`classify_corner`, :func:`extract_k_runs`) run at
+most once per polygon, when its :class:`~semitoric.polygon.PolygonFacts`
+first reads the vertex classes or the k-runs; the public functions read
+those facts, so none of them scans the polygon.  A vertex that fits no class
+keeps its error in the facts, and each reader raises a fresh copy of it.
 """
 
 from __future__ import annotations
@@ -27,18 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Literal, Mapping, Union
+from typing import Literal, Mapping
 
 from .errors import ClassificationError, DomainError, SemitoricError
 from .geometry import LatticeVector, Point, det2, primitive_direction, shear_vector
-from .polygon import (
-    BoundaryChains,
-    MarkedPoint,
-    SemitoricPolygon,
-    _unwrap,
-    slice_heights,
-    vertical_edge_endpoints,
-)
+from .polygon import BoundaryChains, MarkedPoint, PolygonFacts, SemitoricPolygon, vertical_edge_endpoints
 
 
 class VertexKind(Enum):
@@ -85,8 +78,7 @@ class ZkChain:
 
 def cut_endpoint(polygon: SemitoricPolygon, mark: MarkedPoint) -> Point:
     """Boundary point where the mark's cut lands: top for +1, bottom for -1."""
-    bottom_y, top_y = slice_heights(polygon, mark.position.x)
-    return Point(mark.position.x, top_y if mark.cut_sign > 0 else bottom_y)
+    return polygon.facts.cut_endpoint(mark)
 
 
 def cut_degrees(polygon: SemitoricPolygon) -> dict[Point, tuple[int, int]]:
@@ -95,7 +87,7 @@ def cut_degrees(polygon: SemitoricPolygon) -> dict[Point, tuple[int, int]]:
     Raises ClassificationError when cuts of both signs end at one point,
     which cannot happen for a polygon with strictly interior marks.
     """
-    return dict(_unwrap(polygon.facts.cut_degrees))
+    return dict(polygon.facts.cut_degrees)
 
 
 def _outgoing(verts: tuple[Point, ...], i: int) -> tuple[LatticeVector, LatticeVector]:
@@ -155,17 +147,15 @@ def _tangent_frame(
     return first, second  # bottom side has the larger slope at the right tip
 
 
-def classify_corner(
-    verts: tuple[Point, ...], i: int, j_min: Fraction, j_max: Fraction, cut_degrees: Union[Mapping, SemitoricError]
-) -> VertexClassification:
-    """The class of vertex i of a cycle, given the moment interval and the cut degrees.
+def classify_corner(facts: PolygonFacts, i: int) -> VertexClassification:
+    """The class of vertex i of the polygon these facts describe.
 
-    Raises ClassificationError when no class matches, and the stored error
-    when the cut degrees could not be tallied.
+    Raises ClassificationError when no class matches, and the error of the
+    cut degrees when they cannot be tallied.
     """
-    vertex = verts[i]
-    u, w = _tangent_frame(verts, i, j_min, j_max)
-    degree, sign = _unwrap(cut_degrees).get(vertex, (0, 0))
+    vertex = facts.vertices[i]
+    u, w = _tangent_frame(facts.vertices, i, facts.j_min, facts.j_max)
+    degree, sign = facts.cut_degrees.get(vertex, (0, 0))
     if degree == 0:
         if abs(det2(u, w)) == 1:
             return VertexClassification(vertex, VertexKind.DELZANT, 0, None, u, w)
@@ -192,10 +182,18 @@ def classify_vertex(polygon: SemitoricPolygon, vertex: Point) -> VertexClassific
     Raises ClassificationError when no class matches; on validated polygons
     exactly one always does.
     """
-    found = polygon.facts.classes.get(vertex)
-    if found is None:
+    facts = polygon.facts
+    if vertex not in facts.index:
         raise DomainError(f"{vertex} is not a vertex of the polygon")
-    return _unwrap(found)
+    return _class_of(facts.classes, vertex)
+
+
+def _class_of(classes: Mapping[Point, object], vertex: Point) -> VertexClassification:
+    """The vertex's stored class, or a fresh copy of its stored error, raised."""
+    found = classes[vertex]
+    if isinstance(found, SemitoricError):
+        raise type(found)(*found.args)
+    return found
 
 
 def is_smooth_vertex(polygon: SemitoricPolygon, vertex: Point) -> bool:
@@ -239,7 +237,7 @@ def isotropy_weights(polygon: SemitoricPolygon, vertex: Point) -> tuple[int, int
 
 def zk_chains(polygon: SemitoricPolygon) -> tuple[ZkChain, ...]:
     """Extract every maximal k >= 2 run on the top and bottom boundaries."""
-    return polygon.facts.k_runs()
+    return polygon.facts.k_runs
 
 
 def extract_k_runs(bc: BoundaryChains, classes: Mapping[Point, object]) -> tuple[ZkChain, ...]:
@@ -256,7 +254,7 @@ def extract_k_runs(bc: BoundaryChains, classes: Mapping[Point, object]) -> tuple
                 continue
             j = i
             while j + 1 < len(edges):
-                joint = _unwrap(classes[edges[j][1]])
+                joint = _class_of(classes, edges[j][1])
                 if joint.kind is not VertexKind.FAKE:
                     break
                 if ks[j + 1] != k:
@@ -273,7 +271,7 @@ def extract_k_runs(bc: BoundaryChains, classes: Mapping[Point, object]) -> tuple
                 edges=tuple(edges[i : j + 1]),
             )
             for pole in (chain.start_vertex, chain.end_vertex):
-                if _unwrap(classes[pole]).kind is VertexKind.FAKE:
+                if _class_of(classes, pole).kind is VertexKind.FAKE:
                     raise ClassificationError(f"chain pole {pole} classifies as fake")
             chains.append(chain)
             i = j + 1

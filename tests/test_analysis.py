@@ -7,6 +7,7 @@ import adaptability_oracle
 from conftest import focus_ladder, multi_column_polygons
 from semitoric import (
     DomainError,
+    GeometryError,
     MarkedPoint,
     Point,
     SemitoricPolygon,
@@ -249,6 +250,17 @@ class TestSelfIntersection:
             self_intersection(corpus["FF1"], "left")
         with pytest.raises(DomainError):
             self_intersection(corpus["CP2STD"], "right")
+
+    def test_errors_come_in_order(self, corpus):
+        # a degenerate polygon, then a bad side, then a missing vertical edge
+        clockwise = SemitoricPolygon((pt(0, 0), pt(0, 1), pt(1, 1), pt(1, 0)))
+        with pytest.raises(GeometryError, match="degenerate polygon"):
+            self_intersection(clockwise, "up")
+        with pytest.raises(DomainError, match="side must be 'left' or 'right', got 'up'"):
+            self_intersection(corpus["FF1"], "up")
+        for side in ("left", "right"):
+            with pytest.raises(DomainError, match=f"no vertical edge on the {side} side"):
+                self_intersection(corpus["FF1"], side)
 
     def test_matches_det_of_outgoing_primitives(self, corpus, derived_polygons):
         from semitoric import boundary_chains

@@ -1,5 +1,6 @@
 """The per-polygon facts layer: lifetime, exactness off the columns, stored errors."""
 
+import ast
 import copy
 import gc
 import io
@@ -8,12 +9,19 @@ import random
 import traceback
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import semitoric
 import semitoric.cli as cli
+import semitoric.vertices as vertices
 from semitoric import (
     ClassificationError,
+    DomainError,
+    GeometryError,
+    MarkedPoint,
     Point,
+    PolygonFacts,
     SemitoricPolygon,
     classify_vertex,
     serialize_polygon,
@@ -109,3 +117,79 @@ def test_copies_and_pickles_leave_the_facts_behind(corpus):
     for copied in (pickle.loads(pickle.dumps(polygon)), copy.deepcopy(polygon)):
         assert copied == polygon and "_facts" not in copied.__dict__
         assert zk_chains(copied) == expected
+
+
+@pytest.mark.parametrize(
+    "corners, rule",
+    [
+        ((pt(0, 0), pt(1, 0), pt(1, 0), pt(0, 1)), "duplicate-vertex"),
+        ((pt(0, 0), pt(0, 1), pt(1, 1), pt(1, 0)), "not-counter-clockwise"),
+    ],
+)
+def test_validate_classifies_nothing_on_a_structural_violation(monkeypatch, corners, rule):
+    calls = []
+    classify = vertices.classify_corner
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(vertices, "classify_corner", counted)
+    polygon = SemitoricPolygon(corners, (MarkedPoint(pt(Fraction(1, 2), Fraction(1, 2))),))
+    assert [v.rule for v in validate(polygon).violations] == [rule]
+    assert calls == []
+
+
+def test_failed_facts_are_not_kept(corpus):
+    square = corpus["SQUARE"]
+    clockwise = SemitoricPolygon(tuple(reversed(square.vertices)))
+    ff1 = corpus["FF1"]
+    # cuts of both signs ending at the right tip (2, 1), and a mark right of the polygon
+    conflicting = SemitoricPolygon(ff1.vertices, (MarkedPoint(pt(2, 5), 1, 1), MarkedPoint(pt(2, 7), 1, -1)))
+    outside = SemitoricPolygon(ff1.vertices, (MarkedPoint(pt(3, 0)),))
+    unclassifiable = SemitoricPolygon((pt(0, 0), pt(1, 0), pt(2, 2), pt(0, 1)))
+    cases = [
+        (clockwise, "chains", GeometryError),
+        (clockwise, "heights", GeometryError),
+        (conflicting, "cut_degrees", ClassificationError),
+        (outside, "cut_degrees", DomainError),
+        (unclassifiable, "k_runs", ClassificationError),
+    ]
+    for polygon, name, error in cases:
+        facts = polygon.facts
+        first, second = _raised_twice(getattr, facts, name)
+        assert type(first) is type(second) is error and str(first) == str(second)
+        assert name not in vars(facts)
+    for name in ("chains", "heights", "cut_degrees", "k_runs"):
+        getattr(square.facts, name)
+        assert name in vars(square.facts)
+
+
+def test_a_failed_tally_is_not_redone_per_vertex(monkeypatch, corpus):
+    calls = []
+    endpoint = PolygonFacts.cut_endpoint
+
+    def counted(facts, mark):
+        calls.append(mark)
+        return endpoint(facts, mark)
+
+    monkeypatch.setattr(PolygonFacts, "cut_endpoint", counted)
+    square = corpus["SQUARE"]
+    inside = tuple(MarkedPoint(pt(Fraction(k, 4), Fraction(1, 2))) for k in (1, 2, 3))
+    polygon = SemitoricPolygon(square.vertices, inside + (MarkedPoint(pt(2, 0)),))
+    for vertex in polygon.vertices:
+        with pytest.raises(DomainError, match="outside the moment interval"):
+            classify_vertex(polygon, vertex)
+    assert len(calls) == len(polygon.marks)
+
+
+def test_no_module_level_caches():
+    # a cache keyed on whole polygons keeps every polygon alive; facts live on the instance
+    banned = {"cache", "lru_cache"}
+    package = Path(semitoric.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert not banned & {alias.name for alias in node.names}, path.name
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+                assert node.attr not in banned, path.name

@@ -126,6 +126,10 @@ class TestCornerChop:
         with pytest.raises(DomainError, match="not Delzant"):
             corner_chop(corpus["FF1"], pt(1, 0), Fraction(1, 10))
 
+    def test_allowance_off_the_vertices_is_a_domain_error(self, corpus):
+        with pytest.raises(DomainError, match="not a vertex"):
+            chop_allowance(corpus["SQUARE"], pt(5, 5))
+
     def test_oversized_chop_rejected(self, corpus):
         with pytest.raises(DomainError, match="strictly inside"):
             corner_chop(corpus["SQUARE"], pt(0, 0), Fraction(1))
