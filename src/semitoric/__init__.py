@@ -26,6 +26,7 @@ from .chop import chop_allowance, corner_chop
 from .corpus import CorpusEntry, corpus_get, corpus_names
 from .cuts import (
     PresentationSet,
+    SignProduct,
     enumerate_presentations,
     shear_normal_form,
     split_marks,

@@ -24,12 +24,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from itertools import accumulate
 from typing import Collection, Iterator, Literal, Sequence
 
-from .cuts import _flip_cuts, shear_normal_form, split_marks
+from .cuts import SignProduct, _flip_cuts, _with_signs, shear_normal_form, split_marks
 from .errors import DomainError, PresentationError, SemitoricError
-from .geometry import Point
+from .geometry import Point, _exact
 from .polygon import SemitoricPolygon, boundary_chains
 from .vertices import VertexKind, classify_vertex, is_smooth_vertex, isotropy_weights, outgoing_primitives
 
@@ -42,7 +42,7 @@ class PiecewiseLinear:
     values: tuple[Fraction, ...]
 
     def value_at(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
+        x = _exact(x)
         xs, ys = self.breakpoints, self.values
         if not xs[0] <= x <= xs[-1]:
             raise DomainError(f"{x} outside [{xs[0]}, {xs[-1]}]")
@@ -152,7 +152,7 @@ class OrbitCounts:
 
 
 def orbit_counts(polygon: SemitoricPolygon, x: Fraction) -> OrbitCounts:
-    x = Fraction(x)
+    x = _exact(x)
     facts = polygon.facts
     if not facts.j_min < x < facts.j_max:
         raise DomainError(f"orbit counts are defined for interior columns only, got x = {x}")
@@ -166,7 +166,7 @@ def orbit_counts(polygon: SemitoricPolygon, x: Fraction) -> OrbitCounts:
 class AdaptabilityVerdict:
     adaptable: bool
     violating_levels: tuple[tuple[Fraction, OrbitCounts], ...]
-    delzant_signs: tuple[tuple[int, ...], ...]
+    delzant_signs: SignProduct  # built on access, see _delzant_signs
     criteria_agree: bool
 
 
@@ -196,13 +196,18 @@ def _flip_codes(signs: Sequence[int], shifts: Collection[int]) -> Iterator[int]:
     return walk(len(signs), frozenset(shifts))
 
 
-def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, list[tuple[int, ...]]]:
+def _smallest_flips(signs: Sequence[int], shift: int) -> list[int]:
+    """The first |shift| marks of sign -sign(shift): any other code moving the up-count by ``shift`` is larger."""
+    return [b for b, s in enumerate(signs) if s == (-1 if shift > 0 else 1)][: abs(shift)]
+
+
+def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignProduct]:
     """The unit-split polygon, and the sign vector of each of its Delzant presentations.
 
     Splitting lets coincident focus-focus points take independent cut signs,
     which is the family the existence criterion quantifies over.  Flipping
     unit mark i is bit i of a code, and sign vectors come in increasing
-    code order.
+    code order, each built when read, so their number may pass 2^64.
 
     A switch at column x shears the half-plane right of x unimodularly, so
     no boundary point off column x changes class, smoothness or validity,
@@ -233,12 +238,11 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, list[tu
         by_shift = {0: unit}
         for shift in range(-signs.count(1), signs.count(-1) + 1):
             if shift:
-                code = next(_flip_codes(signs, (shift,)))
-                flips = frozenset(first + b for b in range(len(signs)) if code >> b & 1)
+                flips = frozenset(first + b for b in _smallest_flips(signs, shift))
                 try:
                     by_shift[shift] = _flip_cuts(unit, flips)
                 except PresentationError as exc:
-                    failures[code << first] = exc
+                    failures[sum(1 << i for i in flips)] = exc
         shapes.append(by_shift)
     if failures:
         raise failures[min(failures)]
@@ -247,7 +251,7 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, list[tu
     # Delzant, and an unclassifiable vertex raises its error here
     on_columns = {x for x, _, _ in columns}
     if not all(is_smooth_vertex(unit, v) for v in unit.vertices if v.x not in on_columns):
-        return unit, []
+        return unit, SignProduct(((),))  # one factor with no choice: no sign vector
     per_column = []  # per column: the signs of every flip pattern that keeps its vertices smooth
     for (x, _, signs), by_shift in zip(columns, shapes):
         kept = [
@@ -256,10 +260,10 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, list[tu
             if all(is_smooth_vertex(shape, v) for v in shape.facts.vertices_at.get(x, ()))
         ]
         per_column.append(
-            [tuple(-s if code >> b & 1 else s for b, s in enumerate(signs)) for code in _flip_codes(signs, kept)]
+            tuple(tuple(-s if code >> b & 1 else s for b, s in enumerate(signs)) for code in _flip_codes(signs, kept))
         )
-    # the last column's bits are the highest, so it varies slowest
-    return unit, [tuple(chain.from_iterable(reversed(choice))) for choice in product(*reversed(per_column))]
+    # the first column's bits are the lowest, so it varies fastest
+    return unit, SignProduct(tuple(per_column))
 
 
 def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
@@ -286,12 +290,12 @@ def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
     if by_counts != by_existence:
         raise CriteriaDisagreement(
             f"orbit counting says {'adaptable' if by_counts else 'non-adaptable'} but "
-            f"{len(delzant)} Delzant presentations were found"
+            f"{delzant.size} Delzant presentations were found"
         )
     return AdaptabilityVerdict(
         adaptable=by_counts,
         violating_levels=tuple(violating),
-        delzant_signs=tuple(delzant),
+        delzant_signs=delzant,
         criteria_agree=True,
     )
 
@@ -299,11 +303,7 @@ def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
 def delzant_presentations(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, ...]:
     """All Delzant members of the cut family, in shear normal form, deduplicated."""
     unit, delzant = _delzant_signs(polygon)
-    out: dict[SemitoricPolygon, None] = {}  # first-seen order
-    for signs in delzant:
-        flips = frozenset(i for i, mark in enumerate(unit.marks) if mark.cut_sign != signs[i])
-        out.setdefault(shear_normal_form(_flip_cuts(unit, flips) if flips else unit))
-    return tuple(out)
+    return tuple(dict.fromkeys(shear_normal_form(_with_signs(unit, signs)) for signs in delzant))  # first-seen order
 
 
 def self_intersection(polygon: SemitoricPolygon, side: Literal["left", "right"]) -> int:

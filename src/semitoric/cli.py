@@ -186,14 +186,15 @@ def _cmd_switch_cut(args, out) -> int:
 def _cmd_presentations(args, out) -> int:
     polygon = _load(args.file)
     if args.delzant_only:
-        rows = [{"polygon": polygon_data(p)} for p in delzant_presentations(polygon)]
+        rows = ({"polygon": polygon_data(p)} for p in delzant_presentations(polygon))
     else:
-        family = enumerate_presentations(polygon)
-        rows = [
-            {"signs": list(signs), "polygon": polygon_data(member)}
-            for signs, member in family.members
-        ]
-    print(json.dumps(rows, separators=(",", ":")), file=out)
+        members = enumerate_presentations(polygon).members
+        rows = ({"signs": list(signs), "polygon": polygon_data(member)} for signs, member in members)
+    # the bytes of json.dumps(list(rows)), written as each row is built
+    out.write("[")
+    for i, row in enumerate(rows):
+        out.write("," * (i > 0) + json.dumps(row, separators=(",", ":")))
+    out.write("]\n")
     return EXIT_OK
 
 

@@ -5,14 +5,19 @@ at the mark's column and coefficient (old sign) * (multiplicity): identity
 left of the column, a unipotent shear right of it.  Boundary vertices are
 inserted where the kink bends an edge and removed where it straightens one.
 Switches at distinct marks commute, so a whole family of 2^m presentations
-is enumerated by composing the per-mark shears.
+is enumerated by composing the per-mark shears.  A ``SignProduct`` lists it,
+building each member when it is read, so on an unvalidated polygon
+``enumerate_presentations`` raises when a bad member is read, not when called.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain, product
+from math import prod
+from typing import Iterable, Iterator, Optional
 
 from .errors import DomainError, PresentationError, ValidationFailure
 from .geometry import GlobalShear, Point, VerticalShear, cross, primitive_direction
@@ -23,7 +28,56 @@ from .polygon import (
     require_valid,
 )
 
-ENUMERATION_LIMIT = 16
+
+@dataclass(frozen=True, eq=False)
+class SignProduct(Sequence):
+    """Every sign vector that takes one block of signs from each factor, built on access.
+
+    Item i joins one block per factor, picked by the mixed-radix digits of i
+    with the first factor varying fastest.  With a ``base`` polygon, item i
+    is the pair (signs, the presentation of ``base`` with those signs).
+
+    Equal to, and hashing as, the tuple of its items.  ``size`` counts the
+    items; ``len()`` gives the same number but, as for any Python sequence,
+    raises OverflowError past ``sys.maxsize``, so nothing here calls it.
+    """
+
+    factors: tuple[tuple[tuple[int, ...], ...], ...]
+    base: Optional[SemitoricPolygon] = None
+
+    @property
+    def size(self) -> int:
+        return prod(len(factor) for factor in self.factors)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __bool__(self) -> bool:
+        return all(self.factors)
+
+    def _item(self, signs: tuple[int, ...]):
+        return signs if self.base is None else (signs, _with_signs(self.base, signs))
+
+    def __getitem__(self, index: int):
+        code = range(self.size)[index]
+        blocks = []
+        for factor in self.factors:
+            code, digit = divmod(code, len(factor))
+            blocks.append(factor[digit])
+        return self._item(tuple(chain.from_iterable(blocks)))
+
+    def __iter__(self) -> Iterator:
+        for choice in product(*reversed(self.factors)):  # the last factor varies slowest
+            yield self._item(tuple(chain.from_iterable(reversed(choice))))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, SignProduct)):
+            return NotImplemented
+        size = other.size if isinstance(other, SignProduct) else len(other)
+        return self.size == size and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -31,12 +85,12 @@ class PresentationSet:
     """All cut-sign presentations of one polygon.
 
     ``members`` pairs each sign vector (in the base polygon's mark order)
-    with the corresponding polygon; member 0 is the base itself and the
-    family is ordered by binary counting over flipped entries.
+    with the corresponding polygon, built when read; member 0 is the base
+    itself and the family is ordered by binary counting over flipped entries.
     """
 
     base: SemitoricPolygon
-    members: tuple[tuple[tuple[int, ...], SemitoricPolygon], ...]
+    members: SignProduct
 
 
 def transform_polygon(polygon: SemitoricPolygon, shear: GlobalShear) -> SemitoricPolygon:
@@ -76,11 +130,11 @@ def _merge_collinear(cycle: Sequence[Point]) -> tuple[Point, ...]:
 
 def _flip_cuts(polygon: SemitoricPolygon, flips: frozenset[int]) -> SemitoricPolygon:
     """Flip the given marks' cuts, shearing right of each one's column."""
-    shears = [
-        VerticalShear(m.position.x, m.cut_sign * m.multiplicity)
-        for i, m in enumerate(polygon.marks)
-        if i in flips
-    ]
+    coefficients: dict[Fraction, int] = {}  # shears with one pivot add: one shear per column
+    for i in flips:
+        mark = polygon.marks[i]
+        coefficients[mark.position.x] = coefficients.get(mark.position.x, 0) + mark.cut_sign * mark.multiplicity
+    shears = [VerticalShear(x, coefficient) for x, coefficient in coefficients.items()]
 
     def image(p: Point) -> Point:
         for shear in shears:
@@ -114,22 +168,16 @@ def switch_cut(polygon: SemitoricPolygon, index: int) -> SemitoricPolygon:
     return _flip_cuts(polygon, frozenset((index,)))
 
 
-def enumerate_presentations(
-    polygon: SemitoricPolygon, limit: int = ENUMERATION_LIMIT
-) -> PresentationSet:
+def _with_signs(polygon: SemitoricPolygon, signs: tuple[int, ...]) -> SemitoricPolygon:
+    """The presentation of ``polygon`` whose marks have these cut signs."""
+    flips = frozenset(i for i, mark in enumerate(polygon.marks) if mark.cut_sign != signs[i])
+    return _flip_cuts(polygon, flips) if flips else polygon
+
+
+def enumerate_presentations(polygon: SemitoricPolygon) -> PresentationSet:
     """All 2^m presentations reachable by switching the polygon's mark entries."""
-    m = len(polygon.marks)
-    if m > limit:
-        raise DomainError(f"{m} mark entries exceed the enumeration bound {limit}")
-    members = []
-    for code in range(2**m):
-        flips = frozenset(i for i in range(m) if code >> i & 1)
-        signs = tuple(
-            -mark.cut_sign if i in flips else mark.cut_sign
-            for i, mark in enumerate(polygon.marks)
-        )
-        members.append((signs, _flip_cuts(polygon, flips) if flips else polygon))
-    return PresentationSet(base=polygon, members=tuple(members))
+    factors = tuple(((mark.cut_sign,), (-mark.cut_sign,)) for mark in polygon.marks)
+    return PresentationSet(base=polygon, members=SignProduct(factors, polygon))
 
 
 def split_marks(polygon: SemitoricPolygon) -> SemitoricPolygon:

@@ -36,7 +36,7 @@ from .errors import (
     SemitoricError,
     ValidationFailure,
 )
-from .geometry import Point, cross
+from .geometry import Point, _exact, cross
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,7 @@ def vertical_edge_endpoints(polygon: SemitoricPolygon) -> frozenset[Point]:
 
 def slice_heights(polygon: SemitoricPolygon, x: Fraction) -> tuple[Fraction, Fraction]:
     """The vertical slice of the polygon at ``x`` as (y_bottom, y_top)."""
-    return polygon.facts.slice_at(Fraction(x))
+    return polygon.facts.slice_at(_exact(x))
 
 
 def contains_interior(polygon: SemitoricPolygon, point: Point) -> bool:

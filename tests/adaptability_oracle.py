@@ -1,17 +1,16 @@
 """Reference adaptability search, used as an oracle.
 
-This is the library's earlier Delzant-presentation search, kept verbatim:
-it builds and re-validates all 2^m presentations of the unit-split marks
-and keeps the Delzant ones, so it refuses more than 16 focus-focus points.
-The library now searches one column at a time; the differential tests
-check that both give the same verdicts, sign vectors, presentations and
-errors wherever this enumeration is inside its bound.
+This is the library's earlier Delzant-presentation search: it builds and
+re-validates all 2^m presentations of the unit-split marks and keeps the
+Delzant ones, so its cost doubles with each focus-focus point.  The library
+now searches one column at a time; the differential tests check that both
+give the same verdicts, sign vectors, presentations and errors on families
+small enough to enumerate.
 """
 
 from semitoric import (
     AdaptabilityVerdict,
     CriteriaDisagreement,
-    DomainError,
     SemitoricPolygon,
     enumerate_presentations,
     is_delzant_polygon,
@@ -20,25 +19,20 @@ from semitoric import (
     split_marks,
 )
 
-ENUMERATION_LIMIT = 16
 
-
-def _delzant_members(polygon: SemitoricPolygon, limit: int):
+def _delzant_members(polygon: SemitoricPolygon):
     """Delzant presentations over unit-split marks, with their sign vectors.
 
     Splitting lets coincident focus-focus points take independent cut signs,
     which is the family the existence criterion quantifies over.
     """
-    unit = split_marks(polygon)
-    if len(unit.marks) > limit:
-        raise DomainError(
-            f"{len(unit.marks)} focus-focus points exceed the enumeration bound {limit}"
-        )
-    family = enumerate_presentations(unit, limit)
-    return [(signs, member) for signs, member in family.members if is_delzant_polygon(member)]
+    # every member is built, in code order, before any is tested: the first
+    # invalid presentation raises before a Delzant test can
+    members = tuple(enumerate_presentations(split_marks(polygon)).members)
+    return [(signs, member) for signs, member in members if is_delzant_polygon(member)]
 
 
-def adaptability(polygon: SemitoricPolygon, limit: int = ENUMERATION_LIMIT) -> AdaptabilityVerdict:
+def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
     """Decide extendability of the circle action, by both criteria.
 
     (i)  every interior column carries at most two non-free orbits;
@@ -56,7 +50,7 @@ def adaptability(polygon: SemitoricPolygon, limit: int = ENUMERATION_LIMIT) -> A
         if counts.total >= 3:
             violating.append((x, counts))
     by_counts = not violating
-    delzant = _delzant_members(polygon, limit)
+    delzant = _delzant_members(polygon)
     by_existence = bool(delzant)
     if by_counts != by_existence:
         raise CriteriaDisagreement(
@@ -71,12 +65,10 @@ def adaptability(polygon: SemitoricPolygon, limit: int = ENUMERATION_LIMIT) -> A
     )
 
 
-def delzant_presentations(
-    polygon: SemitoricPolygon, limit: int = ENUMERATION_LIMIT
-) -> tuple[SemitoricPolygon, ...]:
+def delzant_presentations(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, ...]:
     """All Delzant members of the cut family, in shear normal form, deduplicated."""
     out = []
-    for _, member in _delzant_members(polygon, limit):
+    for _, member in _delzant_members(polygon):
         normal = shear_normal_form(member)
         if normal not in out:
             out.append(normal)

@@ -21,6 +21,7 @@ from semitoric import (
     outgoing_primitives,
     primitive,
     self_intersection,
+    slice_heights,
     validate,
     vertical_edge_endpoints,
 )
@@ -93,6 +94,18 @@ class TestOrbitCounts:
     def test_extremal_rejected(self, corpus):
         with pytest.raises(DomainError):
             orbit_counts(corpus["FF1"], Fraction(0))
+
+    def test_floats_rejected(self, corpus):
+        # as for Point: 0.1 is not 1/10, so no column is read from a float
+        polygon = corpus["FF1"]
+        for query in (
+            lambda: orbit_counts(polygon, 0.5),
+            lambda: slice_heights(polygon, 0.1),
+            lambda: dh_function(polygon).value_at(0.5),
+        ):
+            with pytest.raises(GeometryError, match="not exact"):
+                query()
+        assert orbit_counts(polygon, "1") == orbit_counts(polygon, Fraction(1))
 
     def test_presentation_independent(self, corpus):
         for polygon in corpus.values():
@@ -200,10 +213,12 @@ class TestPerColumnSearch:
 
     def test_builds_per_column(self, monkeypatch):
         import semitoric.analysis as analysis
+        import semitoric.cuts as cuts
 
         built = []
-        flip_cuts = analysis._flip_cuts
-        monkeypatch.setattr(analysis, "_flip_cuts", lambda *args: built.append(1) or flip_cuts(*args))
+        flip_cuts = cuts._flip_cuts
+        for module in (analysis, cuts):
+            monkeypatch.setattr(module, "_flip_cuts", lambda *args: built.append(1) or flip_cuts(*args))
         for polygon in multi_column_polygons(50, seed=11):
             built.clear()
             verdict = adaptability(polygon)
@@ -220,6 +235,31 @@ class TestPerColumnSearch:
         assert len(verdict.delzant_signs) == 2**17
         assert verdict.delzant_signs[1] == (1,) + (-1,) * 16
         assert verdict.delzant_signs[-1] == (1,) * 17
+
+    def test_sixty_four_points(self):
+        # 2^64 sign vectors: len() stops at sys.maxsize, so nothing may call it
+        verdict = adaptability(focus_ladder([1] * 64))
+        assert verdict.adaptable and verdict.delzant_signs
+        assert verdict.delzant_signs.size == 2**64
+        assert verdict.delzant_signs[0] == (-1,) * 64
+        assert verdict.delzant_signs[-1] == (1,) * 64
+        assert verdict.delzant_signs[2**63 + 1] == (1,) + (-1,) * 62 + (1,)
+        with pytest.raises(OverflowError):
+            len(verdict.delzant_signs)
+
+    def test_smallest_flips(self):
+        from itertools import product
+
+        from semitoric.analysis import _flip_codes, _smallest_flips
+
+        for length in range(9):
+            for signs in product((-1, 1), repeat=length):
+                for shift in range(-signs.count(1), signs.count(-1) + 1):
+                    code = sum(1 << b for b in _smallest_flips(signs, shift))
+                    assert code == next(_flip_codes(signs, (shift,))), (signs, shift)
+        signs = (-1, 1) * 2500
+        assert _smallest_flips(signs, -2500) == list(range(1, 5000, 2))
+        assert _smallest_flips(signs, 3) == [0, 2, 4]
 
 
 class TestDelzantPresentations:

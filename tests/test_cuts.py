@@ -20,7 +20,7 @@ from semitoric import (
     transform_polygon,
     validate,
 )
-from conftest import random_global_shear
+from conftest import focus_ladder, random_global_shear
 
 
 def pt(x, y):
@@ -122,10 +122,28 @@ class TestEnumeratePresentations:
         for member in members:
             assert switch_cut(member, 0) in members
 
-    def test_bound(self, corpus):
-        polygon = corpus["FF1"]
-        with pytest.raises(DomainError):
-            enumerate_presentations(polygon, limit=0)
+    def test_seventeen_entries(self):
+        # past the old 16-entry bound: members are built when read
+        polygon = focus_ladder([1] * 17)
+        members = enumerate_presentations(polygon).members
+        assert len(members) == members.size == 2**17
+        switched = switch_cut(switch_cut(polygon, 0), 2)  # 5 = 0b101 flips marks 0 and 2
+        assert members[5] == ((1, -1, 1) + (-1,) * 14, switched)
+        signs, last = members[-1]
+        assert signs == (1,) * 17
+        assert [mark.cut_sign for mark in last.marks] == [1] * 17
+        with pytest.raises(IndexError):
+            members[2**17]
+
+    def test_members_equal_their_tuple(self, corpus):
+        import pickle
+
+        members = enumerate_presentations(corpus["NONADAPT3"]).members
+        built = tuple(members)
+        assert members == built and built == members and hash(members) == hash(built)
+        assert members != built[:1] and members != list(built)
+        assert pickle.loads(pickle.dumps(members)) == members
+        assert repr(members) == repr(enumerate_presentations(corpus["NONADAPT3"]).members)
 
     def test_split_marks_counts(self, corpus):
         unit = split_marks(corpus["NONADAPT3"])

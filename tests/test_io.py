@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_polygons_under_ops, focus_ladder
+from conftest import corpus_polygons_under_ops, focus_ladder, multi_column_polygons
 from semitoric import (
     DomainError,
     ParseError,
@@ -19,11 +21,14 @@ from semitoric import (
     chop_allowance,
     corner_chop,
     corpus_names,
+    delzant_presentations,
     emit_dot,
+    enumerate_presentations,
     parse_polygon,
     serialize_polygon,
 )
 from semitoric.cli import run_cli
+from semitoric.serialization import polygon_data
 
 
 def pt(x, y):
@@ -211,6 +216,39 @@ class TestCli:
     def test_presentations_delzant_only(self):
         code, out, _ = self.run("presentations", "corpus:NONADAPT3", "--delzant-only")
         assert code == 0 and json.loads(out) == []
+
+    def test_presentations_stream_the_library_rows(self, tmp_path, corpus, derived_polygons):
+        # the streamed output is byte for byte json.dumps of the whole row list
+        polygons = list(corpus.values()) + derived_polygons + multi_column_polygons(20, max_marks=6)
+        for i, polygon in enumerate(polygons):
+            path = tmp_path / f"p{i}.json"
+            path.write_text(serialize_polygon(polygon))
+            polygon = parse_polygon(path.read_text())
+            rows = [
+                {"signs": list(signs), "polygon": polygon_data(member)}
+                for signs, member in enumerate_presentations(polygon).members
+            ]
+            assert self.run("presentations", str(path)) == (0, json.dumps(rows, separators=(",", ":")) + "\n", "")
+            rows = [{"polygon": polygon_data(member)} for member in delzant_presentations(polygon)]
+            expected = (0, json.dumps(rows, separators=(",", ":")) + "\n", "")
+            assert self.run("presentations", str(path), "--delzant-only") == expected
+
+    def test_presentations_seventeen_entries_stream(self, tmp_path):
+        # 2^17 rows, past the old 16-entry bound: the first arrives before the rest are built
+        polygon = focus_ladder([1] * 17)
+        path = tmp_path / "ladder.json"
+        path.write_text(serialize_polygon(polygon))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["semitoric"].__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        command = [sys.executable, "-m", "semitoric.cli", "presentations", str(path)]
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env) as process:
+            try:
+                head = process.stdout.read(1 << 16).decode()
+            finally:
+                process.kill()
+        assert head.startswith("[")
+        first, _ = json.JSONDecoder().raw_decode(head, 1)
+        assert first == {"signs": [-1] * 17, "polygon": polygon_data(polygon)}
 
     def test_self_intersection(self):
         code, out, _ = self.run("self-intersection", "corpus:CP2STD", "--side", "left")
