@@ -14,9 +14,9 @@ by orbit counting per column, and by searching the cut-sign family for a
 presentation that is a Delzant polygon.  The two verdicts must agree; a
 disagreement raises instead of guessing.  Both are polynomial in the number
 m of focus-focus points: the search tries the k + 1 up-counts of each column
-of k points on their own (k new presentations, not 2^m), because a cut
-switch changes the polygon only on and right of its column, and right of it
-by a unimodular shear.
+of k points on their own (an O(1) check per up-count; presentations built
+only to report an error), because a cut switch changes the polygon only on
+and right of its column, and right of it by a unimodular shear.
 """
 
 from __future__ import annotations
@@ -25,13 +25,22 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Collection, Iterator, Literal, Sequence
+from operator import attrgetter
+from typing import Collection, Iterator, Literal, Optional, Sequence
 
 from .cuts import SignProduct, _flip_cuts, _with_signs, shear_normal_form, split_marks
-from .errors import DomainError, PresentationError, SemitoricError
-from .geometry import Point, _exact
-from .polygon import SemitoricPolygon, boundary_chains
-from .vertices import VertexKind, classify_vertex, is_smooth_vertex, isotropy_weights, outgoing_primitives
+from .errors import ClassificationError, DomainError, PresentationError, SemitoricError
+from .geometry import LatticeVector, Point, _exact, det2, primitive_direction, shear_vector
+from .polygon import PolygonFacts, SemitoricPolygon, boundary_chains, validate
+from .vertices import (
+    VertexKind,
+    classify_vertex,
+    is_smooth_class,
+    is_smooth_vertex,
+    isotropy_weights,
+    lattice_class,
+    outgoing_primitives,
+)
 
 
 @dataclass(frozen=True)
@@ -201,6 +210,62 @@ def _smallest_flips(signs: Sequence[int], shift: int) -> list[int]:
     return [b for b, s in enumerate(signs) if s == (-1 if shift > 0 else 1)][: abs(shift)]
 
 
+def _column_flips(first: int, signs: Sequence[int], shift: int) -> frozenset[int]:
+    """The smallest code's flips among a column's marks, numbered from ``first``."""
+    return frozenset(first + b for b in _smallest_flips(signs, shift))
+
+
+def _column_sides(facts: PolygonFacts, x: Fraction) -> tuple[tuple[Point, LatticeVector, LatticeVector], ...]:
+    """The bottom and then the top boundary point on interior column x, each
+    with the rightward primitive tangents of the boundary left and right of it."""
+    sides = []
+    for path, y in zip((facts.chains.bottom, facts.chains.top), facts.heights[x]):
+        i = bisect_left(path, x, key=attrgetter("x"))
+        left, right = path[i - 1], path[i + 1] if path[i].x == x else path[i]
+        u, w = primitive_direction(x - left.x, y - left.y), primitive_direction(right.x - x, right.y - y)
+        sides.append((Point(x, y), u, w))
+    return tuple(sides)
+
+
+def _local_verdict(
+    sides: Sequence[tuple[Point, LatticeVector, LatticeVector]], signs: Sequence[int], shift: int
+) -> Optional[bool]:
+    """Whether the presentation that moves this column's up-count by ``shift``
+    is smooth on the column, or None when that presentation is invalid.
+
+    ``sides`` is :func:`_column_sides` of a valid polygon whose column has
+    marks of these cut signs.  The switch shears the boundary right of the
+    column by -shift, so only each side's right tangent w turns.  Where the
+    boundary then runs straight the point is no vertex, and invalid if a cut
+    ends there; where it turns the wrong way the polygon is reflex.  A corner
+    takes the class of its new frame and of the cuts ending there: the
+    new up-count's marks at the top, the rest at the bottom.
+    """
+    ups = signs.count(1) + shift
+    smooth = True
+    for (point, u, w), inward, degree, sign in zip(sides, (1, -1), (len(signs) - ups, ups), (-1, 1)):
+        w = shear_vector(w, -shift)
+        turn = inward * det2(u, w)  # > 0: a convex corner
+        if turn < 0 or (turn == 0 and degree):
+            return None
+        if turn:
+            try:
+                corner = lattice_class(point, u, w, degree, sign)
+            except ClassificationError:
+                return None
+            smooth = is_smooth_class(corner) and smooth
+    return smooth
+
+
+def _built_verdict(unit: SemitoricPolygon, flips: frozenset[int], x: Fraction) -> Optional[bool]:
+    """:func:`_local_verdict` read off the presentation with these flips, built."""
+    try:
+        shape = _flip_cuts(unit, flips)
+    except PresentationError:
+        return None
+    return all(is_smooth_vertex(shape, v) for v in shape.facts.vertices_at.get(x, ()))
+
+
 def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignProduct]:
     """The unit-split polygon, and the sign vector of each of its Delzant presentations.
 
@@ -212,18 +277,18 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignPro
     A switch at column x shears the half-plane right of x unimodularly, so
     no boundary point off column x changes class, smoothness or validity,
     and near x the presentation depends only on the column's up-count.  So
-    each column is tried alone at each of its up-counts (one presentation
-    built and validated per count, by the smallest code reaching it), and
-    the Delzant presentations are the codes whose up-count at every column
-    keeps that column's vertices smooth.
+    each column is tried alone at each of its up-counts, by an O(1) check
+    of its bottom and top point (:func:`_local_verdict`); presentations are
+    built only to report an error.  The Delzant presentations are the codes
+    whose up-count at every column keeps that column's vertices smooth.
 
     When some presentations are invalid, the one of the smallest code raises
-    its PresentationError, as when all 2^m were built in code order.  It is
-    one of the builds.  With a valid unit-split polygon, a column is invalid
-    only at some up-counts, and each is built by its smallest code.  With an
-    invalid one, every presentation is invalid, since switching a valid
-    presentation gives a valid one; so code 1, built for the first column,
-    fails first.
+    its PresentationError, as when all 2^m were built in code order.  With a
+    valid unit-split polygon the local check finds the invalid up-counts,
+    and the smallest code reaching one is built for its error.  An invalid
+    one is not checked locally: each up-count is built by its smallest code,
+    and as switching a valid presentation gives a valid one, code 1 fails
+    first.
     """
     unit = split_marks(polygon)
     columns = []  # (x, index of its first unit mark, the column's cut signs)
@@ -232,20 +297,25 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignPro
         columns.append((x, first, tuple(mark.cut_sign for mark in marks)))
         first += len(marks)
 
-    shapes = []  # per column: up-count shift -> its presentation
-    failures = {}  # code -> the PresentationError of its presentation
+    local = validate(unit).valid
+    verdicts = []  # per column: up-count shift -> smooth on the column, None where invalid
+    failures = []  # the flips of each invalid presentation
     for x, first, signs in columns:
-        by_shift = {0: unit}
+        sides = _column_sides(unit.facts, x) if local else ()
+        by_shift = {}
         for shift in range(-signs.count(1), signs.count(-1) + 1):
-            if shift:
-                flips = frozenset(first + b for b in _smallest_flips(signs, shift))
-                try:
-                    by_shift[shift] = _flip_cuts(unit, flips)
-                except PresentationError as exc:
-                    failures[sum(1 << i for i in flips)] = exc
-        shapes.append(by_shift)
+            if not shift:
+                continue
+            if local:
+                by_shift[shift] = _local_verdict(sides, signs, shift)
+            else:
+                by_shift[shift] = _built_verdict(unit, _column_flips(first, signs, shift), x)
+            if by_shift[shift] is None:
+                failures.append(_column_flips(first, signs, shift))
+        verdicts.append(by_shift)
     if failures:
-        raise failures[min(failures)]
+        _flip_cuts(unit, min(failures, key=lambda flips: sum(1 << i for i in flips)))  # raises its error
+        raise AssertionError("the local check found an invalid presentation that validates")
 
     # no cut ends off the mark columns, so there a valid polygon's vertices are
     # Delzant, and an unclassifiable vertex raises its error here
@@ -253,12 +323,9 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignPro
     if not all(is_smooth_vertex(unit, v) for v in unit.vertices if v.x not in on_columns):
         return unit, SignProduct(((),))  # one factor with no choice: no sign vector
     per_column = []  # per column: the signs of every flip pattern that keeps its vertices smooth
-    for (x, _, signs), by_shift in zip(columns, shapes):
-        kept = [
-            shift
-            for shift, shape in by_shift.items()
-            if all(is_smooth_vertex(shape, v) for v in shape.facts.vertices_at.get(x, ()))
-        ]
+    for (x, _, signs), by_shift in zip(columns, verdicts):
+        by_shift[0] = all(is_smooth_vertex(unit, v) for v in unit.facts.vertices_at.get(x, ()))
+        kept = [shift for shift, smooth in by_shift.items() if smooth]
         per_column.append(
             tuple(tuple(-s if code >> b & 1 else s for b, s in enumerate(signs)) for code in _flip_codes(signs, kept))
         )

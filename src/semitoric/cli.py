@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .analysis import (
@@ -262,7 +263,15 @@ def run_cli(argv, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (say, `| head`): point stdout at devnull so the
+        # flush at interpreter exit cannot fail again, and exit as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_DOMAIN)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,9 @@ most once per polygon, when its :class:`~semitoric.polygon.PolygonFacts`
 first reads the vertex classes or the k-runs; the public functions read
 those facts, so none of them scans the polygon.  A vertex that fits no class
 keeps its error in the facts, and each reader raises a fresh copy of it.
+The class of one corner given its frame and cuts (:func:`lattice_class`)
+and the smoothness of a class (:func:`is_smooth_class`) are also read by the
+adaptability search, for corners of presentations it does not build.
 """
 
 from __future__ import annotations
@@ -156,6 +159,14 @@ def classify_corner(facts: PolygonFacts, i: int) -> VertexClassification:
     vertex = facts.vertices[i]
     u, w = _tangent_frame(facts.vertices, i, facts.j_min, facts.j_max)
     degree, sign = facts.cut_degrees.get(vertex, (0, 0))
+    return lattice_class(vertex, u, w, degree, sign)
+
+
+def lattice_class(vertex: Point, u: LatticeVector, w: LatticeVector, degree: int, sign: int) -> VertexClassification:
+    """The class of a corner with frame (u, w) where cuts of total multiplicity ``degree`` and sign ``sign`` end.
+
+    Raises ClassificationError when no class matches.
+    """
     if degree == 0:
         if abs(det2(u, w)) == 1:
             return VertexClassification(vertex, VertexKind.DELZANT, 0, None, u, w)
@@ -198,7 +209,11 @@ def _class_of(classes: Mapping[Point, object], vertex: Point) -> VertexClassific
 
 def is_smooth_vertex(polygon: SemitoricPolygon, vertex: Point) -> bool:
     """True when the two primitive tangents span the full integer lattice."""
-    c = classify_vertex(polygon, vertex)
+    return is_smooth_class(classify_vertex(polygon, vertex))
+
+
+def is_smooth_class(c: VertexClassification) -> bool:
+    """True when the class's two primitive tangents span the full integer lattice."""
     smooth = abs(det2(c.left_primitive, c.right_primitive)) == 1
     # cross-check against the class-based characterisation: smooth vertices
     # are exactly the Delzant ones and the degree-1 fakes off every chain
@@ -209,7 +224,7 @@ def is_smooth_vertex(polygon: SemitoricPolygon, vertex: Point) -> bool:
         and c.right_primitive.a == 1
     )
     if smooth != by_kind:
-        raise ClassificationError(f"smoothness characterisations disagree at {vertex}")
+        raise ClassificationError(f"smoothness characterisations disagree at {c.vertex}")
     return smooth
 
 

@@ -2,26 +2,33 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
 
 import adaptability_oracle
-from conftest import focus_ladder, multi_column_polygons
+from conftest import corpus_polygons_under_ops, focus_ladder, multi_column_polygons
+from karshon_dh_oracle import dh_from_graph
 from semitoric import (
     DomainError,
     GeometryError,
     MarkedPoint,
     Point,
+    PresentationError,
     SemitoricPolygon,
     adaptability,
+    build_graph,
     delzant_presentations,
     det2,
     dh_function,
     dh_jump_report,
     enumerate_presentations,
+    is_smooth_vertex,
     orbit_counts,
     outgoing_primitives,
     primitive,
     self_intersection,
     slice_heights,
+    split_marks,
+    switch_cut,
     validate,
     vertical_edge_endpoints,
 )
@@ -58,6 +65,29 @@ class TestDhFunction:
         density = dh_function(corpus["FF1"])
         assert density.value_at(Fraction(1, 2)) == Fraction(1, 4)
         assert density.value_at(Fraction(3, 2)) == Fraction(1, 4)
+
+
+class TestDhFromGraph:
+    """The DH function rebuilt from Karshon's graph alone equals the polygon's."""
+
+    def test_corpus_fuzz_and_multi_column(self, corpus, derived_polygons):
+        polygons = list(corpus.values()) + derived_polygons + multi_column_polygons(200)
+        for polygon in polygons:
+            assert dh_from_graph(build_graph(polygon)) == dh_function(polygon), polygon
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpus_polygons_under_ops())
+    def test_drawn_polygons(self, polygon):
+        assert dh_from_graph(build_graph(polygon)) == dh_function(polygon)
+
+    def test_unchanged_by_switch_cut(self, corpus, derived_polygons):
+        # a vertical shear keeps every slice length
+        switched = 0
+        for polygon in list(corpus.values()) + derived_polygons:
+            for index in range(len(polygon.marks)):
+                assert dh_function(switch_cut(polygon, index)) == dh_function(polygon), (polygon, index)
+                switched += 1
+        assert switched > 100
 
 
 class TestJumpReport:
@@ -222,11 +252,52 @@ class TestPerColumnSearch:
         for polygon in multi_column_polygons(50, seed=11):
             built.clear()
             verdict = adaptability(polygon)
-            # one build per up-count of a column other than the present one
-            assert len(built) == polygon.total_multiplicity
-            built.clear()
+            # a valid polygon's up-counts are all checked without a build
+            assert built == []
+            # one build per Delzant sign vector but the polygon's own
+            own = tuple(mark.cut_sign for mark in polygon.marks)
             delzant_presentations(polygon)
-            assert len(built) <= polygon.total_multiplicity + len(verdict.delzant_signs)
+            assert len(built) == sum(signs != own for signs in verdict.delzant_signs)
+
+    def test_local_rule_matches_the_build(self, corpus, derived_polygons):
+        # every (column, up-count): invalid (None), smooth or not on the column,
+        # decided locally and read off the presentation built by the smallest code
+        from semitoric.analysis import _column_sides, _local_verdict, _smallest_flips
+        from semitoric.cuts import _flip_cuts
+
+        def verdicts(unit, x):
+            first = unit.marks.index(unit.facts.marks_at[x][0])
+            signs = tuple(mark.cut_sign for mark in unit.facts.marks_at[x])
+            sides = _column_sides(unit.facts, x)
+            for shift in range(-signs.count(1), signs.count(-1) + 1):
+                try:
+                    shape = _flip_cuts(unit, frozenset(first + b for b in _smallest_flips(signs, shift)))
+                except PresentationError:
+                    built = None
+                else:
+                    built = all(is_smooth_vertex(shape, v) for v in shape.facts.vertices_at.get(x, ()))
+                assert _local_verdict(sides, signs, shift) == built, (unit, x, shift)
+                yield built
+
+        seen = []
+        for polygon in list(corpus.values()) + derived_polygons + multi_column_polygons(200):
+            unit = split_marks(polygon)
+            for x in unit.facts.marks_at:
+                seen.extend(verdicts(unit, x))
+        assert len(seen) > 1500 and set(seen) == {True, False}
+        # a sign flipped without reshaping breaks only its column: invalid cells there
+        for polygon in multi_column_polygons(100, seed=7, max_marks=8):
+            marks = list(polygon.marks)
+            marks[-1] = MarkedPoint(marks[-1].position, 1, -marks[-1].cut_sign)
+            seen.extend(verdicts(SemitoricPolygon(polygon.vertices, tuple(marks)), marks[-1].position.x))
+        assert set(seen) == {None, True, False}
+
+    def test_ninety_six_point_ladder(self):
+        # 32 triple columns, m = 96: every column violates, no presentation is Delzant
+        verdict = adaptability(focus_ladder([3] * 32))
+        assert not verdict.adaptable and not verdict.delzant_signs
+        assert [x for x, _ in verdict.violating_levels] == list(range(1, 33))
+        assert {str(counts) for _, counts in verdict.violating_levels} == {"E=0, FF=3, S=0"}
 
     def test_seventeen_points(self):
         # past the old 16-point enumeration bound: one mark per column, all Delzant

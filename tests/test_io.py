@@ -35,6 +35,14 @@ def pt(x, y):
     return Point(Fraction(x), Fraction(y))
 
 
+def cli_process(*args, stderr=subprocess.DEVNULL) -> subprocess.Popen:
+    """``python -m semitoric.cli`` with these arguments, from this package, stdout piped."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["semitoric"].__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-m", "semitoric.cli", *args]
+    return subprocess.Popen(command, stdout=subprocess.PIPE, stderr=stderr, env=env)
+
+
 FF1_TEXT = (
     '{"vertices": [["0","0"],["1","0"],["2","1"]],'
     ' "marked_points": [{"x":"1","y":"1/4","multiplicity":1,"cut":-1}]}'
@@ -238,10 +246,7 @@ class TestCli:
         polygon = focus_ladder([1] * 17)
         path = tmp_path / "ladder.json"
         path.write_text(serialize_polygon(polygon))
-        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["semitoric"].__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        command = [sys.executable, "-m", "semitoric.cli", "presentations", str(path)]
-        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env) as process:
+        with cli_process("presentations", str(path)) as process:
             try:
                 head = process.stdout.read(1 << 16).decode()
             finally:
@@ -249,6 +254,19 @@ class TestCli:
         assert head.startswith("[")
         first, _ = json.JSONDecoder().raw_decode(head, 1)
         assert first == {"signs": [-1] * 17, "polygon": polygon_data(polygon)}
+
+    @pytest.mark.parametrize("command", ["presentations", "adaptable"])
+    def test_reader_closes_the_pipe_early(self, tmp_path, command):
+        # as `semitoric presentations F | head -c 20`: the output outgrows the
+        # pipe, so the write after the reader leaves fails; exit 1, stderr empty
+        path = tmp_path / "ladder.json"
+        path.write_text(serialize_polygon(focus_ladder([1] * 12)))
+        with cli_process(command, str(path), stderr=subprocess.PIPE) as process:
+            assert len(process.stdout.read(20)) == 20
+            process.stdout.close()
+            err = process.stderr.read()
+            assert process.wait(timeout=60) == 1
+        assert err == b""
 
     def test_self_intersection(self):
         code, out, _ = self.run("self-intersection", "corpus:CP2STD", "--side", "left")
@@ -334,6 +352,16 @@ class TestCli:
         path = tmp_path / "twenty.json"
         path.write_text(serialize_polygon(focus_ladder([1] * 8 + [3] + [1] * 9)))
         assert self.run("adaptable", str(path)) == (0, "non-adaptable\nviolating level x=9: E=0, FF=3, S=0\n", "")
+
+    def test_thousand_marks_on_one_column(self, tmp_path):
+        # one column of 1000 unit marks: each of its 1001 up-counts is checked without a build
+        path = tmp_path / "thousand.json"
+        path.write_text(
+            '{"vertices": [["0","0"],["1","0"],["2","1000"],["2","1001"],["0","1001"]],'
+            ' "marked_points": [{"x":"1","y":"1","multiplicity":1000,"cut":-1}]}'
+        )
+        assert self.run("adaptable", str(path)) == (0, "non-adaptable\nviolating level x=1: E=0, FF=1000, S=0\n", "")
+        assert self.run("presentations", str(path), "--delzant-only") == (0, "[]\n", "")
 
     def test_output_deterministic(self):
         first = self.run("graph", "corpus:NONADAPT3", "--format", "json")
