@@ -266,9 +266,12 @@ def main() -> None:
     try:
         code = run_cli(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left early (say, `| head`): point stdout at devnull so the
-        # flush at interpreter exit cannot fail again, and exit as Python does on EPIPE
+    except OSError as exc:
+        # the reader left early (say, `| head`), silently as Python does on EPIPE,
+        # or stdout refused the output (say, a full disk): point stdout at devnull
+        # so the flush at interpreter exit cannot fail again
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(EXIT_DOMAIN)
     sys.exit(code)

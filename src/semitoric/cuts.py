@@ -20,7 +20,7 @@ from math import prod
 from typing import Iterable, Iterator, Optional
 
 from .errors import DomainError, PresentationError, ValidationFailure
-from .geometry import GlobalShear, Point, VerticalShear, cross, primitive_direction
+from .geometry import GlobalShear, Point, VerticalShear, cross
 from .polygon import (
     MarkedPoint,
     SemitoricPolygon,
@@ -206,9 +206,8 @@ def shear_normal_form(polygon: SemitoricPolygon) -> SemitoricPolygon:
     satisfies 0 <= q < p.  Idempotent; two presentations with the same cuts
     have equal normal forms exactly when they differ by a global shear.
     """
-    chains = boundary_chains(polygon)
-    first, second = chains.bottom[0], chains.bottom[1]
-    tangent = primitive_direction(second.x - first.x, second.y - first.y)
+    first = boundary_chains(polygon).bottom[0]
+    tangent = polygon.facts.edges[0]  # the bottom chain starts with the edge from vertex 0
     slope = -(tangent.b // tangent.a)
     offset = -(slope * first.x + first.y)
     return transform_polygon(polygon, GlobalShear(slope, offset))

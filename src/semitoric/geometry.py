@@ -2,9 +2,12 @@
 
 All coordinates are ``fractions.Fraction``; nothing in this package ever
 touches floating point.  Edge directions are reduced to primitive integer
-vectors, and the only affine maps exposed are the ones preserving vertical
-lines: piecewise shears pivoting on a column, and global shear-plus-
-translation maps.
+vectors, found in integers from the numerators and denominators of the
+rational edge vector; a polygon computes one per edge, once
+(``PolygonFacts.edges``), and its turn signs and vertex frames read them.
+The only affine maps exposed are the ones preserving vertical lines:
+piecewise shears pivoting on a column, and global shear-plus-translation
+maps.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, NamedTuple
 
 from .errors import GeometryError
@@ -51,6 +54,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def _exact(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise GeometryError(f"floating point input {value!r} is not exact")
     return Fraction(value)
@@ -95,10 +100,14 @@ def primitive(vector: Iterable[int]) -> LatticeVector:
 def primitive_direction(dx: Fraction, dy: Fraction) -> LatticeVector:
     """Primitive integer vector with the orientation of the rational vector (dx, dy)."""
     dx, dy = _exact(dx), _exact(dy)
-    if dx == 0 and dy == 0:
+    if not dx and not dy:
         raise GeometryError("zero vector has no direction")
-    scale = lcm(dx.denominator, dy.denominator)
-    return primitive((int(dx * scale), int(dy * scale)))
+    # (dx, dy) scaled by lcm(q, s) for dx = p/q, dy = r/s
+    q, s = dx.denominator, dy.denominator
+    g = gcd(q, s)
+    a, b = dx.numerator * (s // g), dy.numerator * (q // g)
+    g = gcd(a, b)
+    return LatticeVector(a // g, b // g)
 
 
 def det2(u: Iterable[int], w: Iterable[int]) -> int:

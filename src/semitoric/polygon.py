@@ -10,13 +10,13 @@ where the fake and hidden-Delzant vertex classes live.
 Everything the library reads about a polygon is one :class:`PolygonFacts`
 value, kept on the polygon instance outside equality, hashing, repr and
 pickling, so it lives exactly as long as the polygon.  Each of its facts
-(the boundary chains and vertical edges, the slice heights at every column,
-the cut degrees, each vertex's class, the k-runs) is computed on first read
-and kept.  A fact whose computation fails is not kept: every read raises
-again, with the same type and message.  Only the vertex classes hold errors,
-one per unclassifiable vertex, so validation can report them all.  A reader
-computes only what it reads: a degenerate polygon is rejected without a
-vertex being classified.
+(the primitive direction of each edge, the boundary chains and vertical
+edges, the slice heights at every column, the cut degrees, each vertex's
+class, the k-runs) is computed on first read and kept.  A fact whose
+computation fails is not kept: every read raises again, with the same type
+and message.  Only the vertex classes hold errors, one per unclassifiable
+vertex, so validation can report them all.  A reader computes only what it
+reads: a degenerate polygon is rejected without a vertex being classified.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     SemitoricError,
     ValidationFailure,
 )
-from .geometry import Point, _exact, cross
+from .geometry import LatticeVector, Point, _exact, cross, det2, primitive_direction
 
 
 @dataclass(frozen=True)
@@ -163,9 +163,17 @@ class PolygonFacts:
         self.marks_at = {x: tuple(group) for x, group in groupby(marks, key=lambda m: m.position.x)}
 
     @cached_property
+    def edges(self) -> tuple[Optional[LatticeVector], ...]:
+        """The primitive direction from vertex i to vertex i + 1, None where the two coincide."""
+        verts = self.vertices
+        return tuple(
+            primitive_direction(b.x - a.x, b.y - a.y) if a != b else None for a, b in zip(verts, verts[1:] + verts[:1])
+        )
+
+    @cached_property
     def structure(self) -> tuple[Violation, ...]:
         """Structural rule violations, empty when the polygon is well formed."""
-        return tuple(_structure_violations(self.vertices))
+        return tuple(_structure_violations(self))
 
     @cached_property
     def chains(self) -> BoundaryChains:
@@ -243,7 +251,7 @@ class PolygonFacts:
         """The ZkChain runs of both chains."""
         from .vertices import extract_k_runs  # deferred: the lattice rules live there
 
-        return extract_k_runs(self.chains, self.classes)
+        return extract_k_runs(self)
 
     @cached_property
     def _run_xs(self) -> tuple[list[Fraction], list[Fraction]]:
@@ -274,18 +282,20 @@ def _heights_along(path: Sequence[Point], columns: Sequence[Fraction]) -> list[F
     return ys
 
 
-def _structure_violations(verts: tuple[Point, ...]) -> list[Violation]:
+def _structure_violations(facts: PolygonFacts) -> list[Violation]:
+    verts = facts.vertices
     if len(verts) < 3:
         return [Violation("too-few-vertices", "polygon", f"{len(verts)} vertices, need at least 3")]
-    if len(set(verts)) != len(verts):
+    if len(facts.index) != len(verts):
         return [Violation("duplicate-vertex", "polygon", "vertices are not pairwise distinct")]
-    n = len(verts)
-    turns = [cross(verts[i - 1], verts[i], verts[(i + 1) % n]) for i in range(n)]
+    # each edge is a positive multiple of its primitive direction, so these are the turns' signs
+    edges = facts.edges
+    turns = [det2(edges[i - 1], edges[i]) for i in range(len(verts))]
     if all(t < 0 for t in turns):
         return [Violation("not-counter-clockwise", "polygon", "vertices are listed in clockwise order")]
     if all(t > 0 for t in turns):
         # left turns only: each full turn of the edge direction flips the sign of dx twice
-        dxs = [d for d in (verts[(i + 1) % n].x - verts[i].x for i in range(n)) if d]
+        dxs = [e.a for e in edges if e.a]
         if sum((a > 0) != (b > 0) for a, b in zip(dxs, dxs[1:] + dxs[:1])) > 2:
             return [Violation("not-strictly-convex", "polygon", "the boundary winds around more than once")]
         return []

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Literal, Mapping
 
-from .errors import ClassificationError, DomainError, SemitoricError
-from .geometry import LatticeVector, Point, det2, primitive_direction, shear_vector
-from .polygon import BoundaryChains, MarkedPoint, PolygonFacts, SemitoricPolygon, vertical_edge_endpoints
+from .errors import ClassificationError, DomainError, GeometryError, SemitoricError
+from .geometry import LatticeVector, Point, det2, shear_vector
+from .polygon import MarkedPoint, PolygonFacts, SemitoricPolygon, vertical_edge_endpoints
 
 
 class VertexKind(Enum):
@@ -93,12 +92,15 @@ def cut_degrees(polygon: SemitoricPolygon) -> dict[Point, tuple[int, int]]:
     return dict(polygon.facts.cut_degrees)
 
 
-def _outgoing(verts: tuple[Point, ...], i: int) -> tuple[LatticeVector, LatticeVector]:
-    prev_v, vertex, next_v = verts[i - 1], verts[i], verts[(i + 1) % len(verts)]
-    return (
-        primitive_direction(prev_v.x - vertex.x, prev_v.y - vertex.y),
-        primitive_direction(next_v.x - vertex.x, next_v.y - vertex.y),
-    )
+def _flip(v: LatticeVector) -> LatticeVector:
+    return LatticeVector(-v.a, -v.b)
+
+
+def _outgoing(facts: PolygonFacts, i: int) -> tuple[LatticeVector, LatticeVector]:
+    to_prev, to_next = facts.edges[i - 1], facts.edges[i]
+    if to_prev is None or to_next is None:
+        raise GeometryError("zero vector has no direction")
+    return _flip(to_prev), to_next
 
 
 def outgoing_primitives(polygon: SemitoricPolygon, vertex: Point) -> tuple[LatticeVector, LatticeVector]:
@@ -106,16 +108,10 @@ def outgoing_primitives(polygon: SemitoricPolygon, vertex: Point) -> tuple[Latti
     i = polygon.facts.index.get(vertex)
     if i is None:
         raise DomainError(f"{vertex} is not a vertex of the polygon")
-    return _outgoing(polygon.vertices, i)
+    return _outgoing(polygon.facts, i)
 
 
-def _flip(v: LatticeVector) -> LatticeVector:
-    return LatticeVector(-v.a, -v.b)
-
-
-def _tangent_frame(
-    verts: tuple[Point, ...], i: int, j_min: Fraction, j_max: Fraction
-) -> tuple[LatticeVector, LatticeVector]:
+def _tangent_frame(facts: PolygonFacts, i: int) -> tuple[LatticeVector, LatticeVector]:
     """The classification frame (u, w) at vertex i.
 
     Interior vertex: u, w are the left/right edge tangents with positive
@@ -123,8 +119,8 @@ def _tangent_frame(
     its outgoing direction on its own side.  Single extreme vertex: u is the
     bottom-side tangent, w the top-side one (both normalised rightward).
     """
-    vertex = verts[i]
-    d_prev, d_next = _outgoing(verts, i)
+    vertex = facts.vertices[i]
+    d_prev, d_next = _outgoing(facts, i)
     left = [d for d in (d_prev, d_next) if d.a < 0]
     right = [d for d in (d_prev, d_next) if d.a > 0]
     vertical = [d for d in (d_prev, d_next) if d.a == 0]
@@ -132,9 +128,9 @@ def _tangent_frame(
     if len(vertical) == 2:
         raise ClassificationError(f"{vertex} lies between two vertical edges")
     if len(vertical) == 1:
-        if vertex.x == j_min and right:
+        if vertex.x == facts.j_min and right:
             return vertical[0], right[0]
-        if vertex.x == j_max and left:
+        if vertex.x == facts.j_max and left:
             return _flip(left[0]), vertical[0]
         raise ClassificationError(f"{vertex} touches a vertical edge at an interior column")
     if left and right:
@@ -157,7 +153,7 @@ def classify_corner(facts: PolygonFacts, i: int) -> VertexClassification:
     cut degrees when they cannot be tallied.
     """
     vertex = facts.vertices[i]
-    u, w = _tangent_frame(facts.vertices, i, facts.j_min, facts.j_max)
+    u, w = _tangent_frame(facts, i)
     degree, sign = facts.cut_degrees.get(vertex, (0, 0))
     return lattice_class(vertex, u, w, degree, sign)
 
@@ -255,12 +251,14 @@ def zk_chains(polygon: SemitoricPolygon) -> tuple[ZkChain, ...]:
     return polygon.facts.k_runs
 
 
-def extract_k_runs(bc: BoundaryChains, classes: Mapping[Point, object]) -> tuple[ZkChain, ...]:
-    """The k-runs of both chains, given every vertex's class (or its error)."""
+def extract_k_runs(facts: PolygonFacts) -> tuple[ZkChain, ...]:
+    """The k-runs of both chains of the polygon these facts describe."""
+    bc, classes = facts.chains, facts.classes
     chains: list[ZkChain] = []
     for side, path in (("bottom", bc.bottom), ("top", bc.top)):
         edges = list(zip(path, path[1:]))
-        ks = [primitive_direction(b.x - a.x, b.y - a.y).a for a, b in edges]
+        # the bottom runs in polygon order, so edge (a, b) leaves a; the top runs against it
+        ks = [abs(facts.edges[facts.index[a if side == "bottom" else b]].a) for a, b in edges]
         i = 0
         while i < len(edges):
             k = ks[i]

@@ -35,12 +35,12 @@ def pt(x, y):
     return Point(Fraction(x), Fraction(y))
 
 
-def cli_process(*args, stderr=subprocess.DEVNULL) -> subprocess.Popen:
-    """``python -m semitoric.cli`` with these arguments, from this package, stdout piped."""
+def cli_process(*args, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) -> subprocess.Popen:
+    """``python -m semitoric.cli`` with these arguments, from this package, stdout piped by default."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["semitoric"].__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     command = [sys.executable, "-m", "semitoric.cli", *args]
-    return subprocess.Popen(command, stdout=subprocess.PIPE, stderr=stderr, env=env)
+    return subprocess.Popen(command, stdout=stdout, stderr=stderr, env=env)
 
 
 FF1_TEXT = (
@@ -267,6 +267,15 @@ class TestCli:
             err = process.stderr.read()
             assert process.wait(timeout=60) == 1
         assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["corpus", "list"], ["graph", "corpus:FF1"]])
+    def test_stdout_refuses_the_output(self, argv):
+        # as `semitoric corpus list > /dev/full`: every write fails with ENOSPC
+        with open("/dev/full", "wb") as full, cli_process(*argv, stdout=full, stderr=subprocess.PIPE) as process:
+            err = process.stderr.read()
+            assert process.wait(timeout=60) == 1
+        assert err == b"error: cannot write output: [Errno 28] No space left on device\n"
 
     def test_self_intersection(self):
         code, out, _ = self.run("self-intersection", "corpus:CP2STD", "--side", "left")
