@@ -16,7 +16,8 @@ disagreement raises instead of guessing.  Both are polynomial in the number
 m of focus-focus points: the search tries the k + 1 up-counts of each column
 of k points on their own (an O(1) check per up-count; presentations built
 only to report an error), because a cut switch changes the polygon only on
-and right of its column, and right of it by a unimodular shear.
+and right of its column, and right of it by a unimodular shear.  Only columns
+of one or two points can be Delzant, because a smooth corner ends at most one cut.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import attrgetter
-from typing import Collection, Iterator, Literal, Optional, Sequence
+from typing import Collection, Literal, Optional, Sequence
 
 from .cuts import SignProduct, _flip_cuts, _with_signs, shear_normal_form, split_marks
 from .errors import ClassificationError, DomainError, PresentationError, SemitoricError
-from .geometry import LatticeVector, Point, _exact, det2, primitive_direction, shear_vector
+from .geometry import LatticeVector, Point, _exact, describe, det2, primitive_direction, shear_vector
 from .polygon import PolygonFacts, SemitoricPolygon, boundary_chains, validate
 from .vertices import (
     VertexKind,
@@ -54,7 +55,7 @@ class PiecewiseLinear:
         x = _exact(x)
         xs, ys = self.breakpoints, self.values
         if not xs[0] <= x <= xs[-1]:
-            raise DomainError(f"{x} outside [{xs[0]}, {xs[-1]}]")
+            raise DomainError(f"{describe(x)} outside [{describe(xs[0])}, {describe(xs[-1])}]")
         i = bisect_left(xs, x)
         if xs[i] == x:
             return ys[i]
@@ -164,7 +165,7 @@ def orbit_counts(polygon: SemitoricPolygon, x: Fraction) -> OrbitCounts:
     x = _exact(x)
     facts = polygon.facts
     if not facts.j_min < x < facts.j_max:
-        raise DomainError(f"orbit counts are defined for interior columns only, got x = {x}")
+        raise DomainError(f"orbit counts are defined for interior columns only, got x = {describe(x)}")
     ee = sum(
         1 for v in facts.vertices_at.get(x, ()) if classify_vertex(polygon, v).kind is not VertexKind.FAKE
     )
@@ -183,36 +184,18 @@ class CriteriaDisagreement(SemitoricError):
     """The orbit-count and Delzant-presentation criteria returned different verdicts."""
 
 
-def _flip_codes(signs: Sequence[int], shifts: Collection[int]) -> Iterator[int]:
-    """Increasing bit codes over marks of these cut signs whose flips move the up-count by one of ``shifts``.
-
-    Flipping a mark of sign s moves the up-count by -s.  A branch is walked
-    only while a wanted shift is still in reach of the lower bits, so every
-    code found costs O(len(signs)) steps.
-    """
-    ups = list(accumulate((s > 0 for s in signs), initial=0))  # up marks among the first i
-
-    def walk(i: int, wanted: frozenset[int]) -> Iterator[int]:
-        if not any(-ups[i] <= d <= i - ups[i] for d in wanted):
-            return
-        if i == 0:
-            yield 0
-            return
-        yield from walk(i - 1, wanted)
-        for code in walk(i - 1, frozenset(d + signs[i - 1] for d in wanted)):
-            yield code | 1 << (i - 1)
-
-    return walk(len(signs), frozenset(shifts))
-
-
 def _smallest_flips(signs: Sequence[int], shift: int) -> list[int]:
     """The first |shift| marks of sign -sign(shift): any other code moving the up-count by ``shift`` is larger."""
     return [b for b, s in enumerate(signs) if s == (-1 if shift > 0 else 1)][: abs(shift)]
 
 
-def _column_flips(first: int, signs: Sequence[int], shift: int) -> frozenset[int]:
-    """The smallest code's flips among a column's marks, numbered from ``first``."""
-    return frozenset(first + b for b in _smallest_flips(signs, shift))
+def _column_blocks(signs: Sequence[int], ups: Collection[int]) -> tuple[tuple[int, ...], ...]:
+    """The column's sign patterns with an up-count in ``ups``, in increasing flip code (bit b: mark b flipped)."""
+    # chosen by which marks point up, so the cost is the number listed, never 2^k: a smooth
+    # corner ends at most one cut, so a column with a smooth up-count lists at most four
+    now_up = sum(1 << b for b, s in enumerate(signs) if s > 0)
+    codes = sorted(sum(1 << b for b in up) ^ now_up for u in ups for up in combinations(range(len(signs)), u))
+    return tuple(tuple(-s if code >> b & 1 else s for b, s in enumerate(signs)) for code in codes)
 
 
 def _column_sides(facts: PolygonFacts, x: Fraction) -> tuple[tuple[Point, LatticeVector, LatticeVector], ...]:
@@ -277,25 +260,21 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignPro
     A switch at column x shears the half-plane right of x unimodularly, so
     no boundary point off column x changes class, smoothness or validity,
     and near x the presentation depends only on the column's up-count.  So
-    each column is tried alone at each of its up-counts, by an O(1) check
-    of its bottom and top point (:func:`_local_verdict`); presentations are
-    built only to report an error.  The Delzant presentations are the codes
-    whose up-count at every column keeps that column's vertices smooth.
+    the Delzant presentations are the codes whose up-count at every column
+    keeps that column's vertices smooth, each up-count checked alone by an
+    O(1) look at the column's bottom and top point (:func:`_local_verdict`).
 
     When some presentations are invalid, the one of the smallest code raises
-    its PresentationError, as when all 2^m were built in code order.  With a
-    valid unit-split polygon the local check finds the invalid up-counts,
-    and the smallest code reaching one is built for its error.  An invalid
-    one is not checked locally: each up-count is built by its smallest code,
-    and as switching a valid presentation gives a valid one, code 1 fails
-    first.
+    its PresentationError, as when all 2^m were built in code order.  On a
+    valid unit-split polygon the local check finds the invalid up-counts; on
+    an invalid one each up-count is built by its smallest code (code 1 fails
+    first, as switching a valid presentation gives a valid one).  The
+    smallest code reaching an invalid up-count is built for its error.
     """
     unit = split_marks(polygon)
-    columns = []  # (x, index of its first unit mark, the column's cut signs)
-    first = 0
-    for x, marks in unit.facts.marks_at.items():  # in mark order
-        columns.append((x, first, tuple(mark.cut_sign for mark in marks)))
-        first += len(marks)
+    marks_at = unit.facts.marks_at  # in mark order
+    firsts = accumulate((len(marks) for marks in marks_at.values()), initial=0)  # each column's first mark index
+    columns = [(x, first, tuple(m.cut_sign for m in marks)) for (x, marks), first in zip(marks_at.items(), firsts)]
 
     local = validate(unit).valid
     verdicts = []  # per column: up-count shift -> smooth on the column, None where invalid
@@ -306,12 +285,12 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignPro
         for shift in range(-signs.count(1), signs.count(-1) + 1):
             if not shift:
                 continue
-            if local:
-                by_shift[shift] = _local_verdict(sides, signs, shift)
-            else:
-                by_shift[shift] = _built_verdict(unit, _column_flips(first, signs, shift), x)
-            if by_shift[shift] is None:
-                failures.append(_column_flips(first, signs, shift))
+            smooth = _local_verdict(sides, signs, shift) if local else None
+            if smooth is None:  # built off the local path; where invalid, reported by its smallest code
+                flips = frozenset(first + b for b in _smallest_flips(signs, shift))
+                if local or (smooth := _built_verdict(unit, flips, x)) is None:
+                    failures.append(flips)
+            by_shift[shift] = smooth
         verdicts.append(by_shift)
     if failures:
         _flip_cuts(unit, min(failures, key=lambda flips: sum(1 << i for i in flips)))  # raises its error
@@ -319,16 +298,12 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignPro
 
     # no cut ends off the mark columns, so there a valid polygon's vertices are
     # Delzant, and an unclassifiable vertex raises its error here
-    on_columns = {x for x, _, _ in columns}
-    if not all(is_smooth_vertex(unit, v) for v in unit.vertices if v.x not in on_columns):
+    if not all(is_smooth_vertex(unit, v) for v in unit.vertices if v.x not in marks_at):
         return unit, SignProduct(((),))  # one factor with no choice: no sign vector
     per_column = []  # per column: the signs of every flip pattern that keeps its vertices smooth
     for (x, _, signs), by_shift in zip(columns, verdicts):
         by_shift[0] = all(is_smooth_vertex(unit, v) for v in unit.facts.vertices_at.get(x, ()))
-        kept = [shift for shift, smooth in by_shift.items() if smooth]
-        per_column.append(
-            tuple(tuple(-s if code >> b & 1 else s for b, s in enumerate(signs)) for code in _flip_codes(signs, kept))
-        )
+        per_column.append(_column_blocks(signs, [signs.count(1) + d for d, smooth in by_shift.items() if smooth]))
     # the first column's bits are the lowest, so it varies fastest
     return unit, SignProduct(tuple(per_column))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, SemitoricError, ValidationFailure
-from .geometry import LatticeVector, Point
+from .geometry import LatticeVector, Point, describe
 from .graph import betti_b2, build_graph
 from .polygon import SemitoricPolygon, require_valid
 from .vertices import VertexKind, classify_vertex, outgoing_primitives
@@ -43,14 +43,14 @@ def corner_chop(polygon: SemitoricPolygon, vertex: Point, delta: Fraction) -> Se
     if delta <= 0:
         raise DomainError("chop size must be positive")
     if classify_vertex(polygon, vertex).kind is not VertexKind.DELZANT:
-        raise DomainError(f"vertex is not Delzant: {vertex}")
+        raise DomainError(f"vertex is not Delzant: {describe(vertex)}")
     verts, i = polygon.vertices, polygon.facts.index[vertex]
     prev_v, next_v = verts[i - 1], verts[(i + 1) % len(verts)]
     toward_prev, toward_next = outgoing_primitives(polygon, vertex)
     if delta >= _edge_parameter(vertex, prev_v, toward_prev):
-        raise DomainError(f"chop size {delta} does not stay strictly inside the edge toward {prev_v}")
+        raise DomainError(f"chop size {describe(delta)} does not stay strictly inside the edge toward {describe(prev_v)}")
     if delta >= _edge_parameter(vertex, next_v, toward_next):
-        raise DomainError(f"chop size {delta} does not stay strictly inside the edge toward {next_v}")
+        raise DomainError(f"chop size {describe(delta)} does not stay strictly inside the edge toward {describe(next_v)}")
 
     on_prev_edge = Point(vertex.x + delta * toward_prev.a, vertex.y + delta * toward_prev.b)
     on_next_edge = Point(vertex.x + delta * toward_next.a, vertex.y + delta * toward_next.b)
@@ -59,11 +59,11 @@ def corner_chop(polygon: SemitoricPolygon, vertex: Point, delta: Fraction) -> Se
     try:
         require_valid(result)
     except ValidationFailure as exc:
-        raise DomainError(f"chop at {vertex} invalidates the polygon: {exc}") from exc
+        raise DomainError(f"chop at {describe(vertex)} invalidates the polygon: {exc}") from exc
 
     before, after = betti_b2(build_graph(polygon)), betti_b2(build_graph(result))
     if after != before + 1:
         raise SemitoricError(
-            f"chop at {vertex} changed rank H^2 from {before} to {after}, expected +1"
+            f"chop at {describe(vertex)} changed rank H^2 from {before} to {after}, expected +1"
         )
     return result

@@ -37,9 +37,10 @@ class SignProduct(Sequence):
     with the first factor varying fastest.  With a ``base`` polygon, item i
     is the pair (signs, the presentation of ``base`` with those signs).
 
-    Equal to, and hashing as, the tuple of its items.  ``size`` counts the
-    items; ``len()`` gives the same number but, as for any Python sequence,
-    raises OverflowError past ``sys.maxsize``, so nothing here calls it.
+    Equal to, and hashing as, the tuple of its items; a slice is the tuple
+    of the items it picks.  ``size`` counts the items; ``len()`` gives the
+    same number but, as for any Python sequence, raises OverflowError past
+    ``sys.maxsize``, so nothing here calls it.
     """
 
     factors: tuple[tuple[tuple[int, ...], ...], ...]
@@ -58,8 +59,11 @@ class SignProduct(Sequence):
     def _item(self, signs: tuple[int, ...]):
         return signs if self.base is None else (signs, _with_signs(self.base, signs))
 
-    def __getitem__(self, index: int):
-        code = range(self.size)[index]
+    def __getitem__(self, index):
+        codes = range(self.size)[index]
+        return tuple(map(self._at, codes)) if isinstance(index, slice) else self._at(codes)
+
+    def _at(self, code: int):
         blocks = []
         for factor in self.factors:
             code, digit = divmod(code, len(factor))

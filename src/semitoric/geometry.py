@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple
@@ -51,6 +52,22 @@ def format_rational(value: Fraction) -> str:
         raise GeometryError(
             f"a computed rational exceeds {sys.get_int_max_str_digits()} digits in p or q"
         ) from None
+
+
+def _number_text(number: int | Fraction) -> str:
+    try:
+        return str(number)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        p, q = (Decimal(n).adjusted() + 1 for n in (number.numerator, number.denominator))  # digit counts
+        return f"a {p}-digit integer" if number.denominator == 1 else f"a fraction of {p}/{q} digits"
+
+
+def describe(value: int | Fraction | Point | LatticeVector) -> str:
+    """``str(value)`` for an error message, which never raises: a number past
+    the int-string conversion limit reads as its size, "a 8123-digit integer"."""
+    if isinstance(value, Point):
+        value = (value.x, value.y)
+    return f"({', '.join(map(_number_text, value))})" if isinstance(value, tuple) else _number_text(value)
 
 
 def _exact(value) -> Fraction:

@@ -36,7 +36,7 @@ from .errors import (
     SemitoricError,
     ValidationFailure,
 )
-from .geometry import LatticeVector, Point, _exact, cross, det2, primitive_direction
+from .geometry import LatticeVector, Point, _exact, cross, describe, det2, primitive_direction
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,8 @@ class PolygonFacts:
         if found is not None:
             return found
         if not self.j_min <= x <= self.j_max:
-            raise DomainError(f"x = {x} is outside the moment interval [{self.j_min}, {self.j_max}]")
+            interval = f"[{describe(self.j_min)}, {describe(self.j_max)}]"
+            raise DomainError(f"x = {describe(x)} is outside the moment interval {interval}")
         return _height_at(self.chains.bottom, x), _height_at(self.chains.top, x)
 
     def cut_endpoint(self, mark: MarkedPoint) -> Point:
@@ -215,7 +216,7 @@ class PolygonFacts:
             endpoint = self.cut_endpoint(mark)
             degree, sign = out.get(endpoint, (0, mark.cut_sign))
             if sign != mark.cut_sign:
-                raise ClassificationError(f"cuts of both signs end at {endpoint}")
+                raise ClassificationError(f"cuts of both signs end at {describe(endpoint)}")
             out[endpoint] = (degree + mark.multiplicity, sign)
         return out
 
@@ -302,9 +303,9 @@ def _structure_violations(facts: PolygonFacts) -> list[Violation]:
     out = []
     for i, t in enumerate(turns):
         if t == 0:
-            out.append(Violation("not-strictly-convex", str(verts[i]), "collinear consecutive edges"))
+            out.append(Violation("not-strictly-convex", describe(verts[i]), "collinear consecutive edges"))
         elif t < 0:
-            out.append(Violation("not-strictly-convex", str(verts[i]), "reflex turn"))
+            out.append(Violation("not-strictly-convex", describe(verts[i]), "reflex turn"))
     return out
 
 
@@ -379,7 +380,7 @@ def validate(polygon: SemitoricPolygon) -> ValidationReport:
     violations = []
     j_min, j_max = facts.j_min, facts.j_max
     for idx, mark in enumerate(polygon.marks):
-        where = f"marks[{idx}] at {mark.position}"
+        where = f"marks[{idx}] at {describe(mark.position)}"
         x, y = mark.position.x, mark.position.y
         # the polygon is strictly convex, so its interior is the union of open column slices
         bottom_y, top_y = facts.heights[x] if j_min < x < j_max else (y, y)
@@ -388,7 +389,7 @@ def validate(polygon: SemitoricPolygon) -> ValidationReport:
             continue
         endpoint = facts.cut_endpoint(mark)
         if endpoint not in facts.index:
-            message = f"cut endpoint {endpoint} is not a vertex of the polygon"
+            message = f"cut endpoint {describe(endpoint)} is not a vertex of the polygon"
             violations.append(Violation("cut-endpoint-not-vertex", where, message))
     if violations:
         return ValidationReport({}, tuple(violations))
@@ -401,12 +402,12 @@ def validate(polygon: SemitoricPolygon) -> ValidationReport:
     for vertex in polygon.vertices:
         result = facts.classes[vertex]
         if isinstance(result, SemitoricError):
-            violations.append(Violation("unclassifiable-vertex", str(vertex), str(result)))
+            violations.append(Violation("unclassifiable-vertex", describe(vertex), str(result)))
             continue
         classifications[vertex] = result
         if vertex.x in (j_min, j_max) and result.kind is not VertexKind.DELZANT:
             violations.append(
-                Violation("extreme-not-delzant", str(vertex), f"extreme vertex classifies as {result.kind.value}")
+                Violation("extreme-not-delzant", describe(vertex), f"extreme vertex classifies as {result.kind.value}")
             )
     return ValidationReport(classifications, tuple(violations))
 

@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Literal, Mapping
 
 from .errors import ClassificationError, DomainError, GeometryError, SemitoricError
-from .geometry import LatticeVector, Point, det2, shear_vector
+from .geometry import LatticeVector, Point, describe, det2, shear_vector
 from .polygon import MarkedPoint, PolygonFacts, SemitoricPolygon, vertical_edge_endpoints
 
 
@@ -107,7 +107,7 @@ def outgoing_primitives(polygon: SemitoricPolygon, vertex: Point) -> tuple[Latti
     """Primitive tangents of the two incident edges, directed away from the vertex."""
     i = polygon.facts.index.get(vertex)
     if i is None:
-        raise DomainError(f"{vertex} is not a vertex of the polygon")
+        raise DomainError(f"{describe(vertex)} is not a vertex of the polygon")
     return _outgoing(polygon.facts, i)
 
 
@@ -126,13 +126,13 @@ def _tangent_frame(facts: PolygonFacts, i: int) -> tuple[LatticeVector, LatticeV
     vertical = [d for d in (d_prev, d_next) if d.a == 0]
 
     if len(vertical) == 2:
-        raise ClassificationError(f"{vertex} lies between two vertical edges")
+        raise ClassificationError(f"{describe(vertex)} lies between two vertical edges")
     if len(vertical) == 1:
         if vertex.x == facts.j_min and right:
             return vertical[0], right[0]
         if vertex.x == facts.j_max and left:
             return _flip(left[0]), vertical[0]
-        raise ClassificationError(f"{vertex} touches a vertical edge at an interior column")
+        raise ClassificationError(f"{describe(vertex)} touches a vertical edge at an interior column")
     if left and right:
         return _flip(left[0]), right[0]
     if len(right) == 2:  # single leftmost vertex, both edges point rightward
@@ -167,7 +167,7 @@ def lattice_class(vertex: Point, u: LatticeVector, w: LatticeVector, degree: int
         if abs(det2(u, w)) == 1:
             return VertexClassification(vertex, VertexKind.DELZANT, 0, None, u, w)
         raise ClassificationError(
-            f"{vertex}: no cuts end here and |det(u w)| = {abs(det2(u, w))}, not 1"
+            f"{describe(vertex)}: no cuts end here and |det(u w)| = {describe(abs(det2(u, w)))}, not 1"
         )
     d = det2(u, shear_vector(w, sign * degree))
     if d == 0:
@@ -176,10 +176,10 @@ def lattice_class(vertex: Point, u: LatticeVector, w: LatticeVector, degree: int
         return VertexClassification(vertex, VertexKind.HIDDEN_DELZANT, degree, sign, u, w)
     if abs(d) == 1:
         raise ClassificationError(
-            f"{vertex}: masked corner has the wrong orientation (det {d} with cut sign {sign:+d})"
+            f"{describe(vertex)}: masked corner has the wrong orientation (det {d} with cut sign {sign:+d})"
         )
     raise ClassificationError(
-        f"{vertex}: cut degree {degree} gives |det(u Aw)| = {abs(d)}, neither unimodular nor parallel"
+        f"{describe(vertex)}: cut degree {degree} gives |det(u Aw)| = {describe(abs(d))}, neither unimodular nor parallel"
     )
 
 
@@ -191,7 +191,7 @@ def classify_vertex(polygon: SemitoricPolygon, vertex: Point) -> VertexClassific
     """
     facts = polygon.facts
     if vertex not in facts.index:
-        raise DomainError(f"{vertex} is not a vertex of the polygon")
+        raise DomainError(f"{describe(vertex)} is not a vertex of the polygon")
     return _class_of(facts.classes, vertex)
 
 
@@ -220,7 +220,7 @@ def is_smooth_class(c: VertexClassification) -> bool:
         and c.right_primitive.a == 1
     )
     if smooth != by_kind:
-        raise ClassificationError(f"smoothness characterisations disagree at {c.vertex}")
+        raise ClassificationError(f"smoothness characterisations disagree at {describe(c.vertex)}")
     return smooth
 
 
@@ -238,9 +238,9 @@ def isotropy_weights(polygon: SemitoricPolygon, vertex: Point) -> tuple[int, int
     """
     c = classify_vertex(polygon, vertex)
     if c.kind is VertexKind.FAKE:
-        raise DomainError(f"{vertex} is a fake vertex; no isolated fixed point lies over it")
+        raise DomainError(f"{describe(vertex)} is a fake vertex; no isolated fixed point lies over it")
     if vertex in vertical_edge_endpoints(polygon):
-        raise DomainError(f"{vertex} lies on a vertical edge; its preimage is part of a fixed surface")
+        raise DomainError(f"{describe(vertex)} lies on a vertical edge; its preimage is part of a fixed surface")
     first, second = outgoing_primitives(polygon, vertex)
     weights = sorted((first.a, second.a))
     return weights[0], weights[1]
@@ -273,7 +273,8 @@ def extract_k_runs(facts: PolygonFacts) -> tuple[ZkChain, ...]:
                 if ks[j + 1] != k:
                     # a fake vertex forces equal first components on both sides
                     raise ClassificationError(
-                        f"fake vertex {edges[j][1]} joins edges of first components {k} and {ks[j + 1]}"
+                        f"fake vertex {describe(edges[j][1])} joins edges of first components "
+                        f"{describe(k)} and {describe(ks[j + 1])}"
                     )
                 j += 1
             chain = ZkChain(
@@ -285,7 +286,7 @@ def extract_k_runs(facts: PolygonFacts) -> tuple[ZkChain, ...]:
             )
             for pole in (chain.start_vertex, chain.end_vertex):
                 if _class_of(classes, pole).kind is VertexKind.FAKE:
-                    raise ClassificationError(f"chain pole {pole} classifies as fake")
+                    raise ClassificationError(f"chain pole {describe(pole)} classifies as fake")
             chains.append(chain)
             i = j + 1
     return tuple(chains)

@@ -307,6 +307,11 @@ class TestPerColumnSearch:
         assert verdict.delzant_signs[1] == (1,) + (-1,) * 16
         assert verdict.delzant_signs[-1] == (1,) * 17
 
+    def test_verdict_slices(self):
+        signs = adaptability(focus_ladder([1] * 17)).delzant_signs
+        assert signs[-3:] == ((1, -1) + (1,) * 15, (-1,) + (1,) * 16, (1,) * 17)
+        assert signs[2**17 - 3 :] == signs[-3:] and signs[:2] == ((-1,) * 17, (1,) + (-1,) * 16)
+
     def test_sixty_four_points(self):
         # 2^64 sign vectors: len() stops at sys.maxsize, so nothing may call it
         verdict = adaptability(focus_ladder([1] * 64))
@@ -321,16 +326,35 @@ class TestPerColumnSearch:
     def test_smallest_flips(self):
         from itertools import product
 
-        from semitoric.analysis import _flip_codes, _smallest_flips
+        from semitoric.analysis import _smallest_flips
 
         for length in range(9):
             for signs in product((-1, 1), repeat=length):
                 for shift in range(-signs.count(1), signs.count(-1) + 1):
                     code = sum(1 << b for b in _smallest_flips(signs, shift))
-                    assert code == next(_flip_codes(signs, (shift,))), (signs, shift)
+                    # flipping a mark of sign s moves the up-count by -s
+                    moved = (c for c in range(2**length) if -sum(s for b, s in enumerate(signs) if c >> b & 1) == shift)
+                    assert code == min(moved), (signs, shift)
         signs = (-1, 1) * 2500
         assert _smallest_flips(signs, -2500) == list(range(1, 5000, 2))
         assert _smallest_flips(signs, 3) == [0, 2, 4]
+
+    def test_column_blocks(self):
+        # the patterns of the kept up-counts in flip-code order, as all 2^k codes filtered;
+        # every set of up-counts up to 6 marks, then each single one and all of them
+        from itertools import product
+
+        from semitoric.analysis import _column_blocks
+
+        for length in range(9):
+            everything = 2 ** (length + 1) - 1
+            kept_sets = range(everything + 1) if length <= 6 else [1 << u for u in range(length + 1)] + [everything]
+            for signs in product((-1, 1), repeat=length):
+                flipped = [tuple(-s if c >> b & 1 else s for b, s in enumerate(signs)) for c in range(2**length)]
+                for kept in kept_sets:
+                    ups = [u for u in range(length + 1) if kept >> u & 1]
+                    expected = tuple(p for p in flipped if kept >> p.count(1) & 1)
+                    assert _column_blocks(signs, ups) == expected, (signs, ups)
 
 
 class TestDelzantPresentations:

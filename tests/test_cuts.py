@@ -145,6 +145,14 @@ class TestEnumeratePresentations:
         assert pickle.loads(pickle.dumps(members)) == members
         assert repr(members) == repr(enumerate_presentations(corpus["NONADAPT3"]).members)
 
+    def test_slices_are_tuples_of_members(self, corpus):
+        for polygon in (corpus["NONADAPT3"], split_marks(corpus["NONADAPT3"])):
+            members = enumerate_presentations(polygon).members
+            built = tuple(members)
+            for s in (slice(1, 3), slice(-2, None), slice(None, -1), slice(None, None, 2), slice(-1, None, -3),
+                      slice(5, 1), slice(1, 100)):
+                assert members[s] == built[s], s
+
     def test_split_marks_counts(self, corpus):
         unit = split_marks(corpus["NONADAPT3"])
         assert len(unit.marks) == 3

@@ -193,3 +193,20 @@ def test_no_module_level_caches():
                 assert not banned & {alias.name for alias in node.names}, path.name
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
                 assert node.attr not in banned, path.name
+
+
+def test_no_recursion():
+    # deep input must not meet Python's recursion limit: no function calls itself by name
+    package = Path(semitoric.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    func = call.func
+                    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                        name = func.attr if func.value.id in ("self", "cls") else None  # a method of its own class
+                    else:
+                        name = func.id if isinstance(func, ast.Name) else None
+                    assert name != node.name, f"{path.name}: {node.name} calls itself"

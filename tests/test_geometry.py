@@ -44,6 +44,18 @@ class TestRationals:
         with pytest.raises(GeometryError, match="digits"):
             format_rational(too_long)
 
+    def test_describe_never_raises(self):
+        from semitoric.geometry import LatticeVector, describe
+
+        digits = sys.get_int_max_str_digits()
+        assert describe(Point(Fraction(-22, 7), 3)) == "(-22/7, 3)" and describe(LatticeVector(1, -2)) == "(1, -2)"
+        assert describe(10**digits) == f"a {digits + 1}-digit integer"
+        assert describe(1 - 10 ** (digits + 1)) == f"a {digits + 1}-digit integer"
+        assert describe(Fraction(7, 10**digits + 1)) == f"a fraction of 1/{digits + 1} digits"
+        assert describe(Fraction(10**digits, 3)) == f"a fraction of {digits + 1}/1 digits"
+        assert describe(Point(Fraction(1, 2), 10 ** (digits + 5))) == f"(1/2, a {digits + 6}-digit integer)"
+        assert describe(LatticeVector(3, 10**digits)) == f"(3, a {digits + 1}-digit integer)"
+
     def test_points_reject_floats(self):
         with pytest.raises(GeometryError):
             Point(0.5, 1)

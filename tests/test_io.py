@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -423,6 +424,30 @@ class TestHostileInput:
         argv = ["chop", str(path), "--vertex", f"{side},{side}", "--size", f"1/{10 ** 4299 + 3}"]
         assert run_cli(argv, out, err) == 1
         assert "digits" in err.getvalue() and out.getvalue() == ""
+
+    def test_message_prints_the_size_of_an_oversized_determinant(self, tmp_path):
+        # 60 points on the parabola y = x^2 with 2000-digit denominators: every
+        # corner's determinant has ~8000 digits, past the int-string limit
+        big = 10**2000
+        xs = [k + Fraction(1, big + 7 * k + 1) for k in range(60)]
+        text = json.dumps({"vertices": [[str(x), str(x * x)] for x in xs]})
+        code, out, err = self.run_file(tmp_path, text.encode())
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (2, "", 60)
+        for line in lines:
+            assert line.startswith("violation unclassifiable-vertex at (")
+            assert re.search(r"no cuts end here and \|det\(u w\)\| = a \d+-digit integer, not 1$", line)
+
+    def test_message_prints_the_size_of_an_oversized_cut_endpoint(self, tmp_path):
+        # the top boundary height at the mark's column has 6001-digit p and q
+        a, b = Fraction(1, 10**2000 + 1), Fraction(1, 10**2000 + 3)
+        vertices = [["0", "0"], ["3", "0"], ["3", str(1 + a)], ["0", str(2 + b)]]
+        mark = {"x": str(1 + a), "y": "1/2", "multiplicity": 1, "cut": 1}
+        text = json.dumps({"vertices": vertices, "marked_points": [mark]})
+        code, out, err = self.run_file(tmp_path, text.encode())
+        assert (code, err) == (2, "")
+        assert out.startswith(f"violation cut-endpoint-not-vertex at marks[0] at ({1 + a}, 1/2): cut endpoint ({1 + a}, ")
+        assert out.endswith(", a fraction of 6001/6001 digits) is not a vertex of the polygon\n")
 
     def test_oversized_json_integer(self, tmp_path):
         digits = "1" * (sys.get_int_max_str_digits() + 1)
