@@ -14,10 +14,10 @@ by orbit counting per column, and by searching the cut-sign family for a
 presentation that is a Delzant polygon.  The two verdicts must agree; a
 disagreement raises instead of guessing.  Both are polynomial in the number
 m of focus-focus points: the search tries the k + 1 up-counts of each column
-of k points on their own (an O(1) check per up-count; presentations built
-only to report an error), because a cut switch changes the polygon only on
-and right of its column, and right of it by a unimodular shear.  Only columns
-of one or two points can be Delzant, because a smooth corner ends at most one cut.
+of k points on their own (an O(1) check per up-count; no presentation is
+built), because a cut switch changes the polygon only on and right of its
+column, and right of it by a unimodular shear.  Only columns of one or two
+points can be Delzant, because a smooth corner ends at most one cut.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 from operator import attrgetter
 from typing import Collection, Literal, Optional, Sequence
 
-from .cuts import SignProduct, _flip_cuts, _with_signs, shear_normal_form, split_marks
+from .cuts import SignProduct, _with_signs, shear_normal_form, split_marks
 from .errors import ClassificationError, DomainError, PresentationError, SemitoricError
 from .geometry import LatticeVector, Point, _exact, describe, det2, primitive_direction, shear_vector
-from .polygon import PolygonFacts, SemitoricPolygon, boundary_chains, validate
+from .polygon import PolygonFacts, SemitoricPolygon, boundary_chains, require_valid
 from .vertices import (
     VertexKind,
     classify_vertex,
@@ -184,11 +184,6 @@ class CriteriaDisagreement(SemitoricError):
     """The orbit-count and Delzant-presentation criteria returned different verdicts."""
 
 
-def _smallest_flips(signs: Sequence[int], shift: int) -> list[int]:
-    """The first |shift| marks of sign -sign(shift): any other code moving the up-count by ``shift`` is larger."""
-    return [b for b, s in enumerate(signs) if s == (-1 if shift > 0 else 1)][: abs(shift)]
-
-
 def _column_blocks(signs: Sequence[int], ups: Collection[int]) -> tuple[tuple[int, ...], ...]:
     """The column's sign patterns with an up-count in ``ups``, in increasing flip code (bit b: mark b flipped)."""
     # chosen by which marks point up, so the cost is the number listed, never 2^k: a smooth
@@ -240,15 +235,6 @@ def _local_verdict(
     return smooth
 
 
-def _built_verdict(unit: SemitoricPolygon, flips: frozenset[int], x: Fraction) -> Optional[bool]:
-    """:func:`_local_verdict` read off the presentation with these flips, built."""
-    try:
-        shape = _flip_cuts(unit, flips)
-    except PresentationError:
-        return None
-    return all(is_smooth_vertex(shape, v) for v in shape.facts.vertices_at.get(x, ()))
-
-
 def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignProduct]:
     """The unit-split polygon, and the sign vector of each of its Delzant presentations.
 
@@ -264,46 +250,30 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignPro
     keeps that column's vertices smooth, each up-count checked alone by an
     O(1) look at the column's bottom and top point (:func:`_local_verdict`).
 
-    When some presentations are invalid, the one of the smallest code raises
-    its PresentationError, as when all 2^m were built in code order.  On a
-    valid unit-split polygon the local check finds the invalid up-counts; on
-    an invalid one each up-count is built by its smallest code (code 1 fails
-    first, as switching a valid presentation gives a valid one).  The
-    smallest code reaching an invalid up-count is built for its error.
+    The cut family exists only for a valid polygon, so an invalid one raises
+    ValidationFailure; every member of a valid one's family is valid, and no
+    presentation is built.
     """
-    unit = split_marks(polygon)
-    marks_at = unit.facts.marks_at  # in mark order
-    firsts = accumulate((len(marks) for marks in marks_at.values()), initial=0)  # each column's first mark index
-    columns = [(x, first, tuple(m.cut_sign for m in marks)) for (x, marks), first in zip(marks_at.items(), firsts)]
-
-    local = validate(unit).valid
-    verdicts = []  # per column: up-count shift -> smooth on the column, None where invalid
-    failures = []  # the flips of each invalid presentation
-    for x, first, signs in columns:
-        sides = _column_sides(unit.facts, x) if local else ()
-        by_shift = {}
-        for shift in range(-signs.count(1), signs.count(-1) + 1):
-            if not shift:
-                continue
-            smooth = _local_verdict(sides, signs, shift) if local else None
-            if smooth is None:  # built off the local path; where invalid, reported by its smallest code
-                flips = frozenset(first + b for b in _smallest_flips(signs, shift))
-                if local or (smooth := _built_verdict(unit, flips, x)) is None:
-                    failures.append(flips)
-            by_shift[shift] = smooth
-        verdicts.append(by_shift)
-    if failures:
-        _flip_cuts(unit, min(failures, key=lambda flips: sum(1 << i for i in flips)))  # raises its error
-        raise AssertionError("the local check found an invalid presentation that validates")
-
-    # no cut ends off the mark columns, so there a valid polygon's vertices are
-    # Delzant, and an unclassifiable vertex raises its error here
-    if not all(is_smooth_vertex(unit, v) for v in unit.vertices if v.x not in marks_at):
+    unit = require_valid(split_marks(polygon))
+    facts = unit.facts
+    # no cut ends off the mark columns, so there a valid polygon's vertices are Delzant
+    if not all(is_smooth_vertex(unit, v) for v in unit.vertices if v.x not in facts.marks_at):
         return unit, SignProduct(((),))  # one factor with no choice: no sign vector
     per_column = []  # per column: the signs of every flip pattern that keeps its vertices smooth
-    for (x, _, signs), by_shift in zip(columns, verdicts):
-        by_shift[0] = all(is_smooth_vertex(unit, v) for v in unit.facts.vertices_at.get(x, ()))
-        per_column.append(_column_blocks(signs, [signs.count(1) + d for d, smooth in by_shift.items() if smooth]))
+    for x, marks in facts.marks_at.items():  # in mark order
+        signs = tuple(m.cut_sign for m in marks)
+        sides = _column_sides(facts, x)
+        ups = []
+        for shift in range(-signs.count(1), signs.count(-1) + 1):
+            if shift:
+                smooth = _local_verdict(sides, signs, shift)
+                if smooth is None:  # a switch of a valid presentation is valid
+                    raise PresentationError(f"up-count shift {shift} at x = {describe(x)}: invalid presentation")
+            else:
+                smooth = all(is_smooth_vertex(unit, v) for v in facts.vertices_at.get(x, ()))
+            if smooth:
+                ups.append(signs.count(1) + shift)
+        per_column.append(_column_blocks(signs, ups))
     # the first column's bits are the lowest, so it varies fastest
     return unit, SignProduct(tuple(per_column))
 

@@ -24,7 +24,6 @@ from .corpus import corpus_get, corpus_names
 from .cuts import enumerate_presentations, switch_cut
 from .errors import (
     DomainError,
-    GeometryError,
     ParseError,
     SemitoricError,
     ValidationFailure,
@@ -257,7 +256,7 @@ def run_cli(argv, out=None, err=None) -> int:
     except (ParseError, ValidationFailure) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INVALID
-    except (DomainError, GeometryError, SemitoricError) as exc:
+    except SemitoricError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_DOMAIN
 

@@ -6,8 +6,9 @@ left of the column, a unipotent shear right of it.  Boundary vertices are
 inserted where the kink bends an edge and removed where it straightens one.
 Switches at distinct marks commute, so a whole family of 2^m presentations
 is enumerated by composing the per-mark shears.  A ``SignProduct`` lists it,
-building each member when it is read, so on an unvalidated polygon
-``enumerate_presentations`` raises when a bad member is read, not when called.
+building each member when it is read.  The family exists only for a valid
+polygon, and every member of it is valid, so ``enumerate_presentations``
+refuses an invalid polygon with ValidationFailure when it is called.
 """
 
 from __future__ import annotations
@@ -179,7 +180,11 @@ def _with_signs(polygon: SemitoricPolygon, signs: tuple[int, ...]) -> SemitoricP
 
 
 def enumerate_presentations(polygon: SemitoricPolygon) -> PresentationSet:
-    """All 2^m presentations reachable by switching the polygon's mark entries."""
+    """All 2^m presentations reachable by switching the polygon's mark entries.
+
+    Raises ValidationFailure when the polygon is invalid.
+    """
+    require_valid(polygon)
     factors = tuple(((mark.cut_sign,), (-mark.cut_sign,)) for mark in polygon.marks)
     return PresentationSet(base=polygon, members=SignProduct(factors, polygon))
 

@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Literal, Mapping
 
 from .errors import ClassificationError, DomainError, GeometryError, SemitoricError
-from .geometry import LatticeVector, Point, describe, det2, shear_vector
+from .geometry import LatticeVector, Point, describe, det2, format_rational, shear_vector
 from .polygon import MarkedPoint, PolygonFacts, SemitoricPolygon, vertical_edge_endpoints
 
 
@@ -58,8 +58,13 @@ class VertexClassification:
     right_primitive: LatticeVector
 
     def __str__(self) -> str:
+        """The ``classify`` row; a number past the int-string limit raises GeometryError."""
+        vertex, u, w = (
+            f"({', '.join(map(format_rational, pair))})"
+            for pair in ((self.vertex.x, self.vertex.y), self.left_primitive, self.right_primitive)
+        )
         extra = "" if self.sign is None else f" degree={self.degree} sign={self.sign:+d}"
-        return f"{self.vertex}: {self.kind.value}{extra} u={self.left_primitive} w={self.right_primitive}"
+        return f"{vertex}: {self.kind.value}{extra} u={u} w={w}"
 
 
 @dataclass(frozen=True)

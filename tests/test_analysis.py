@@ -14,6 +14,7 @@ from semitoric import (
     Point,
     PresentationError,
     SemitoricPolygon,
+    ValidationFailure,
     adaptability,
     build_graph,
     delzant_presentations,
@@ -241,14 +242,27 @@ class TestPerColumnSearch:
             polygons.append(SemitoricPolygon(polygon.vertices, tuple(marks)))
         self.agree(oracle, polygons)
 
+    def test_invalid_polygon_is_refused(self, corpus):
+        # the cut family exists only for a valid polygon: the search and the listing refuse
+        # an invalid one alike; adaptability counts orbits first, which may raise before
+        square, ff1 = corpus["SQUARE"], corpus["FF1"]
+        clockwise = SemitoricPolygon(tuple(reversed(square.vertices)), square.marks)
+        for function in (adaptability, delzant_presentations, enumerate_presentations):
+            with pytest.raises(ValidationFailure, match="not-counter-clockwise"):
+                function(clockwise)
+        doubled_tip = SemitoricPolygon(ff1.vertices + ff1.vertices[-1:], ff1.marks)
+        for function in (delzant_presentations, enumerate_presentations):
+            with pytest.raises(ValidationFailure, match="duplicate-vertex"):
+                function(doubled_tip)
+        with pytest.raises(GeometryError, match="not pairwise distinct"):
+            adaptability(doubled_tip)
+
     def test_builds_per_column(self, monkeypatch):
-        import semitoric.analysis as analysis
         import semitoric.cuts as cuts
 
         built = []
         flip_cuts = cuts._flip_cuts
-        for module in (analysis, cuts):
-            monkeypatch.setattr(module, "_flip_cuts", lambda *args: built.append(1) or flip_cuts(*args))
+        monkeypatch.setattr(cuts, "_flip_cuts", lambda *args: built.append(1) or flip_cuts(*args))
         for polygon in multi_column_polygons(50, seed=11):
             built.clear()
             verdict = adaptability(polygon)
@@ -262,7 +276,7 @@ class TestPerColumnSearch:
     def test_local_rule_matches_the_build(self, corpus, derived_polygons):
         # every (column, up-count): invalid (None), smooth or not on the column,
         # decided locally and read off the presentation built by the smallest code
-        from semitoric.analysis import _column_sides, _local_verdict, _smallest_flips
+        from semitoric.analysis import _column_sides, _local_verdict
         from semitoric.cuts import _flip_cuts
 
         def verdicts(unit, x):
@@ -270,8 +284,10 @@ class TestPerColumnSearch:
             signs = tuple(mark.cut_sign for mark in unit.facts.marks_at[x])
             sides = _column_sides(unit.facts, x)
             for shift in range(-signs.count(1), signs.count(-1) + 1):
+                # the smallest code moving the up-count by shift: the first |shift| marks of sign -sign(shift)
+                flips = [b for b, s in enumerate(signs) if s == (-1 if shift > 0 else 1)][: abs(shift)]
                 try:
-                    shape = _flip_cuts(unit, frozenset(first + b for b in _smallest_flips(signs, shift)))
+                    shape = _flip_cuts(unit, frozenset(first + b for b in flips))
                 except PresentationError:
                     built = None
                 else:
@@ -322,22 +338,6 @@ class TestPerColumnSearch:
         assert verdict.delzant_signs[2**63 + 1] == (1,) + (-1,) * 62 + (1,)
         with pytest.raises(OverflowError):
             len(verdict.delzant_signs)
-
-    def test_smallest_flips(self):
-        from itertools import product
-
-        from semitoric.analysis import _smallest_flips
-
-        for length in range(9):
-            for signs in product((-1, 1), repeat=length):
-                for shift in range(-signs.count(1), signs.count(-1) + 1):
-                    code = sum(1 << b for b in _smallest_flips(signs, shift))
-                    # flipping a mark of sign s moves the up-count by -s
-                    moved = (c for c in range(2**length) if -sum(s for b, s in enumerate(signs) if c >> b & 1) == shift)
-                    assert code == min(moved), (signs, shift)
-        signs = (-1, 1) * 2500
-        assert _smallest_flips(signs, -2500) == list(range(1, 5000, 2))
-        assert _smallest_flips(signs, 3) == [0, 2, 4]
 
     def test_column_blocks(self):
         # the patterns of the kept up-counts in flip-code order, as all 2^k codes filtered;

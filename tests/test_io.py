@@ -449,6 +449,16 @@ class TestHostileInput:
         assert out.startswith(f"violation cut-endpoint-not-vertex at marks[0] at ({1 + a}, 1/2): cut endpoint ({1 + a}, ")
         assert out.endswith(", a fraction of 6001/6001 digits) is not a vertex of the polygon\n")
 
+    def test_classify_refuses_an_oversized_primitive(self, tmp_path):
+        # a valid polygon whose steep edge has the primitive (1, qM) of ~8000 digits
+        q, m = 10**4000 + 1, 10**4000
+        vertices = [["0", "0"], [f"1/{q}", str(m)], [f"1/{q}", str(m + 1)], ["0", "1"]]
+        text = json.dumps({"vertices": vertices}).encode()
+        assert self.run_file(tmp_path, text)[0] == 0
+        code, out, err = self.run_file(tmp_path, text, command="classify")
+        assert (code, out) == (1, "")
+        assert err == f"error: a computed rational exceeds {sys.get_int_max_str_digits()} digits in p or q\n"
+
     def test_oversized_json_integer(self, tmp_path):
         digits = "1" * (sys.get_int_max_str_digits() + 1)
         text = '{"vertices": [["0","0"],["1","0"],["0","1"]], "marked_points": [{"x":"1/4","y":"1/4","multiplicity":%s,"cut":-1}]}'
