@@ -17,7 +17,9 @@ m of focus-focus points: the search tries the k + 1 up-counts of each column
 of k points on their own (an O(1) check per up-count; no presentation is
 built), because a cut switch changes the polygon only on and right of its
 column, and right of it by a unimodular shear.  Only columns of one or two
-points can be Delzant, because a smooth corner ends at most one cut.
+points can be Delzant, because a smooth corner ends at most one cut.  The
+cut family exists only for a valid polygon, so ``adaptability`` and
+``delzant_presentations`` refuse an invalid one with ValidationFailure.
 """
 
 from __future__ import annotations
@@ -26,20 +28,17 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import attrgetter
-from typing import Collection, Literal, Optional, Sequence
+from typing import Collection, Literal, Sequence
 
-from .cuts import SignProduct, _with_signs, shear_normal_form, split_marks
-from .errors import ClassificationError, DomainError, PresentationError, SemitoricError
-from .geometry import LatticeVector, Point, _exact, describe, det2, primitive_direction, shear_vector
-from .polygon import PolygonFacts, SemitoricPolygon, boundary_chains, require_valid
+from .cuts import SignProduct, _column_sides, _require_verdict, _with_signs, shear_normal_form, split_marks
+from .errors import DomainError, SemitoricError
+from .geometry import Point, _exact, describe
+from .polygon import SemitoricPolygon, boundary_chains, require_valid
 from .vertices import (
     VertexKind,
     classify_vertex,
-    is_smooth_class,
     is_smooth_vertex,
     isotropy_weights,
-    lattice_class,
     outgoing_primitives,
 )
 
@@ -193,50 +192,8 @@ def _column_blocks(signs: Sequence[int], ups: Collection[int]) -> tuple[tuple[in
     return tuple(tuple(-s if code >> b & 1 else s for b, s in enumerate(signs)) for code in codes)
 
 
-def _column_sides(facts: PolygonFacts, x: Fraction) -> tuple[tuple[Point, LatticeVector, LatticeVector], ...]:
-    """The bottom and then the top boundary point on interior column x, each
-    with the rightward primitive tangents of the boundary left and right of it."""
-    sides = []
-    for path, y in zip((facts.chains.bottom, facts.chains.top), facts.heights[x]):
-        i = bisect_left(path, x, key=attrgetter("x"))
-        left, right = path[i - 1], path[i + 1] if path[i].x == x else path[i]
-        u, w = primitive_direction(x - left.x, y - left.y), primitive_direction(right.x - x, right.y - y)
-        sides.append((Point(x, y), u, w))
-    return tuple(sides)
-
-
-def _local_verdict(
-    sides: Sequence[tuple[Point, LatticeVector, LatticeVector]], signs: Sequence[int], shift: int
-) -> Optional[bool]:
-    """Whether the presentation that moves this column's up-count by ``shift``
-    is smooth on the column, or None when that presentation is invalid.
-
-    ``sides`` is :func:`_column_sides` of a valid polygon whose column has
-    marks of these cut signs.  The switch shears the boundary right of the
-    column by -shift, so only each side's right tangent w turns.  Where the
-    boundary then runs straight the point is no vertex, and invalid if a cut
-    ends there; where it turns the wrong way the polygon is reflex.  A corner
-    takes the class of its new frame and of the cuts ending there: the
-    new up-count's marks at the top, the rest at the bottom.
-    """
-    ups = signs.count(1) + shift
-    smooth = True
-    for (point, u, w), inward, degree, sign in zip(sides, (1, -1), (len(signs) - ups, ups), (-1, 1)):
-        w = shear_vector(w, -shift)
-        turn = inward * det2(u, w)  # > 0: a convex corner
-        if turn < 0 or (turn == 0 and degree):
-            return None
-        if turn:
-            try:
-                corner = lattice_class(point, u, w, degree, sign)
-            except ClassificationError:
-                return None
-            smooth = is_smooth_class(corner) and smooth
-    return smooth
-
-
 def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignProduct]:
-    """The unit-split polygon, and the sign vector of each of its Delzant presentations.
+    """The unit-split polygon of a valid polygon, and the sign vector of each of its Delzant presentations.
 
     Splitting lets coincident focus-focus points take independent cut signs,
     which is the family the existence criterion quantifies over.  Flipping
@@ -248,13 +205,12 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignPro
     and near x the presentation depends only on the column's up-count.  So
     the Delzant presentations are the codes whose up-count at every column
     keeps that column's vertices smooth, each up-count checked alone by an
-    O(1) look at the column's bottom and top point (:func:`_local_verdict`).
-
-    The cut family exists only for a valid polygon, so an invalid one raises
-    ValidationFailure; every member of a valid one's family is valid, and no
-    presentation is built.
+    O(1) look at the column's bottom and top point (the column rule
+    :func:`cuts._local_verdict`, which also checks each member built).
+    Every member of a valid polygon's family is valid, and no presentation
+    is built.
     """
-    unit = require_valid(split_marks(polygon))
+    unit = split_marks(polygon)
     facts = unit.facts
     # no cut ends off the mark columns, so there a valid polygon's vertices are Delzant
     if not all(is_smooth_vertex(unit, v) for v in unit.vertices if v.x not in facts.marks_at):
@@ -266,9 +222,7 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignPro
         ups = []
         for shift in range(-signs.count(1), signs.count(-1) + 1):
             if shift:
-                smooth = _local_verdict(sides, signs, shift)
-                if smooth is None:  # a switch of a valid presentation is valid
-                    raise PresentationError(f"up-count shift {shift} at x = {describe(x)}: invalid presentation")
+                smooth = _require_verdict(sides, signs, shift)
             else:
                 smooth = all(is_smooth_vertex(unit, v) for v in facts.vertices_at.get(x, ()))
             if smooth:
@@ -285,10 +239,11 @@ def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
     (ii) some presentation in the (unit-split) cut family is Delzant.
 
     Both are polynomial in the number of focus-focus points.  Raises
-    CriteriaDisagreement when the two verdicts differ, which signals invalid
-    input or a bug rather than a legal state.
+    ValidationFailure when the polygon is invalid, and CriteriaDisagreement
+    when the two verdicts differ, which signals a bug rather than a legal
+    state.
     """
-    facts = polygon.facts
+    facts = require_valid(polygon).facts
     violating = []
     for x in facts.columns:
         if not facts.j_min < x < facts.j_max:
@@ -313,8 +268,11 @@ def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
 
 
 def delzant_presentations(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, ...]:
-    """All Delzant members of the cut family, in shear normal form, deduplicated."""
-    unit, delzant = _delzant_signs(polygon)
+    """All Delzant members of the cut family, in shear normal form, deduplicated.
+
+    Raises ValidationFailure when the polygon is invalid.
+    """
+    unit, delzant = _delzant_signs(require_valid(polygon))
     return tuple(dict.fromkeys(shear_normal_form(_with_signs(unit, signs)) for signs in delzant))  # first-seen order
 
 

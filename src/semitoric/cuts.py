@@ -4,30 +4,50 @@ Flipping the cut of mark i applies the piecewise vertical shear with pivot
 at the mark's column and coefficient (old sign) * (multiplicity): identity
 left of the column, a unipotent shear right of it.  Boundary vertices are
 inserted where the kink bends an edge and removed where it straightens one.
-Switches at distinct marks commute, so a whole family of 2^m presentations
-is enumerated by composing the per-mark shears.  A ``SignProduct`` lists it,
-building each member when it is read.  The family exists only for a valid
-polygon, and every member of it is valid, so ``enumerate_presentations``
-refuses an invalid polygon with ValidationFailure when it is called.
+Switches at distinct marks commute, so each of the 2^m presentations of the
+family is built in one sweep left to right: every point moves by the sum of
+the shears pivoting left of it, and only a point on a flipped column can
+become or stop being a vertex.  A ``SignProduct`` lists the family,
+building each member when it is read.
+
+The family exists only for a valid polygon, and every member of it is
+valid: a switch changes the polygon near its column only, where the column
+rule (:func:`_local_verdict`, an O(1) look at the column's bottom and top
+point) decides validity and smoothness.  So ``enumerate_presentations`` and
+``switch_cut`` refuse an invalid polygon with ValidationFailure, and each
+member is checked by the column rule at its flipped columns, not re-validated.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import prod
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
-from .errors import DomainError, PresentationError, ValidationFailure
-from .geometry import GlobalShear, Point, VerticalShear, cross
+from .errors import ClassificationError, DomainError, PresentationError
+from .geometry import (
+    GlobalShear,
+    LatticeVector,
+    Point,
+    cross,
+    describe,
+    det2,
+    primitive_direction,
+    shear_vector,
+)
 from .polygon import (
     MarkedPoint,
+    PolygonFacts,
     SemitoricPolygon,
     boundary_chains,
     require_valid,
 )
+from .vertices import is_smooth_class, lattice_class
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,66 +128,125 @@ def transform_polygon(polygon: SemitoricPolygon, shear: GlobalShear) -> Semitori
     )
 
 
-def _subdivide_at_columns(cycle: Sequence[Point], columns: Iterable[Fraction]) -> list[Point]:
-    """Insert the points where the given vertical lines cross the cycle's edges."""
-    columns = sorted(set(columns))
-    out: list[Point] = []
-    n = len(cycle)
-    for i in range(n):
-        a, b = cycle[i], cycle[(i + 1) % n]
-        out.append(a)
-        lo, hi = (a.x, b.x) if a.x < b.x else (b.x, a.x)
-        between = [x for x in columns if lo < x < hi]
-        between.sort(reverse=b.x < a.x)
-        for x in between:
-            t = (x - a.x) / (b.x - a.x)
-            out.append(Point(x, a.y + t * (b.y - a.y)))
-    return out
+def _column_sides(facts: PolygonFacts, x: Fraction) -> tuple[tuple[Point, LatticeVector, LatticeVector], ...]:
+    """The bottom and then the top boundary point on interior column x, each
+    with the rightward primitive tangents of the boundary left and right of it."""
+    sides = []
+    for path, y in zip((facts.chains.bottom, facts.chains.top), facts.heights[x]):
+        i = bisect_left(path, x, key=attrgetter("x"))
+        left, right = path[i - 1], path[i + 1] if path[i].x == x else path[i]
+        u, w = primitive_direction(x - left.x, y - left.y), primitive_direction(right.x - x, right.y - y)
+        sides.append((Point(x, y), u, w))
+    return tuple(sides)
 
 
-def _merge_collinear(cycle: Sequence[Point]) -> tuple[Point, ...]:
-    n = len(cycle)
-    kept = tuple(
-        cycle[i] for i in range(n) if cross(cycle[i - 1], cycle[i], cycle[(i + 1) % n]) != 0
-    )
-    return kept
+def _local_verdict(
+    sides: Sequence[tuple[Point, LatticeVector, LatticeVector]], signs: Sequence[int], shift: int
+) -> Optional[bool]:
+    """Whether the presentation that moves this column's up-count by ``shift``
+    is smooth on the column, or None when that presentation is invalid.
+
+    ``sides`` is :func:`_column_sides` of a valid polygon whose column has
+    marks of these cut signs.  The switch shears the boundary right of the
+    column by -shift, so only each side's right tangent w turns.  Where the
+    boundary then runs straight the point is no vertex, and invalid if a cut
+    ends there; where it turns the wrong way the polygon is reflex.  A corner
+    takes the class of its new frame and of the cuts ending there: the
+    new up-count's marks at the top, the rest at the bottom.
+    """
+    ups = signs.count(1) + shift
+    smooth = True
+    for (point, u, w), inward, degree, sign in zip(sides, (1, -1), (len(signs) - ups, ups), (-1, 1)):
+        w = shear_vector(w, -shift)
+        turn = inward * det2(u, w)  # > 0: a convex corner
+        if turn < 0 or (turn == 0 and degree):
+            return None
+        if turn:
+            try:
+                corner = lattice_class(point, u, w, degree, sign)
+            except ClassificationError:
+                return None
+            smooth = is_smooth_class(corner) and smooth
+    return smooth
+
+
+def _require_verdict(
+    sides: Sequence[tuple[Point, LatticeVector, LatticeVector]], signs: Sequence[int], shift: int
+) -> bool:
+    """:func:`_local_verdict`, raising PresentationError where it is None."""
+    smooth = _local_verdict(sides, signs, shift)
+    if smooth is None:  # a switch of a valid presentation is valid
+        raise PresentationError(f"up-count shift {shift} at x = {describe(sides[0][0].x)}: invalid presentation")
+    return smooth
+
+
+def _shear_sweep(points: Iterable[Point], pivots: Sequence[tuple[Fraction, int]]) -> Iterator[tuple[Point, bool]]:
+    """Each point, in increasing x, moved by the shears pivoting left of it, and whether it is on a pivot."""
+    slope, offset, j = 0, 0, 0  # right of pivots x_i with coefficients c_i: y + sum c_i * (x - x_i)
+    for p in points:
+        while j < len(pivots) and pivots[j][0] < p.x:
+            x, coefficient = pivots[j]
+            slope, offset, j = slope + coefficient, offset + coefficient * x, j + 1
+        image = Point(p.x, p.y + slope * p.x - offset) if slope or offset else p
+        yield image, j < len(pivots) and pivots[j][0] == p.x
+
+
+def _path_image(path: Sequence[tuple[Point, bool]], pivots: Sequence[tuple[Fraction, int]]) -> list[Point]:
+    """The vertices of a sheared chain, left to right.
+
+    The shears are affine between pivots, so a point off them is a vertex
+    exactly when it was one; a point on a pivot is one where its image turns.
+    """
+    swept = list(_shear_sweep((p for p, _ in path), pivots))
+    images = [q for q, _ in swept]
+    return [
+        q
+        for i, ((q, on_pivot), (_, vertex)) in enumerate(zip(swept, path))
+        if (cross(images[i - 1], q, images[i + 1]) != 0 if on_pivot else vertex)  # pivots are interior
+    ]
 
 
 def _flip_cuts(polygon: SemitoricPolygon, flips: frozenset[int]) -> SemitoricPolygon:
-    """Flip the given marks' cuts, shearing right of each one's column."""
-    coefficients: dict[Fraction, int] = {}  # shears with one pivot add: one shear per column
+    """The presentation of a valid polygon with the given marks' cuts flipped.
+
+    Flipping mark i shears the plane right of its column by (old sign) *
+    (multiplicity); the shears of one column add.  One sweep along each
+    boundary chain, subdivided at the mark columns, moves every point by the
+    sum of the shears left of it.  Each flipped column is checked by the
+    column rule (:func:`_local_verdict`) and raises PresentationError where
+    it fails; a switch of a valid polygon is valid, so nothing else is
+    checked.
+    """
+    facts = polygon.facts
+    coefficients: dict[Fraction, int] = {}
     for i in flips:
         mark = polygon.marks[i]
         coefficients[mark.position.x] = coefficients.get(mark.position.x, 0) + mark.cut_sign * mark.multiplicity
-    shears = [VerticalShear(x, coefficient) for x, coefficient in coefficients.items()]
-
-    def image(p: Point) -> Point:
-        for shear in shears:
-            p = shear.apply(p)
-        return p
-
-    cycle = _subdivide_at_columns(polygon.vertices, (shear.pivot_x for shear in shears))
-    new_vertices = _merge_collinear([image(p) for p in cycle])
-    new_marks = tuple(
-        MarkedPoint(
-            image(m.position),
-            m.multiplicity,
-            -m.cut_sign if i in flips else m.cut_sign,
-        )
-        for i, m in enumerate(polygon.marks)
+    for x, coefficient in coefficients.items():
+        signs = tuple(m.cut_sign for m in facts.marks_at[x] for _ in range(m.multiplicity))
+        _require_verdict(_column_sides(facts, x), signs, -coefficient)
+    pivots = sorted(coefficients.items())
+    bottom, top = (_path_image(path, pivots) for path in facts.mark_paths)
+    # the chains share their end points where no vertical edge joins them
+    if facts.chains.right_vertical is None:
+        bottom.pop()
+    if facts.chains.left_vertical is None:
+        top = top[1:]
+    positions = _shear_sweep((m.position for m in polygon.marks), pivots)
+    marks = tuple(
+        MarkedPoint(image, m.multiplicity, -m.cut_sign if i in flips else m.cut_sign)
+        for i, (m, (image, _)) in enumerate(zip(polygon.marks, positions))
     )
-    result = SemitoricPolygon(new_vertices, new_marks)
-    try:
-        return require_valid(result)
-    except ValidationFailure as exc:
-        raise PresentationError(f"inconsistent presentation: {exc}") from exc
+    return SemitoricPolygon(tuple(bottom + top[::-1]), marks)
 
 
 def switch_cut(polygon: SemitoricPolygon, index: int) -> SemitoricPolygon:
     """Flip the cut sign of mark ``index``, reshaping the polygon to match.
 
     An involution: switching the same index twice restores the polygon.
+    Raises ValidationFailure when the polygon is invalid.
     """
+    require_valid(polygon)
     if not 0 <= index < len(polygon.marks):
         raise DomainError(f"mark index {index} out of range (have {len(polygon.marks)} marks)")
     return _flip_cuts(polygon, frozenset((index,)))

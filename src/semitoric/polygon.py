@@ -193,6 +193,16 @@ class PolygonFacts:
         inside = [x for x in self.columns if self.j_min <= x <= self.j_max]
         return dict(zip(inside, zip(_heights_along(chains.bottom, inside), _heights_along(chains.top, inside))))
 
+    @cached_property
+    def mark_paths(self) -> tuple[tuple[tuple[Point, bool], ...], tuple[tuple[Point, bool], ...]]:
+        """The bottom and the top chain, left to right, with the boundary point on
+        each mark column put in; each point is paired with whether it is a vertex."""
+        paths = []
+        for side, chain in enumerate((self.chains.bottom, self.chains.top)):
+            added = {Point(x, self.heights[x][side]) for x in self.marks_at}.difference(chain)
+            paths.append(tuple(sorted([(p, True) for p in chain] + [(p, False) for p in added])))
+        return tuple(paths)
+
     def slice_at(self, x: Fraction) -> tuple[Fraction, Fraction]:
         """(y_bottom, y_top) at x: a lookup at a column, a bisection elsewhere."""
         found = self.heights.get(x)

@@ -1,20 +1,22 @@
 """Reference adaptability search, used as an oracle.
 
-This is the library's earlier Delzant-presentation search: it builds and
-re-validates all 2^m presentations of the unit-split marks and keeps the
-Delzant ones, so its cost doubles with each focus-focus point.  The library
-now searches one column at a time; the differential tests check that both
-give the same verdicts, sign vectors, presentations and errors on families
-small enough to enumerate.
+This is the library's earlier Delzant-presentation search: it builds all
+2^m presentations of the unit-split marks with the reference builder of
+``presentation_oracle``, which re-validates each, and keeps the Delzant
+ones, so its cost doubles with each focus-focus point.  The library now
+searches one column at a time; the differential tests check that both give
+the same verdicts, sign vectors, presentations and errors on families small
+enough to enumerate.
 """
 
+import presentation_oracle
 from semitoric import (
     AdaptabilityVerdict,
     CriteriaDisagreement,
     SemitoricPolygon,
-    enumerate_presentations,
     is_delzant_polygon,
     orbit_counts,
+    require_valid,
     shear_normal_form,
     split_marks,
 )
@@ -28,7 +30,7 @@ def _delzant_members(polygon: SemitoricPolygon):
     """
     # every member is built, in code order, before any is tested: the first
     # invalid presentation raises before a Delzant test can
-    members = tuple(enumerate_presentations(split_marks(polygon)).members)
+    members = presentation_oracle.members(split_marks(polygon))
     return [(signs, member) for signs, member in members if is_delzant_polygon(member)]
 
 
@@ -38,10 +40,10 @@ def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
     (i)  every interior column carries at most two non-free orbits;
     (ii) some presentation in the (unit-split) cut family is Delzant.
 
-    Raises CriteriaDisagreement when the two verdicts differ, which signals
-    invalid input or a bug rather than a legal state.
+    Raises ValidationFailure when the polygon is invalid, and
+    CriteriaDisagreement when the two verdicts differ.
     """
-    facts = polygon.facts
+    facts = require_valid(polygon).facts
     violating = []
     for x in facts.columns:
         if not facts.j_min < x < facts.j_max:
@@ -68,7 +70,7 @@ def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
 def delzant_presentations(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, ...]:
     """All Delzant members of the cut family, in shear normal form, deduplicated."""
     out = []
-    for _, member in _delzant_members(polygon):
+    for _, member in _delzant_members(require_valid(polygon)):
         normal = shear_normal_form(member)
         if normal not in out:
             out.append(normal)

@@ -8,19 +8,23 @@ from semitoric import (
     GlobalShear,
     MarkedPoint,
     Point,
-    PresentationError,
     SemitoricPolygon,
+    ValidationFailure,
     cut_degrees,
     cut_endpoint,
+    delzant_presentations,
     dh_function,
     enumerate_presentations,
+    require_valid,
+    serialize_polygon,
     shear_normal_form,
     split_marks,
     switch_cut,
     transform_polygon,
     validate,
 )
-from conftest import focus_ladder, random_global_shear
+import presentation_oracle
+from conftest import focus_ladder, multi_column_polygons, random_global_shear
 
 
 def pt(x, y):
@@ -58,10 +62,18 @@ class TestSwitchCut:
 
     def test_inconsistent_presentation(self, corpus):
         # an upward cut from the square's centre ends mid-edge, so this is no
-        # valid presentation; switching it kinks the top edge inward there
+        # valid presentation and has no switch
         square = corpus["SQUARE"]
         polygon = SemitoricPolygon(square.vertices, (MarkedPoint(pt(Fraction(1, 2), Fraction(1, 2)), 1, 1),))
-        with pytest.raises(PresentationError, match=r"not-strictly-convex at \(1/2, 1\)"):
+        with pytest.raises(ValidationFailure, match=r"cut-endpoint-not-vertex at marks\[0\] at \(1/2, 1/2\)"):
+            switch_cut(polygon, 0)
+
+    def test_invalid_input_is_refused(self):
+        # a doubled vertex: switching it used to return the unrelated valid
+        # polygon (0,0), (7,7), (7,8), (4,8)
+        vertices = tuple(pt(x, y) for x, y in ((0, 0), (4, 4), (7, 10), (7, 11), (0, 4), (0, 4)))
+        polygon = SemitoricPolygon(vertices, (MarkedPoint(pt(4, 5), 1, -1),))
+        with pytest.raises(ValidationFailure, match="duplicate-vertex"):
             switch_cut(polygon, 0)
 
     def test_commutes_with_global_shear_up_to_normal_form(self, corpus):
@@ -159,6 +171,45 @@ class TestEnumeratePresentations:
         assert all(m.multiplicity == 1 for m in unit.marks)
         assert unit.vertices == corpus["NONADAPT3"].vertices
         assert len(enumerate_presentations(unit).members) == 8
+
+
+class TestSweepBuilder:
+    """Each member is built in one sweep and checked by the column rule alone."""
+
+    def test_matches_the_reference_builder(self, corpus, derived_polygons):
+        # the reference shears every point once per flipped column and re-validates
+        ladders = [focus_ladder(jumps) for jumps in ([1] * 4, [1] * 8, [2], [2, 1], [1, 2, 1], [3, 1], [2, 2])]
+        families = list(corpus.values()) + derived_polygons + ladders
+        families += multi_column_polygons(120, max_marks=8) + multi_column_polygons(60, seed=3, max_marks=8)
+        families = list(dict.fromkeys(q for p in families for q in (p, split_marks(p))))
+        built = 0
+        for polygon in families:
+            members = enumerate_presentations(polygon).members[:256]
+            expected = presentation_oracle.members(polygon, limit=256)
+            assert len(members) == len(expected)
+            for (signs, member), (oracle_signs, oracle_member) in zip(members, expected):
+                assert signs == oracle_signs
+                assert serialize_polygon(member) == serialize_polygon(oracle_member), (polygon, signs)
+                require_valid(member)
+            built += len(members)
+        assert len(families) > 350 and built > 7000
+
+    def test_no_member_is_revalidated(self, monkeypatch):
+        import semitoric.polygon
+
+        polygon = focus_ladder([1] * 8)
+        expected = tuple(presentation_oracle.members(polygon))
+        calls = []
+        validate = semitoric.polygon.validate
+        monkeypatch.setattr(semitoric.polygon, "validate", lambda polygon: calls.append(1) or validate(polygon))
+        members = enumerate_presentations(polygon).members
+        assert members[1] == expected[1]
+        one = len(calls)  # the listing validates its base, once
+        assert tuple(members) == expected
+        assert len(calls) == one <= 1
+        calls.clear()
+        assert len(delzant_presentations(polygon)) == 2**8
+        assert len(calls) <= 1
 
 
 class TestShearNormalForm:
