@@ -46,7 +46,6 @@ from .geometry import (
     GlobalShear,
     LatticeVector,
     Point,
-    VerticalShear,
     cross,
     det2,
     format_rational,

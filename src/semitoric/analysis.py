@@ -14,12 +14,15 @@ by orbit counting per column, and by searching the cut-sign family for a
 presentation that is a Delzant polygon.  The two verdicts must agree; a
 disagreement raises instead of guessing.  Both are polynomial in the number
 m of focus-focus points: the search tries the k + 1 up-counts of each column
-of k points on their own (an O(1) check per up-count; no presentation is
-built), because a cut switch changes the polygon only on and right of its
-column, and right of it by a unimodular shear.  Only columns of one or two
-points can be Delzant, because a smooth corner ends at most one cut.  The
-cut family exists only for a valid polygon, so ``adaptability`` and
+of k points on their own, the current one too (one O(1) column rule per
+up-count, on the column's ``PolygonFacts.sides``; no presentation is built),
+because a cut switch changes the polygon only on and right of its column,
+and right of it by a unimodular shear.  Only columns of one or two points
+can be Delzant, because a smooth corner ends at most one cut.  The cut
+family exists only for a valid polygon, so ``adaptability`` and
 ``delzant_presentations`` refuse an invalid one with ValidationFailure.
+``delzant_presentations`` builds each Delzant member once and takes all of
+them to shear normal form by one global shear, found from the unit polygon.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Collection, Literal, Sequence
 
-from .cuts import SignProduct, _column_sides, _require_verdict, _with_signs, shear_normal_form, split_marks
+from .cuts import SignProduct, _normal_shear, _require_verdict, _with_signs, split_marks, transform_polygon
 from .errors import DomainError, SemitoricError
 from .geometry import Point, _exact, describe
 from .polygon import SemitoricPolygon, boundary_chains, require_valid
@@ -204,11 +207,11 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignPro
     no boundary point off column x changes class, smoothness or validity,
     and near x the presentation depends only on the column's up-count.  So
     the Delzant presentations are the codes whose up-count at every column
-    keeps that column's vertices smooth, each up-count checked alone by an
-    O(1) look at the column's bottom and top point (the column rule
-    :func:`cuts._local_verdict`, which also checks each member built).
-    Every member of a valid polygon's family is valid, and no presentation
-    is built.
+    keeps that column's vertices smooth, each up-count (the current one
+    too) checked alone by an O(1) look at the column's bottom and top point
+    (the column rule :func:`cuts._local_verdict`, which also checks each
+    member built).  Every member of a valid polygon's family is valid, and
+    no presentation is built.
     """
     unit = split_marks(polygon)
     facts = unit.facts
@@ -218,15 +221,7 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignPro
     per_column = []  # per column: the signs of every flip pattern that keeps its vertices smooth
     for x, marks in facts.marks_at.items():  # in mark order
         signs = tuple(m.cut_sign for m in marks)
-        sides = _column_sides(facts, x)
-        ups = []
-        for shift in range(-signs.count(1), signs.count(-1) + 1):
-            if shift:
-                smooth = _require_verdict(sides, signs, shift)
-            else:
-                smooth = all(is_smooth_vertex(unit, v) for v in facts.vertices_at.get(x, ()))
-            if smooth:
-                ups.append(signs.count(1) + shift)
+        ups = [u for u in range(len(signs) + 1) if _require_verdict(facts.sides[x], signs, u - signs.count(1))]
         per_column.append(_column_blocks(signs, ups))
     # the first column's bits are the lowest, so it varies fastest
     return unit, SignProduct(tuple(per_column))
@@ -273,7 +268,9 @@ def delzant_presentations(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, 
     Raises ValidationFailure when the polygon is invalid.
     """
     unit, delzant = _delzant_signs(require_valid(polygon))
-    return tuple(dict.fromkeys(shear_normal_form(_with_signs(unit, signs)) for signs in delzant))  # first-seen order
+    shear = _normal_shear(unit)  # a switch moves neither vertex 0 nor edge 0's direction: one shear for all
+    members = (transform_polygon(_with_signs(unit, signs), shear) for signs in delzant)
+    return tuple(dict.fromkeys(members))  # first-seen order
 
 
 def self_intersection(polygon: SemitoricPolygon, side: Literal["left", "right"]) -> int:

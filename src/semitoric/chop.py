@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, SemitoricError, ValidationFailure
-from .geometry import LatticeVector, Point, describe
+from .geometry import LatticeVector, Point, _exact, describe
 from .graph import betti_b2, build_graph
 from .polygon import SemitoricPolygon, require_valid
 from .vertices import VertexKind, classify_vertex, outgoing_primitives
@@ -39,7 +39,7 @@ def chop_allowance(polygon: SemitoricPolygon, vertex: Point) -> Fraction:
 
 def corner_chop(polygon: SemitoricPolygon, vertex: Point, delta: Fraction) -> SemitoricPolygon:
     """Blow up a Delzant vertex by size delta (in primitive-tangent units)."""
-    delta = Fraction(delta)
+    delta = _exact(delta)
     if delta <= 0:
         raise DomainError("chop size must be positive")
     if classify_vertex(polygon, vertex).kind is not VertexKind.DELZANT:

@@ -13,20 +13,23 @@ building each member when it is read.
 The family exists only for a valid polygon, and every member of it is
 valid: a switch changes the polygon near its column only, where the column
 rule (:func:`_local_verdict`, an O(1) look at the column's bottom and top
-point) decides validity and smoothness.  So ``enumerate_presentations`` and
-``switch_cut`` refuse an invalid polygon with ValidationFailure, and each
-member is checked by the column rule at its flipped columns, not re-validated.
+point, read from the base polygon's ``PolygonFacts.sides``) decides
+validity and smoothness.  So ``enumerate_presentations`` and ``switch_cut``
+refuse an invalid polygon with ValidationFailure, and each member is checked
+by the column rule at its flipped columns, not re-validated.
+
+The shear normal form reads only vertex 0 and the direction of edge 0,
+which no switch moves, and a global shear commutes with every switch, so
+one shear (:func:`_normal_shear`) normalises every member of a family.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import prod
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import ClassificationError, DomainError, PresentationError
@@ -37,16 +40,9 @@ from .geometry import (
     cross,
     describe,
     det2,
-    primitive_direction,
     shear_vector,
 )
-from .polygon import (
-    MarkedPoint,
-    PolygonFacts,
-    SemitoricPolygon,
-    boundary_chains,
-    require_valid,
-)
+from .polygon import MarkedPoint, SemitoricPolygon, boundary_chains, require_valid
 from .vertices import is_smooth_class, lattice_class
 
 
@@ -128,25 +124,13 @@ def transform_polygon(polygon: SemitoricPolygon, shear: GlobalShear) -> Semitori
     )
 
 
-def _column_sides(facts: PolygonFacts, x: Fraction) -> tuple[tuple[Point, LatticeVector, LatticeVector], ...]:
-    """The bottom and then the top boundary point on interior column x, each
-    with the rightward primitive tangents of the boundary left and right of it."""
-    sides = []
-    for path, y in zip((facts.chains.bottom, facts.chains.top), facts.heights[x]):
-        i = bisect_left(path, x, key=attrgetter("x"))
-        left, right = path[i - 1], path[i + 1] if path[i].x == x else path[i]
-        u, w = primitive_direction(x - left.x, y - left.y), primitive_direction(right.x - x, right.y - y)
-        sides.append((Point(x, y), u, w))
-    return tuple(sides)
-
-
 def _local_verdict(
     sides: Sequence[tuple[Point, LatticeVector, LatticeVector]], signs: Sequence[int], shift: int
 ) -> Optional[bool]:
     """Whether the presentation that moves this column's up-count by ``shift``
     is smooth on the column, or None when that presentation is invalid.
 
-    ``sides`` is :func:`_column_sides` of a valid polygon whose column has
+    ``sides`` is ``PolygonFacts.sides`` of a valid polygon at a column with
     marks of these cut signs.  The switch shears the boundary right of the
     column by -shift, so only each side's right tangent w turns.  Where the
     boundary then runs straight the point is no vertex, and invalid if a cut
@@ -224,7 +208,7 @@ def _flip_cuts(polygon: SemitoricPolygon, flips: frozenset[int]) -> SemitoricPol
         coefficients[mark.position.x] = coefficients.get(mark.position.x, 0) + mark.cut_sign * mark.multiplicity
     for x, coefficient in coefficients.items():
         signs = tuple(m.cut_sign for m in facts.marks_at[x] for _ in range(m.multiplicity))
-        _require_verdict(_column_sides(facts, x), signs, -coefficient)
+        _require_verdict(facts.sides[x], signs, -coefficient)
     pivots = sorted(coefficients.items())
     bottom, top = (_path_image(path, pivots) for path in facts.mark_paths)
     # the chains share their end points where no vertical edge joins them
@@ -286,6 +270,19 @@ def split_marks(polygon: SemitoricPolygon) -> SemitoricPolygon:
     return SemitoricPolygon(polygon.vertices, tuple(units))
 
 
+def _normal_shear(polygon: SemitoricPolygon) -> GlobalShear:
+    """The global shear that takes the polygon to its shear normal form.
+
+    It reads only vertex 0 and the direction of edge 0, which no cut switch
+    moves (vertex 0 is on the J_min column, left of every mark), so one
+    shear serves every member of a cut family.
+    """
+    first = boundary_chains(polygon).bottom[0]
+    tangent = polygon.facts.edges[0]  # the bottom chain starts with the edge from vertex 0
+    slope = -(tangent.b // tangent.a)
+    return GlobalShear(slope, -(slope * first.x + first.y))
+
+
 def shear_normal_form(polygon: SemitoricPolygon) -> SemitoricPolygon:
     """The canonical global-shear translate of a presentation.
 
@@ -294,8 +291,4 @@ def shear_normal_form(polygon: SemitoricPolygon) -> SemitoricPolygon:
     satisfies 0 <= q < p.  Idempotent; two presentations with the same cuts
     have equal normal forms exactly when they differ by a global shear.
     """
-    first = boundary_chains(polygon).bottom[0]
-    tangent = polygon.facts.edges[0]  # the bottom chain starts with the edge from vertex 0
-    slope = -(tangent.b // tangent.a)
-    offset = -(slope * first.x + first.y)
-    return transform_polygon(polygon, GlobalShear(slope, offset))
+    return transform_polygon(polygon, _normal_shear(polygon))

@@ -5,9 +5,9 @@ touches floating point.  Edge directions are reduced to primitive integer
 vectors, found in integers from the numerators and denominators of the
 rational edge vector; a polygon computes one per edge, once
 (``PolygonFacts.edges``), and its turn signs and vertex frames read them.
-The only affine maps exposed are the ones preserving vertical lines:
-piecewise shears pivoting on a column, and global shear-plus-translation
-maps.
+The only affine map exposed is the global shear-plus-translation, which
+preserves vertical lines; the piecewise shears of cut switches are applied
+by the one sweep in ``cuts``.
 """
 
 from __future__ import annotations
@@ -147,30 +147,6 @@ def cross(origin: Point, first: Point, second: Point) -> Fraction:
     return (first.x - origin.x) * (second.y - origin.y) - (first.y - origin.y) * (
         second.x - origin.x
     )
-
-
-@dataclass(frozen=True)
-class VerticalShear:
-    """Continuous piecewise map fixing the half plane left of a pivot column.
-
-    t(x, y) = (x, y)                                    for x <= pivot_x,
-    t(x, y) = (x, y + coefficient * (x - pivot_x))      for x >= pivot_x.
-
-    The vertical line x = pivot_x is fixed pointwise.
-    """
-
-    pivot_x: Fraction
-    coefficient: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "pivot_x", _exact(self.pivot_x))
-        if not isinstance(self.coefficient, int):
-            raise GeometryError("shear coefficient must be an integer")
-
-    def apply(self, point: Point) -> Point:
-        if point.x <= self.pivot_x:
-            return point
-        return Point(point.x, point.y + self.coefficient * (point.x - self.pivot_x))
 
 
 @dataclass(frozen=True)

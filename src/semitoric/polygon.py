@@ -11,12 +11,13 @@ Everything the library reads about a polygon is one :class:`PolygonFacts`
 value, kept on the polygon instance outside equality, hashing, repr and
 pickling, so it lives exactly as long as the polygon.  Each of its facts
 (the primitive direction of each edge, the boundary chains and vertical
-edges, the slice heights at every column, the cut degrees, each vertex's
-class, the k-runs) is computed on first read and kept.  A fact whose
-computation fails is not kept: every read raises again, with the same type
-and message.  Only the vertex classes hold errors, one per unclassifiable
-vertex, so validation can report them all.  A reader computes only what it
-reads: a degenerate polygon is rejected without a vertex being classified.
+edges, the slice heights at every column, the boundary points and tangents
+on each mark column, the cut degrees, each vertex's class, the k-runs) is
+computed on first read and kept.  A fact whose computation fails is not
+kept: every read raises again, with the same type and message.  Only the
+vertex classes hold errors, one per unclassifiable vertex, so validation can
+report them all.  A reader computes only what it reads: a degenerate polygon
+is rejected without a vertex being classified.
 """
 
 from __future__ import annotations
@@ -203,6 +204,13 @@ class PolygonFacts:
             paths.append(tuple(sorted([(p, True) for p in chain] + [(p, False) for p in added])))
         return tuple(paths)
 
+    @cached_property
+    def sides(self) -> dict[Fraction, tuple[tuple[Point, LatticeVector, LatticeVector], ...]]:
+        """Mark column -> its bottom and then its top boundary point, each with
+        the rightward primitive tangents of the boundary left and right of it."""
+        paths = (self.chains.bottom, self.chains.top)
+        return {x: tuple(_side(path, x, y) for path, y in zip(paths, self.heights[x])) for x in self.marks_at}
+
     def slice_at(self, x: Fraction) -> tuple[Fraction, Fraction]:
         """(y_bottom, y_top) at x: a lookup at a column, a bisection elsewhere."""
         found = self.heights.get(x)
@@ -279,6 +287,12 @@ def _height_at(path: Sequence[Point], x: Fraction) -> Fraction:
     i = bisect_left(path, x, key=attrgetter("x"))  # off the columns: path[i - 1].x < x < path[i].x
     a, b = path[i - 1], path[i]
     return a.y + (x - a.x) * (b.y - a.y) / (b.x - a.x)
+
+
+def _side(path: Sequence[Point], x: Fraction, y: Fraction) -> tuple[Point, LatticeVector, LatticeVector]:
+    i = bisect_left(path, x, key=attrgetter("x"))  # x is interior: path[i - 1].x < x <= path[i].x
+    left, right = path[i - 1], path[i + 1] if path[i].x == x else path[i]
+    return Point(x, y), primitive_direction(x - left.x, y - left.y), primitive_direction(right.x - x, right.y - y)
 
 
 def _heights_along(path: Sequence[Point], columns: Sequence[Fraction]) -> list[Fraction]:

@@ -1,8 +1,9 @@
 """Reference cut-family builder, used as an oracle.
 
-This is the library's earlier way to build a presentation: it applies the
-piecewise vertical shear of each flipped column to every point of the
-boundary subdivided at those columns, drops the points where the image runs
+This is the library's earlier way to build a presentation: it moves every
+point of the boundary, subdivided at the flipped columns, by the piecewise
+vertical shear of each flipped column left of it (its own per-column image,
+independent of the library's sweep), drops the points where the image runs
 straight, and re-validates the result in full.  The library builds each
 member in one sweep and checks it with the per-column rule instead; the
 differential tests check that both give the same members.
@@ -17,7 +18,6 @@ from semitoric import (
     PresentationError,
     SemitoricPolygon,
     ValidationFailure,
-    VerticalShear,
     require_valid,
 )
 from semitoric.geometry import cross
@@ -51,14 +51,12 @@ def flip_cuts(polygon: SemitoricPolygon, flips: frozenset[int]) -> SemitoricPoly
     for i in flips:
         mark = polygon.marks[i]
         coefficients[mark.position.x] = coefficients.get(mark.position.x, 0) + mark.cut_sign * mark.multiplicity
-    shears = [VerticalShear(x, coefficient) for x, coefficient in coefficients.items()]
 
     def image(p: Point) -> Point:
-        for shear in shears:
-            p = shear.apply(p)
-        return p
+        """Fixed left of each column x, moved by coefficient * (p.x - x) right of it."""
+        return Point(p.x, p.y + sum(c * (p.x - x) for x, c in coefficients.items() if p.x > x))
 
-    cycle = subdivide_at_columns(polygon.vertices, (shear.pivot_x for shear in shears))
+    cycle = subdivide_at_columns(polygon.vertices, coefficients)
     new_vertices = merge_collinear([image(p) for p in cycle])
     new_marks = tuple(
         MarkedPoint(image(m.position), m.multiplicity, -m.cut_sign if i in flips else m.cut_sign)

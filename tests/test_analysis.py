@@ -227,7 +227,16 @@ class TestPerColumnSearch:
     def test_multi_column(self, oracle):
         polygons = multi_column_polygons(200, max_marks=8)
         assert max(len({m.position.x for m in p.marks}) for p in polygons) == 4
-        self.agree(oracle, polygons)
+        # coincident unit marks are the only source of equal Delzant normal forms: ladders
+        # with each column's marks merged into one, plain and split
+        merged = []
+        for jumps in ([2], [2, 1], [1, 2, 1], [3, 1], [2, 2]):
+            ladder = focus_ladder(jumps)
+            columns = ladder.facts.marks_at.values()
+            marks = tuple(MarkedPoint(column[0].position, len(column), column[0].cut_sign) for column in columns)
+            merged.append(SemitoricPolygon(ladder.vertices, marks))
+        assert [len(delzant_presentations(p)) for p in merged] == [1, 2, 4, 0, 1]  # of 2, 4, 8, 0 and 4 sign vectors
+        self.agree(oracle, polygons + merged + [split_marks(p) for p in merged])
 
     def test_unvalidated_input(self, oracle, corpus):
         # errors must match too: a corner of |det| 2 and no marks, a cut ending
@@ -276,12 +285,12 @@ class TestPerColumnSearch:
         # decided locally and read off the presentation the reference builder
         # makes for the smallest code
         from presentation_oracle import flip_cuts
-        from semitoric.cuts import _column_sides, _local_verdict
+        from semitoric.cuts import _local_verdict
 
         def verdicts(unit, x):
             first = unit.marks.index(unit.facts.marks_at[x][0])
             signs = tuple(mark.cut_sign for mark in unit.facts.marks_at[x])
-            sides = _column_sides(unit.facts, x)
+            sides = unit.facts.sides[x]
             for shift in range(-signs.count(1), signs.count(-1) + 1):
                 # the smallest code moving the up-count by shift: the first |shift| marks of sign -sign(shift)
                 flips = [b for b, s in enumerate(signs) if s == (-1 if shift > 0 else 1)][: abs(shift)]

@@ -210,6 +210,14 @@ class TestSweepBuilder:
         calls.clear()
         assert len(delzant_presentations(polygon)) == 2**8
         assert len(calls) <= 1
+        # nor is any member's structure checked: one normal-form shear serves the family
+        checked = []
+        structure_violations = semitoric.polygon._structure_violations
+        monkeypatch.setattr(
+            semitoric.polygon, "_structure_violations", lambda facts: checked.append(1) or structure_violations(facts)
+        )
+        assert len(delzant_presentations(focus_ladder([1] * 8))) == 2**8
+        assert len(checked) == 1  # the ladder's own
 
 
 class TestShearNormalForm:

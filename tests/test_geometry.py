@@ -10,7 +10,6 @@ from semitoric import (
     GlobalShear,
     LatticeVector,
     Point,
-    VerticalShear,
     det2,
     format_rational,
     parse_rational,
@@ -95,21 +94,6 @@ class TestDet2:
         # det(u, Aw) - det(u, w) = c * u1 * w1 for the unipotent shear A
         u, w = LatticeVector(ua, ub), LatticeVector(wa, wb)
         assert det2(u, shear_vector(w, coefficient)) - det2(u, w) == coefficient * ua * wa
-
-
-class TestVerticalShear:
-    def test_examples(self):
-        fixed = VerticalShear(Fraction(1), -1)
-        assert fixed.apply(Point(1, Fraction(1, 4))) == Point(1, Fraction(1, 4))
-        assert fixed.apply(Point(2, 1)) == Point(2, 0)
-        assert VerticalShear(Fraction(1), 7).apply(Point(0, 5)) == Point(0, 5)
-
-    @given(small_ints, small_ints, small_ints, small_ints)
-    def test_inverse(self, px, c, x, y):
-        forward = VerticalShear(Fraction(px), c)
-        backward = VerticalShear(Fraction(px), -c)
-        p = Point(Fraction(x, 2), Fraction(y, 3))
-        assert backward.apply(forward.apply(p)) == p
 
 
 class TestGlobalShear:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import corpus_polygons_under_ops, focus_ladder, multi_column_polygons
 from semitoric import (
     DomainError,
+    GeometryError,
     ParseError,
     Point,
     SemitoricError,
@@ -147,6 +148,13 @@ class TestCornerChop:
     def test_oversized_chop_rejected(self, corpus):
         with pytest.raises(DomainError, match="strictly inside"):
             corner_chop(corpus["SQUARE"], pt(0, 0), Fraction(1))
+
+    def test_float_size_refused(self, corpus):
+        # as for Point: 0.1 is not 1/10, so no chop is sized by a float
+        square = corpus["SQUARE"]
+        with pytest.raises(GeometryError, match="not exact"):
+            corner_chop(square, pt(0, 0), 0.1)
+        assert corner_chop(square, pt(0, 0), "1/3") == corner_chop(square, pt(0, 0), Fraction(1, 3))
 
     def test_chop_swallowing_mark_rejected(self, corpus):
         # big chop at the right tip of FF1 would cut off the marked point
