@@ -21,8 +21,11 @@ and right of it by a unimodular shear.  Only columns of one or two points
 can be Delzant, because a smooth corner ends at most one cut.  The cut
 family exists only for a valid polygon, so ``adaptability`` and
 ``delzant_presentations`` refuse an invalid one with ValidationFailure.
-``delzant_presentations`` builds each Delzant member once and takes all of
-them to shear normal form by one global shear, found from the unit polygon.
+``delzant_presentations`` builds each Delzant member once, in one sweep that
+starts at the family's normal-form shear (one global shear, found from the
+unit polygon), so each member lands in shear normal form as it is built.
+A polygon's validation report is kept on its facts, so neither entry point
+validates a polygon twice.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Collection, Literal, Sequence
 
-from .cuts import SignProduct, _normal_shear, _require_verdict, _with_signs, split_marks, transform_polygon
+from .cuts import SignProduct, _normal_shear, _require_verdict, _with_signs, split_marks
 from .errors import DomainError, SemitoricError
 from .geometry import Point, _exact, describe
 from .polygon import SemitoricPolygon, boundary_chains, require_valid
@@ -269,7 +272,7 @@ def delzant_presentations(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, 
     """
     unit, delzant = _delzant_signs(require_valid(polygon))
     shear = _normal_shear(unit)  # a switch moves neither vertex 0 nor edge 0's direction: one shear for all
-    members = (transform_polygon(_with_signs(unit, signs), shear) for signs in delzant)
+    members = (_with_signs(unit, signs, shear) for signs in delzant)  # each swept straight into normal form
     return tuple(dict.fromkeys(members))  # first-seen order
 
 

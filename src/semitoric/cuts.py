@@ -7,20 +7,27 @@ inserted where the kink bends an edge and removed where it straightens one.
 Switches at distinct marks commute, so each of the 2^m presentations of the
 family is built in one sweep left to right: every point moves by the sum of
 the shears pivoting left of it, and only a point on a flipped column can
-become or stop being a vertex.  A ``SignProduct`` lists the family,
-building each member when it is read.
+become or stop being a vertex.  That point stays one exactly where its
+integer tangents still turn, det2(u, w sheared by the column's coefficient)
+!= 0.  The sweep's bookkeeping is indexed by mark column (flip
+coefficients, turn flags, each boundary point's rank among the columns,
+all read from ``PolygonFacts``), and each moved point's height is
+normalised once.  A ``SignProduct`` lists the family, building each member
+when it is read.
 
 The family exists only for a valid polygon, and every member of it is
 valid: a switch changes the polygon near its column only, where the column
 rule (:func:`_local_verdict`, an O(1) look at the column's bottom and top
 point, read from the base polygon's ``PolygonFacts.sides``) decides
 validity and smoothness.  So ``enumerate_presentations`` and ``switch_cut``
-refuse an invalid polygon with ValidationFailure, and each member is checked
-by the column rule at its flipped columns, not re-validated.
+refuse an invalid polygon with ValidationFailure (the base polygon's report
+is kept on its facts, so a polygon is validated once), and each member is
+checked by the column rule at its flipped columns, not re-validated.
 
 The shear normal form reads only vertex 0 and the direction of edge 0,
 which no switch moves, and a global shear commutes with every switch, so
-one shear (:func:`_normal_shear`) normalises every member of a family.
+one shear (:func:`_normal_shear`) normalises every member of a family: the
+sweep starts at that shear, and each member lands in normal form directly.
 """
 
 from __future__ import annotations
@@ -30,14 +37,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import prod
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import ClassificationError, DomainError, PresentationError
 from .geometry import (
     GlobalShear,
     LatticeVector,
     Point,
-    cross,
     describe,
     det2,
     shear_vector,
@@ -164,62 +170,79 @@ def _require_verdict(
     return smooth
 
 
-def _shear_sweep(points: Iterable[Point], pivots: Sequence[tuple[Fraction, int]]) -> Iterator[tuple[Point, bool]]:
-    """Each point, in increasing x, moved by the shears pivoting left of it, and whether it is on a pivot."""
-    slope, offset, j = 0, 0, 0  # right of pivots x_i with coefficients c_i: y + sum c_i * (x - x_i)
-    for p in points:
-        while j < len(pivots) and pivots[j][0] < p.x:
-            x, coefficient = pivots[j]
-            slope, offset, j = slope + coefficient, offset + coefficient * x, j + 1
-        image = Point(p.x, p.y + slope * p.x - offset) if slope or offset else p
-        yield image, j < len(pivots) and pivots[j][0] == p.x
+def _sheared(point: Point, slope: int, offset: Fraction) -> Point:
+    """The point moved to height y + slope * x - offset, normalised once."""
+    if not slope and not offset:
+        return point
+    x, y = point.x, point.y
+    xd, yd, od = x.denominator, y.denominator, offset.denominator
+    numerator = (y.numerator * xd + slope * x.numerator * yd) * od - offset.numerator * xd * yd
+    return Point(x, Fraction(numerator, xd * yd * od))
 
 
-def _path_image(path: Sequence[tuple[Point, bool]], pivots: Sequence[tuple[Fraction, int]]) -> list[Point]:
+def _path_image(
+    path: Sequence[tuple[Point, bool, int, bool]],
+    side: int,
+    shears: Sequence[tuple[int, Fraction]],
+    turns: Sequence[Optional[tuple[bool, bool]]],
+) -> list[Point]:
     """The vertices of a sheared chain, left to right.
 
-    The shears are affine between pivots, so a point off them is a vertex
-    exactly when it was one; a point on a pivot is one where its image turns.
+    A point of rank r moves by ``shears[r]``.  The shears are affine between
+    flipped columns, so a point off them is a vertex exactly when it was
+    one; a point on a flipped column is one where its image turns.
     """
-    swept = list(_shear_sweep((p for p, _ in path), pivots))
-    images = [q for q, _ in swept]
-    return [
-        q
-        for i, ((q, on_pivot), (_, vertex)) in enumerate(zip(swept, path))
-        if (cross(images[i - 1], q, images[i + 1]) != 0 if on_pivot else vertex)  # pivots are interior
-    ]
+    out = []
+    for p, vertex, rank, on in path:
+        if on and turns[rank] is not None:
+            vertex = turns[rank][side]
+        if vertex:
+            out.append(_sheared(p, *shears[rank]))
+    return out
 
 
-def _flip_cuts(polygon: SemitoricPolygon, flips: frozenset[int]) -> SemitoricPolygon:
-    """The presentation of a valid polygon with the given marks' cuts flipped.
+def _flip_cuts(
+    polygon: SemitoricPolygon, flips: frozenset[int], start: Optional[GlobalShear] = None
+) -> SemitoricPolygon:
+    """The presentation of a valid polygon with the given marks' cuts flipped,
+    moved by the global shear ``start`` when one is given.
 
     Flipping mark i shears the plane right of its column by (old sign) *
     (multiplicity); the shears of one column add.  One sweep along each
-    boundary chain, subdivided at the mark columns, moves every point by the
-    sum of the shears left of it.  Each flipped column is checked by the
-    column rule (:func:`_local_verdict`) and raises PresentationError where
-    it fails; a switch of a valid polygon is valid, so nothing else is
-    checked.
+    boundary chain, subdivided at the mark columns, moves every point by
+    ``start`` and the sum of the shears left of it.  Each flipped column is
+    checked by the column rule (:func:`_local_verdict`) and raises
+    PresentationError where it fails; its bottom and top point stay vertices
+    where their integer tangents still turn.  A switch of a valid polygon is
+    valid, so nothing else is checked.
     """
     facts = polygon.facts
-    coefficients: dict[Fraction, int] = {}
+    coefficients = [0] * len(facts.marks_at)  # per mark column, left to right
     for i in flips:
         mark = polygon.marks[i]
-        coefficients[mark.position.x] = coefficients.get(mark.position.x, 0) + mark.cut_sign * mark.multiplicity
-    for x, coefficient in coefficients.items():
-        signs = tuple(m.cut_sign for m in facts.marks_at[x] for _ in range(m.multiplicity))
-        _require_verdict(facts.sides[x], signs, -coefficient)
-    pivots = sorted(coefficients.items())
-    bottom, top = (_path_image(path, pivots) for path in facts.mark_paths)
+        coefficients[facts.mark_column[i]] += mark.cut_sign * mark.multiplicity
+    # a point's y becomes y + slope * x - offset: ``start``, plus c_i * (x - x_i) per flipped column x_i left of it
+    slope, offset = (start.slope, -start.offset) if start is not None else (0, 0)
+    shears, turns = [], []  # per mark column: the shear left of it, and whether its two points turn
+    for (x, marks), sides, coefficient in zip(facts.marks_at.items(), facts.sides.values(), coefficients):
+        shears.append((slope, offset))
+        if coefficient:
+            signs = tuple(m.cut_sign for m in marks for _ in range(m.multiplicity))
+            _require_verdict(sides, signs, -coefficient)
+            turns.append(tuple(det2(u, shear_vector(w, coefficient)) != 0 for _, u, w in sides))
+            slope, offset = slope + coefficient, offset + coefficient * x
+        else:
+            turns.append(None)
+    shears.append((slope, offset))
+    bottom, top = (_path_image(path, side, shears, turns) for side, path in enumerate(facts.mark_paths))
     # the chains share their end points where no vertical edge joins them
     if facts.chains.right_vertical is None:
         bottom.pop()
     if facts.chains.left_vertical is None:
         top = top[1:]
-    positions = _shear_sweep((m.position for m in polygon.marks), pivots)
     marks = tuple(
-        MarkedPoint(image, m.multiplicity, -m.cut_sign if i in flips else m.cut_sign)
-        for i, (m, (image, _)) in enumerate(zip(polygon.marks, positions))
+        MarkedPoint(_sheared(m.position, *shears[k]), m.multiplicity, -m.cut_sign if i in flips else m.cut_sign)
+        for i, (m, k) in enumerate(zip(polygon.marks, facts.mark_column))
     )
     return SemitoricPolygon(tuple(bottom + top[::-1]), marks)
 
@@ -236,10 +259,12 @@ def switch_cut(polygon: SemitoricPolygon, index: int) -> SemitoricPolygon:
     return _flip_cuts(polygon, frozenset((index,)))
 
 
-def _with_signs(polygon: SemitoricPolygon, signs: tuple[int, ...]) -> SemitoricPolygon:
-    """The presentation of ``polygon`` whose marks have these cut signs."""
+def _with_signs(
+    polygon: SemitoricPolygon, signs: tuple[int, ...], start: Optional[GlobalShear] = None
+) -> SemitoricPolygon:
+    """The presentation of ``polygon`` whose marks have these cut signs, moved by ``start`` when given."""
     flips = frozenset(i for i, mark in enumerate(polygon.marks) if mark.cut_sign != signs[i])
-    return _flip_cuts(polygon, flips) if flips else polygon
+    return _flip_cuts(polygon, flips, start) if flips or start is not None else polygon
 
 
 def enumerate_presentations(polygon: SemitoricPolygon) -> PresentationSet:

@@ -12,12 +12,12 @@ value, kept on the polygon instance outside equality, hashing, repr and
 pickling, so it lives exactly as long as the polygon.  Each of its facts
 (the primitive direction of each edge, the boundary chains and vertical
 edges, the slice heights at every column, the boundary points and tangents
-on each mark column, the cut degrees, each vertex's class, the k-runs) is
-computed on first read and kept.  A fact whose computation fails is not
-kept: every read raises again, with the same type and message.  Only the
-vertex classes hold errors, one per unclassifiable vertex, so validation can
-report them all.  A reader computes only what it reads: a degenerate polygon
-is rejected without a vertex being classified.
+on each mark column, the cut degrees, each vertex's class, the k-runs, the
+validation report) is computed on first read and kept.  A fact whose
+computation fails is not kept: every read raises again, with the same type
+and message.  Only the vertex classes hold errors, one per unclassifiable
+vertex, so validation can report them all.  A reader computes only what it
+reads: a degenerate polygon is rejected without a vertex being classified.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -125,10 +126,17 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of :func:`validate`: per-vertex classes plus rule violations."""
+    """Outcome of :func:`validate`: per-vertex classes plus rule violations.
+
+    The report is kept on the polygon's facts and shared by every later
+    check, so its classifications are a read-only view.
+    """
 
     classifications: Mapping[Point, object]
     violations: tuple[Violation, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "classifications", MappingProxyType(dict(self.classifications)))
 
     @property
     def valid(self) -> bool:
@@ -195,13 +203,26 @@ class PolygonFacts:
         return dict(zip(inside, zip(_heights_along(chains.bottom, inside), _heights_along(chains.top, inside))))
 
     @cached_property
-    def mark_paths(self) -> tuple[tuple[tuple[Point, bool], ...], tuple[tuple[Point, bool], ...]]:
+    def mark_column(self) -> tuple[int, ...]:
+        """Each mark's column: its index in ``marks_at``, whose columns run left to right."""
+        return tuple(k for k, group in enumerate(self.marks_at.values()) for _ in group)
+
+    @cached_property
+    def mark_paths(self) -> tuple[tuple[tuple[Point, bool, int, bool], ...], ...]:
         """The bottom and the top chain, left to right, with the boundary point on
-        each mark column put in; each point is paired with whether it is a vertex."""
+        each mark column put in.  Each point comes with whether it is a vertex,
+        its rank (the number of mark columns left of it) and whether it is on
+        the mark column of that index."""
+        xs = tuple(self.marks_at)
         paths = []
         for side, chain in enumerate((self.chains.bottom, self.chains.top)):
             added = {Point(x, self.heights[x][side]) for x in self.marks_at}.difference(chain)
-            paths.append(tuple(sorted([(p, True) for p in chain] + [(p, False) for p in added])))
+            path, rank = [], 0
+            for p, vertex in sorted([(p, True) for p in chain] + [(p, False) for p in added]):
+                while rank < len(xs) and xs[rank] < p.x:
+                    rank += 1
+                path.append((p, vertex, rank, rank < len(xs) and xs[rank] == p.x))
+            paths.append(tuple(path))
         return tuple(paths)
 
     @cached_property
@@ -261,6 +282,11 @@ class PolygonFacts:
             except SemitoricError as exc:
                 classes[v] = exc.with_traceback(None)
         return classes
+
+    @cached_property
+    def report(self) -> ValidationReport:
+        """The outcome of :func:`validate`, kept so that each polygon is checked once."""
+        return _validation_report(self)
 
     def multiplicity_at(self, x: Fraction) -> int:
         return sum(m.multiplicity for m in self.marks_at.get(x, ()))
@@ -394,16 +420,23 @@ def validate(polygon: SemitoricPolygon) -> ValidationReport:
     * vertices on the extreme columns J_min, J_max classify as Delzant
       (which also forces the edge next to a vertical edge to have primitive
       first component 1).
+
+    The report is kept on the polygon's facts, so a polygon is checked once
+    however often it is validated.
     """
+    return polygon.facts.report
+
+
+def _validation_report(facts: PolygonFacts) -> ValidationReport:
+    """The rule checks of :func:`validate`, run on one polygon's facts."""
     from .vertices import VertexKind  # deferred: the lattice rules live there
 
-    facts = polygon.facts
     if facts.structure:
         return ValidationReport({}, facts.structure)
 
     violations = []
     j_min, j_max = facts.j_min, facts.j_max
-    for idx, mark in enumerate(polygon.marks):
+    for idx, mark in enumerate(facts.marks):
         where = f"marks[{idx}] at {describe(mark.position)}"
         x, y = mark.position.x, mark.position.y
         # the polygon is strictly convex, so its interior is the union of open column slices
@@ -423,7 +456,7 @@ def validate(polygon: SemitoricPolygon) -> ValidationReport:
         return ValidationReport({}, (Violation("conflicting-cut-signs", "marks", str(exc)),))
 
     classifications: dict[Point, object] = {}
-    for vertex in polygon.vertices:
+    for vertex in facts.vertices:
         result = facts.classes[vertex]
         if isinstance(result, SemitoricError):
             violations.append(Violation("unclassifiable-vertex", describe(vertex), str(result)))

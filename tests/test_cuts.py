@@ -219,6 +219,41 @@ class TestSweepBuilder:
         assert len(delzant_presentations(focus_ladder([1] * 8))) == 2**8
         assert len(checked) == 1  # the ladder's own
 
+    def test_one_normalisation_is_exact(self):
+        from semitoric.cuts import _sheared
+
+        rng = random.Random(13)
+
+        def rational(digits):
+            return Fraction(rng.randint(-(10**digits), 10**digits), rng.randint(1, 10**digits))
+
+        cases = [
+            (Point(rational(d), rational(d)), rng.randint(-5, 5), rng.choice((0, rational(d))))
+            for d in (1, 2, 6, 30)
+            for _ in range(250)
+        ]
+        huge = 10**4000
+        big = (Fraction(huge + 1, huge - 3), Fraction(-huge - 7, huge + 9), Fraction(3 * huge + 1, 2 * huge + 1))
+        cases += [(Point(big[0], big[1]), 7, big[2]), (Point(big[2], 1), -2, big[0]), (Point(1, big[1]), 0, 0)]
+        for point, slope, offset in cases:
+            image = _sheared(point, slope, offset)
+            assert image.x == point.x and image.y == point.y + slope * point.x - offset
+            assert type(image.y) is Fraction
+
+    def test_a_start_shear_moves_every_member(self):
+        # the sweep started at a global shear gives that shear's image of the member
+        from semitoric.cuts import _normal_shear, _with_signs
+
+        rng = random.Random(17)
+        ladders = [focus_ladder(jumps) for jumps in ([1] * 4, [1] * 8, [2], [2, 1], [1, 2, 1], [3, 1], [2, 2])]
+        families = ladders + multi_column_polygons(80, max_marks=8) + multi_column_polygons(40, seed=3, max_marks=8)
+        families = list(dict.fromkeys(q for p in families for q in (p, split_marks(p))))
+        for polygon in families:
+            shears = (random_global_shear(rng), _normal_shear(polygon), GlobalShear(0, 0))
+            for signs, member in enumerate_presentations(polygon).members[:64]:
+                for shear in shears:
+                    assert _with_signs(polygon, signs, shear) == transform_polygon(member, shear), (polygon, signs)
+
 
 class TestShearNormalForm:
     def test_square_already_canonical(self, corpus):

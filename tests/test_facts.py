@@ -67,6 +67,37 @@ def test_polygon_dies_after_cli_query(corpus, tmp_path, monkeypatch, argv):
     assert len(refs) == 1 and refs[0]() is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["presentations"], ["presentations", "--delzant-only"], ["adaptable"], ["switch-cut", "--index", "0"]],
+)
+def test_each_cli_query_validates_once(corpus, tmp_path, monkeypatch, argv):
+    from conftest import focus_ladder
+
+    checked = []
+    report = semitoric.polygon._validation_report
+    monkeypatch.setattr(semitoric.polygon, "_validation_report", lambda facts: checked.append(1) or report(facts))
+    merged = focus_ladder([2, 1])  # its first column as one mark of multiplicity 2, which the Delzant search splits
+    merged = SemitoricPolygon(merged.vertices, (MarkedPoint(merged.marks[0].position, 2, -1),) + merged.marks[2:])
+    for polygon in (corpus["FF1"], corpus["NONADAPT3"], corpus["HD1"], focus_ladder([1] * 4), merged):
+        path = tmp_path / "polygon.json"
+        path.write_text(serialize_polygon(polygon))
+        checked.clear()
+        assert cli.run_cli([argv[0], str(path), *argv[1:]], io.StringIO(), io.StringIO()) == 0
+        assert len(checked) == 1, polygon
+
+
+def test_a_kept_report_is_read_only(corpus):
+    polygon = SemitoricPolygon(corpus["FF1"].vertices, corpus["FF1"].marks)
+    report = validate(polygon)
+    vertex = polygon.vertices[0]
+    with pytest.raises(TypeError):
+        report.classifications[vertex] = None
+    with pytest.raises(TypeError):
+        del report.classifications[vertex]
+    assert validate(polygon) is report and report.classifications[vertex] == classify_vertex(polygon, vertex)
+
+
 def test_slice_heights_off_the_columns_match_edge_scan(corpus, derived_polygons):
     rng = random.Random(20240818)
     for polygon in list(corpus.values()) + derived_polygons:
