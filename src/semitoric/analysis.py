@@ -34,17 +34,18 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Collection, Literal, Sequence
+from typing import Collection, Literal, Optional, Sequence
 
 from .cuts import SignProduct, _normal_shear, _require_verdict, _with_signs, split_marks
 from .errors import DomainError, SemitoricError
-from .geometry import Point, _exact, describe
-from .polygon import SemitoricPolygon, boundary_chains, require_valid
+from .geometry import _exact, describe
+from .polygon import PolygonFacts, SemitoricPolygon, boundary_chains, require_valid
 from .vertices import (
     VertexKind,
+    _class_of,
+    _outgoing,
     classify_vertex,
     is_smooth_vertex,
-    isotropy_weights,
     outgoing_primitives,
 )
 
@@ -75,11 +76,7 @@ class PiecewiseLinear:
 def dh_function(polygon: SemitoricPolygon) -> PiecewiseLinear:
     """Density of the pushforward of the Liouville measure: slice length per column."""
     facts = polygon.facts
-    values = []
-    for x in facts.columns:
-        bottom, top = facts.slice_at(x)
-        values.append(top - bottom)
-    return PiecewiseLinear(facts.columns, tuple(values))
+    return PiecewiseLinear(facts.columns, tuple(top - bottom for bottom, top, _, _ in facts._slices))
 
 
 @dataclass(frozen=True)
@@ -107,13 +104,12 @@ class JumpReport:
         return all(entry.consistent for entry in self.entries)
 
 
-def _weight_term(polygon: SemitoricPolygon, point: Point) -> Fraction:
-    """-1/(a*b) if the boundary point is an elliptic-elliptic vertex, else 0."""
-    if point not in polygon.facts.index:
+def _weight_term(facts: PolygonFacts, vertex: Optional[int]) -> Fraction:
+    """-1/(a*b) if the vertex at this position (None: no vertex) is elliptic-elliptic, else 0."""
+    if vertex is None or _class_of(facts.classes[vertex]).kind is VertexKind.FAKE:
         return Fraction(0)
-    if classify_vertex(polygon, point).kind is VertexKind.FAKE:
-        return Fraction(0)
-    a, b = isotropy_weights(polygon, point)
+    # an interior column has no vertex of a vertical edge, so both weights are edge tangents
+    a, b = (d.a for d in _outgoing(facts, vertex))
     return Fraction(-1, a * b)
 
 
@@ -121,14 +117,13 @@ def dh_jump_report(polygon: SemitoricPolygon) -> JumpReport:
     """Check the slope-jump identity at every interior critical column."""
     density = dh_function(polygon)
     facts = polygon.facts
+    slopes = [density.segment_slope(i) for i in range(len(density.breakpoints) - 1)]
     entries = []
     for i in range(1, len(density.breakpoints) - 1):
         x = density.breakpoints[i]
-        left = density.segment_slope(i - 1)
-        right = density.segment_slope(i)
-        bottom_y, top_y = facts.slice_at(x)
-        e_top = _weight_term(polygon, Point(x, top_y))
-        e_bottom = _weight_term(polygon, Point(x, bottom_y))
+        left, right = slopes[i - 1], slopes[i]
+        _, _, bottom, top = facts._slices[i]
+        e_top, e_bottom = _weight_term(facts, top), _weight_term(facts, bottom)
         marks_here = facts.multiplicity_at(x)
         entries.append(
             JumpEntry(
@@ -243,9 +238,7 @@ def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
     """
     facts = require_valid(polygon).facts
     violating = []
-    for x in facts.columns:
-        if not facts.j_min < x < facts.j_max:
-            continue
+    for x in facts.columns[1:-1]:  # the marks of a valid polygon are interior
         counts = orbit_counts(polygon, x)
         if counts.total >= 3:
             violating.append((x, counts))

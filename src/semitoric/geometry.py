@@ -22,20 +22,22 @@ from typing import Iterable, NamedTuple
 
 from .errors import GeometryError
 
-_RATIONAL_PATTERN = re.compile(r"-?\d+(/[1-9]\d*)?")
+_RATIONAL_PATTERN = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")  # ASCII digits only
 
 
 def parse_rational(text: object) -> Fraction:
     """Parse an exact rational written as ``"p"`` or ``"p/q"`` with q > 0.
 
     Decimal and float notations are rejected: the file formats carry
-    bit-exact rationals only.  p and q are limited to the interpreter's
-    int-string conversion limit (4300 digits by default).
+    bit-exact rationals only, written in the ASCII digits 0-9.  p and q are
+    limited to the interpreter's int-string conversion limit (4300 digits by
+    default).
     """
     if not isinstance(text, str) or _RATIONAL_PATTERN.fullmatch(text) is None:
         raise GeometryError(f"rationals must be p/q strings, got {text!r}")
+    p, _, q = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(p), int(q) if q else 1)
     except ValueError:  # longer than sys.get_int_max_str_digits()
         raise GeometryError(f"p and q are limited to {sys.get_int_max_str_digits()} digits each") from None
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .geometry import format_rational
 from .polygon import SemitoricPolygon, boundary_chains, vertical_edge_endpoints
-from .vertices import VertexKind, classify_vertex, zk_chains
+from .vertices import VertexKind, _class_of, zk_chains
 
 ISOLATED = "isolated"
 FAT = "fat"
@@ -56,8 +56,8 @@ def build_graph(polygon: SemitoricPolygon) -> KarshonGraph:
     vertices: list[GraphVertex] = []
     ids: dict[object, int] = {}
 
-    for v in polygon.vertices:
-        c = classify_vertex(polygon, v)
+    for v, found in zip(polygon.vertices, polygon.facts.classes):  # chains first: the vertices are distinct
+        c = _class_of(found)
         if c.kind is VertexKind.FAKE or v in on_vertical:
             continue
         ids[v] = len(vertices)

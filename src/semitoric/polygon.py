@@ -11,13 +11,15 @@ Everything the library reads about a polygon is one :class:`PolygonFacts`
 value, kept on the polygon instance outside equality, hashing, repr and
 pickling, so it lives exactly as long as the polygon.  Each of its facts
 (the primitive direction of each edge, the boundary chains and vertical
-edges, the slice heights at every column, the boundary points and tangents
-on each mark column, the cut degrees, each vertex's class, the k-runs, the
-validation report) is computed on first read and kept.  A fact whose
-computation fails is not kept: every read raises again, with the same type
-and message.  Only the vertex classes hold errors, one per unclassifiable
-vertex, so validation can report them all.  A reader computes only what it
-reads: a degenerate polygon is rejected without a vertex being classified.
+edges, the slice heights at the mark columns and the Duistermaat-Heckman
+walk over every column, the boundary points and tangents on each mark
+column, the cut degrees, each vertex's class, the k-runs, the validation
+report) is computed on first read and kept.  A fact whose computation fails
+is not kept: every read raises again, with the same type and message.  Only
+the vertex classes hold errors, one per unclassifiable vertex, so validation
+can report them all.  A reader computes only what it reads: a degenerate
+polygon is rejected without a vertex being classified, and validation looks
+no vertex up by its ``Point``, so it hashes each vertex once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
+from math import gcd
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -82,7 +85,7 @@ class SemitoricPolygon:
         verts = tuple(self.vertices)
         if not verts:
             raise GeometryError("a polygon needs vertices")
-        start = min(range(len(verts)), key=lambda i: verts[i])
+        start = min(range(len(verts)), key=lambda i: (verts[i].x, verts[i].y))
         object.__setattr__(self, "vertices", verts[start:] + verts[:start])
         object.__setattr__(self, "marks", tuple(sorted(self.marks, key=_mark_key)))
 
@@ -157,27 +160,33 @@ class PolygonFacts:
     """What the library reads about one polygon, each fact computed on first read.
 
     A fact whose computation raises is not kept, so every read raises again.
-    Only :attr:`classes` holds errors, one per unclassifiable vertex.
+    Only :attr:`classes` holds errors, one per unclassifiable vertex.  Facts of
+    single vertices are indexed by position; :attr:`index` finds it from a Point.
     """
 
     def __init__(self, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...]):
         self.vertices, self.marks = vertices, marks
-        self.j_min, self.j_max = min(v.x for v in vertices), max(v.x for v in vertices)
-        self.index: dict[Point, int] = {}  # vertex -> its first position in vertices
-        self.vertices_at: dict[Fraction, tuple[Point, ...]] = {}  # column -> its vertices, in polygon order
-        for i, v in enumerate(vertices):
-            self.index.setdefault(v, i)
-            self.vertices_at[v.x] = self.vertices_at.get(v.x, ()) + (v,)
-        self.columns = tuple(sorted({v.x for v in vertices} | {m.position.x for m in marks}))  # every vertex and mark x
+        self.vertices_at: dict[Fraction, list[Point]] = {}  # column -> its vertices, in polygon order
+        for v in vertices:
+            self.vertices_at.setdefault(v.x, []).append(v)
+        self.j_min, self.j_max = vertices[0].x, max(self.vertices_at)  # the rotation starts bottom left
         self.marks_at = {x: tuple(group) for x, group in groupby(marks, key=lambda m: m.position.x)}
+
+    @cached_property
+    def index(self) -> dict[Point, int]:
+        """Vertex -> its first position in ``vertices``."""
+        return {v: i for i, v in reversed(tuple(enumerate(self.vertices)))}
+
+    @cached_property
+    def columns(self) -> tuple[Fraction, ...]:
+        """Every vertex and mark x, left to right."""
+        return tuple(sorted({**self.vertices_at, **self.marks_at}))
 
     @cached_property
     def edges(self) -> tuple[Optional[LatticeVector], ...]:
         """The primitive direction from vertex i to vertex i + 1, None where the two coincide."""
         verts = self.vertices
-        return tuple(
-            primitive_direction(b.x - a.x, b.y - a.y) if a != b else None for a, b in zip(verts, verts[1:] + verts[:1])
-        )
+        return tuple(map(_direction, verts, verts[1:] + verts[:1]))
 
     @cached_property
     def structure(self) -> tuple[Violation, ...]:
@@ -188,7 +197,7 @@ class PolygonFacts:
     def chains(self) -> BoundaryChains:
         if self.structure:
             raise GeometryError(f"degenerate polygon: {self.structure[0].message}")
-        return _split_boundary(self.vertices, self.j_min, self.j_max)
+        return _split_boundary(self.vertices, self.edges)
 
     @cached_property
     def on_vertical(self) -> frozenset[Point]:
@@ -196,11 +205,50 @@ class PolygonFacts:
         return frozenset(p for edge in (self.chains.left_vertical, self.chains.right_vertical) if edge for p in edge)
 
     @cached_property
-    def heights(self) -> dict[Fraction, tuple[Fraction, Fraction]]:
-        """(bottom, top) at each column in [j_min, j_max], from one walk along each chain."""
-        chains = self.chains
-        inside = [x for x in self.columns if self.j_min <= x <= self.j_max]
-        return dict(zip(inside, zip(_heights_along(chains.bottom, inside), _heights_along(chains.top, inside))))
+    def _positions(self) -> tuple[Sequence[int], Sequence[int]]:
+        """The position in ``vertices`` of each point of the bottom and of the top chain."""
+        n, chains = len(self.vertices), self.chains
+        top_left = n - 1 if chains.left_vertical else 0  # the top chain runs from it against polygon order
+        return range(len(chains.bottom)), [(top_left - k) % n for k in range(len(chains.top))]
+
+    def _walk(self, columns: Sequence[Fraction]) -> list[tuple[Fraction, Fraction, Optional[int], Optional[int]]]:
+        """(bottom y, top y, bottom vertex, top vertex) at each of these sorted columns of
+        [j_min, j_max], from one walk along each chain; a vertex is its position, or None."""
+        return [(by, ty, bi, ti) for (by, bi), (ty, ti) in zip(self._along(0, columns), self._along(1, columns))]
+
+    def _along(self, side: int, columns: Sequence[Fraction]) -> list[tuple[Fraction, Optional[int]]]:
+        """The bottom (side 0) or top (side 1) chain's y at each column, with the position of its vertex
+        there (None between vertices), walking chain and columns together from a bisection at the first."""
+        path, at = (self.chains.bottom, self.chains.top)[side], self._positions[side]
+        out, k = [], bisect_left(path, columns[0], key=attrgetter("x")) if columns else 0
+        for x in columns:
+            while path[k].x < x:
+                k += 1
+            b = path[k]
+            if b.x == x:
+                out.append((b.y, at[k]))
+                continue
+            # y = a.y + (x - a.x) * q / p, normalised once; the top runs against polygon order
+            a, (p, q) = path[k - 1], self.edges[at[k - 1 + side]]
+            (xn, xd), (an, ad), (yn, yd) = x.as_integer_ratio(), a.x.as_integer_ratio(), a.y.as_integer_ratio()
+            scale = xd * ad * p
+            out.append((Fraction(yn * scale + (xn * ad - an * xd) * q * yd, yd * scale), None))
+        return out
+
+    @cached_property
+    def heights(self) -> dict[Fraction, tuple[Fraction, Fraction, Optional[int], Optional[int]]]:
+        """(bottom y, top y, bottom vertex, top vertex) at each mark column in [j_min, j_max]."""
+        xs = list(self.marks_at)
+        inside = xs[bisect_left(xs, self.j_min) : bisect_right(xs, self.j_max)]
+        return dict(zip(inside, self._walk(inside)))
+
+    @cached_property
+    def _slices(self) -> list[tuple[Fraction, Fraction, Optional[int], Optional[int]]]:
+        """(bottom y, top y, bottom vertex, top vertex) at every column, for the DH density."""
+        xs = self.columns
+        for x in xs[: bisect_left(xs, self.j_min)] + xs[bisect_right(xs, self.j_max) :]:
+            self.slice_at(x)  # raises: a mark off the moment interval
+        return self._walk(xs)
 
     @cached_property
     def mark_column(self) -> tuple[int, ...]:
@@ -216,7 +264,7 @@ class PolygonFacts:
         xs = tuple(self.marks_at)
         paths = []
         for side, chain in enumerate((self.chains.bottom, self.chains.top)):
-            added = {Point(x, self.heights[x][side]) for x in self.marks_at}.difference(chain)
+            added = [Point(x, h[side]) for x, h in self.heights.items() if h[2 + side] is None]
             path, rank = [], 0
             for p, vertex in sorted([(p, True) for p in chain] + [(p, False) for p in added]):
                 while rank < len(xs) and xs[rank] < p.x:
@@ -233,14 +281,14 @@ class PolygonFacts:
         return {x: tuple(_side(path, x, y) for path, y in zip(paths, self.heights[x])) for x in self.marks_at}
 
     def slice_at(self, x: Fraction) -> tuple[Fraction, Fraction]:
-        """(y_bottom, y_top) at x: a lookup at a column, a bisection elsewhere."""
+        """(y_bottom, y_top) at x: a lookup at a mark column, a bisection elsewhere."""
         found = self.heights.get(x)
         if found is not None:
-            return found
+            return found[:2]
         if not self.j_min <= x <= self.j_max:
             interval = f"[{describe(self.j_min)}, {describe(self.j_max)}]"
             raise DomainError(f"x = {describe(x)} is outside the moment interval {interval}")
-        return _height_at(self.chains.bottom, x), _height_at(self.chains.top, x)
+        return self._walk([x])[0][:2]
 
     def cut_endpoint(self, mark: MarkedPoint) -> Point:
         """Boundary point where the mark's cut lands: top for +1, bottom for -1."""
@@ -248,20 +296,33 @@ class PolygonFacts:
         return Point(mark.position.x, top_y if mark.cut_sign > 0 else bottom_y)
 
     @cached_property
+    def _degrees(self) -> tuple[tuple[int, int], ...]:
+        """(total multiplicity, common sign) of the cuts ending at each vertex, (0, 0) where none does."""
+        out = [(0, 0)] * len(self.vertices)
+        for mark in self.marks:
+            endpoint = self.cut_endpoint(mark)
+            i = self.heights[endpoint.x][2 if mark.cut_sign < 0 else 3]
+            if i is None:  # off the vertices a column's bottom and top differ: no cut of the other sign ends here
+                continue
+            degree, sign = out[i]
+            if degree and sign != mark.cut_sign:
+                raise ClassificationError(f"cuts of both signs end at {describe(endpoint)}")
+            out[i] = (degree + mark.multiplicity, mark.cut_sign)
+        return tuple(out)
+
+    @cached_property
     def cut_degrees(self) -> dict[Point, tuple[int, int]]:
-        """Cut endpoint -> (total multiplicity, common sign)."""
+        """Cut endpoint -> (total multiplicity, common sign), vertex or not."""
+        self._degrees  # raises when the tally fails
         out: dict[Point, tuple[int, int]] = {}
         for mark in self.marks:
             endpoint = self.cut_endpoint(mark)
-            degree, sign = out.get(endpoint, (0, mark.cut_sign))
-            if sign != mark.cut_sign:
-                raise ClassificationError(f"cuts of both signs end at {describe(endpoint)}")
-            out[endpoint] = (degree + mark.multiplicity, sign)
+            out[endpoint] = (out.get(endpoint, (0, 0))[0] + mark.multiplicity, mark.cut_sign)
         return out
 
     @cached_property
-    def classes(self) -> dict[Point, object]:
-        """Vertex -> its VertexClassification, or the SemitoricError classifying it raised.
+    def classes(self) -> tuple[object, ...]:
+        """Each vertex's VertexClassification, or the SemitoricError classifying it raised.
 
         Errors are kept here so that validation can report every
         unclassifiable vertex; a reader raises a fresh copy of the error.
@@ -272,16 +333,16 @@ class PolygonFacts:
             # every tangent frame of a well-formed polygon is sound, so a failed
             # tally is each vertex's error: tally once, not once per vertex
             try:
-                self.cut_degrees
+                self._degrees
             except SemitoricError as exc:
-                return dict.fromkeys(self.index, exc.with_traceback(None))
-        classes: dict[Point, object] = {}
-        for v, i in self.index.items():
+                return (exc.with_traceback(None),) * len(self.vertices)
+        classes = []
+        for i in range(len(self.vertices)):
             try:
-                classes[v] = classify_corner(self, i)
+                classes.append(classify_corner(self, i))
             except SemitoricError as exc:
-                classes[v] = exc.with_traceback(None)
-        return classes
+                classes.append(exc.with_traceback(None))
+        return tuple(classes)
 
     @cached_property
     def report(self) -> ValidationReport:
@@ -309,10 +370,14 @@ class PolygonFacts:
         return bisect_left(starts, x) - bisect_right(ends, x)  # a run ending left of x starts left of it
 
 
-def _height_at(path: Sequence[Point], x: Fraction) -> Fraction:
-    i = bisect_left(path, x, key=attrgetter("x"))  # off the columns: path[i - 1].x < x < path[i].x
-    a, b = path[i - 1], path[i]
-    return a.y + (x - a.x) * (b.y - a.y) / (b.x - a.x)
+def _direction(a: Point, b: Point) -> Optional[LatticeVector]:
+    """The primitive direction from a to b, in integers from numerators and denominators; None where a == b."""
+    q, s, t, u = a.x.denominator, b.x.denominator, a.y.denominator, b.y.denominator
+    dx, dy = (b.x.numerator * q - a.x.numerator * s) * t * u, (b.y.numerator * t - a.y.numerator * u) * q * s
+    if not dx and not dy:
+        return None
+    g = gcd(dx, dy)
+    return LatticeVector(dx // g, dy // g)
 
 
 def _side(path: Sequence[Point], x: Fraction, y: Fraction) -> tuple[Point, LatticeVector, LatticeVector]:
@@ -321,23 +386,11 @@ def _side(path: Sequence[Point], x: Fraction, y: Fraction) -> tuple[Point, Latti
     return Point(x, y), primitive_direction(x - left.x, y - left.y), primitive_direction(right.x - x, right.y - y)
 
 
-def _heights_along(path: Sequence[Point], columns: Sequence[Fraction]) -> list[Fraction]:
-    """The path's y at each column, walking path and columns together left to right."""
-    ys = []
-    i = 0
-    for x in columns:
-        while path[i + 1].x < x:
-            i += 1
-        a, b = path[i], path[i + 1]
-        ys.append(b.y if b.x == x else a.y + (x - a.x) * (b.y - a.y) / (b.x - a.x))
-    return ys
-
-
 def _structure_violations(facts: PolygonFacts) -> list[Violation]:
     verts = facts.vertices
     if len(verts) < 3:
         return [Violation("too-few-vertices", "polygon", f"{len(verts)} vertices, need at least 3")]
-    if len(facts.index) != len(verts):
+    if any(len({v.y for v in col}) < len(col) for col in facts.vertices_at.values() if len(col) > 1):
         return [Violation("duplicate-vertex", "polygon", "vertices are not pairwise distinct")]
     # each edge is a positive multiple of its primitive direction, so these are the turns' signs
     edges = facts.edges
@@ -359,22 +412,16 @@ def _structure_violations(facts: PolygonFacts) -> list[Violation]:
     return out
 
 
-def _split_boundary(verts: tuple[Point, ...], j_min: Fraction, j_max: Fraction) -> BoundaryChains:
-    # canonical rotation puts the bottom-left vertex at index 0
-    right_idx = [i for i, v in enumerate(verts) if v.x == j_max]
-    bottom_right = min(right_idx, key=lambda i: verts[i].y)
-    top_right = max(right_idx, key=lambda i: verts[i].y)
-    left_idx = [i for i, v in enumerate(verts) if v.x == j_min]
-    top_left = max(left_idx, key=lambda i: verts[i].y)
+def _split_boundary(verts: tuple[Point, ...], edges: Sequence[LatticeVector]) -> BoundaryChains:
+    # the bottom runs rightward from vertex 0, the bottom left; a vertical edge climbs the right, descends the left
+    bottom_right = next(i for i, e in enumerate(edges) if e.a <= 0)
+    top_right = bottom_right + (edges[bottom_right].a == 0)
+    top_left = len(verts) - 1 if edges[-1].a == 0 else 0
 
     bottom = verts[: bottom_right + 1]
-    if top_left == 0:
-        top_ccw = verts[top_right:] + (verts[0],)
-    else:
-        top_ccw = verts[top_right : top_left + 1]
-    top = tuple(reversed(top_ccw))
-    left_vertical = (verts[0], verts[top_left]) if len(left_idx) == 2 else None
-    right_vertical = (verts[bottom_right], verts[top_right]) if len(right_idx) == 2 else None
+    top = tuple(reversed(verts[top_right : top_left + 1] if top_left else verts[top_right:] + verts[:1]))
+    left_vertical = (verts[0], verts[top_left]) if top_left else None
+    right_vertical = (verts[bottom_right], verts[top_right]) if top_right > bottom_right else None
     return BoundaryChains(bottom=bottom, top=top, left_vertical=left_vertical, right_vertical=right_vertical)
 
 
@@ -437,32 +484,31 @@ def _validation_report(facts: PolygonFacts) -> ValidationReport:
     violations = []
     j_min, j_max = facts.j_min, facts.j_max
     for idx, mark in enumerate(facts.marks):
-        where = f"marks[{idx}] at {describe(mark.position)}"
         x, y = mark.position.x, mark.position.y
         # the polygon is strictly convex, so its interior is the union of open column slices
-        bottom_y, top_y = facts.heights[x] if j_min < x < j_max else (y, y)
+        bottom_y, top_y, *ends = facts.heights[x] if j_min < x < j_max else (y, y)
         if not bottom_y < y < top_y:
-            violations.append(Violation("mark-not-interior", where, "marked point is not strictly inside the polygon"))
+            rule, message = "mark-not-interior", "marked point is not strictly inside the polygon"
+        elif ends[mark.cut_sign > 0] is None:  # no vertex where the cut ends
+            endpoint = describe(facts.cut_endpoint(mark))
+            rule, message = "cut-endpoint-not-vertex", f"cut endpoint {endpoint} is not a vertex of the polygon"
+        else:
             continue
-        endpoint = facts.cut_endpoint(mark)
-        if endpoint not in facts.index:
-            message = f"cut endpoint {describe(endpoint)} is not a vertex of the polygon"
-            violations.append(Violation("cut-endpoint-not-vertex", where, message))
+        violations.append(Violation(rule, f"marks[{idx}] at {describe(mark.position)}", message))
     if violations:
         return ValidationReport({}, tuple(violations))
     try:
-        facts.cut_degrees  # raises when cuts of both signs end at one vertex
+        facts._degrees  # raises when cuts of both signs end at one vertex
     except ClassificationError as exc:
         return ValidationReport({}, (Violation("conflicting-cut-signs", "marks", str(exc)),))
 
     classifications: dict[Point, object] = {}
-    for vertex in facts.vertices:
-        result = facts.classes[vertex]
+    for vertex, result in zip(facts.vertices, facts.classes):
         if isinstance(result, SemitoricError):
             violations.append(Violation("unclassifiable-vertex", describe(vertex), str(result)))
             continue
         classifications[vertex] = result
-        if vertex.x in (j_min, j_max) and result.kind is not VertexKind.DELZANT:
+        if result.kind is not VertexKind.DELZANT and vertex.x in (j_min, j_max):
             violations.append(
                 Violation("extreme-not-delzant", describe(vertex), f"extreme vertex classifies as {result.kind.value}")
             )

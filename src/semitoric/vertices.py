@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal, Mapping
+from typing import Literal
 
 from .errors import ClassificationError, DomainError, GeometryError, SemitoricError
 from .geometry import LatticeVector, Point, describe, det2, format_rational, shear_vector
@@ -124,8 +124,11 @@ def _tangent_frame(facts: PolygonFacts, i: int) -> tuple[LatticeVector, LatticeV
     its outgoing direction on its own side.  Single extreme vertex: u is the
     bottom-side tangent, w the top-side one (both normalised rightward).
     """
-    vertex = facts.vertices[i]
     d_prev, d_next = _outgoing(facts, i)
+    if d_prev.a * d_next.a < 0:  # one edge leaves leftward and one rightward: a chain's inner vertex
+        left, right = (d_prev, d_next) if d_prev.a < 0 else (d_next, d_prev)
+        return _flip(left), right
+    vertex = facts.vertices[i]
     left = [d for d in (d_prev, d_next) if d.a < 0]
     right = [d for d in (d_prev, d_next) if d.a > 0]
     vertical = [d for d in (d_prev, d_next) if d.a == 0]
@@ -138,8 +141,6 @@ def _tangent_frame(facts: PolygonFacts, i: int) -> tuple[LatticeVector, LatticeV
         if vertex.x == facts.j_max and left:
             return _flip(left[0]), vertical[0]
         raise ClassificationError(f"{describe(vertex)} touches a vertical edge at an interior column")
-    if left and right:
-        return _flip(left[0]), right[0]
     if len(right) == 2:  # single leftmost vertex, both edges point rightward
         first, second = right
         if first.b * second.a > second.b * first.a:
@@ -159,8 +160,7 @@ def classify_corner(facts: PolygonFacts, i: int) -> VertexClassification:
     """
     vertex = facts.vertices[i]
     u, w = _tangent_frame(facts, i)
-    degree, sign = facts.cut_degrees.get(vertex, (0, 0))
-    return lattice_class(vertex, u, w, degree, sign)
+    return lattice_class(vertex, u, w, *facts._degrees[i])
 
 
 def lattice_class(vertex: Point, u: LatticeVector, w: LatticeVector, degree: int, sign: int) -> VertexClassification:
@@ -194,15 +194,14 @@ def classify_vertex(polygon: SemitoricPolygon, vertex: Point) -> VertexClassific
     Raises ClassificationError when no class matches; on validated polygons
     exactly one always does.
     """
-    facts = polygon.facts
-    if vertex not in facts.index:
+    i = polygon.facts.index.get(vertex)
+    if i is None:
         raise DomainError(f"{describe(vertex)} is not a vertex of the polygon")
-    return _class_of(facts.classes, vertex)
+    return _class_of(polygon.facts.classes[i])
 
 
-def _class_of(classes: Mapping[Point, object], vertex: Point) -> VertexClassification:
-    """The vertex's stored class, or a fresh copy of its stored error, raised."""
-    found = classes[vertex]
+def _class_of(found: object) -> VertexClassification:
+    """A stored class, or a fresh copy of a stored error, raised."""
     if isinstance(found, SemitoricError):
         raise type(found)(*found.args)
     return found
@@ -260,10 +259,10 @@ def extract_k_runs(facts: PolygonFacts) -> tuple[ZkChain, ...]:
     """The k-runs of both chains of the polygon these facts describe."""
     bc, classes = facts.chains, facts.classes
     chains: list[ZkChain] = []
-    for side, path in (("bottom", bc.bottom), ("top", bc.top)):
+    for side, path, at in zip(("bottom", "top"), (bc.bottom, bc.top), facts._positions):
         edges = list(zip(path, path[1:]))
-        # the bottom runs in polygon order, so edge (a, b) leaves a; the top runs against it
-        ks = [abs(facts.edges[facts.index[a if side == "bottom" else b]].a) for a, b in edges]
+        # the bottom runs in polygon order, so edge k leaves point k; the top runs against it
+        ks = [abs(facts.edges[at[k + (side == "top")]].a) for k in range(len(edges))]
         i = 0
         while i < len(edges):
             k = ks[i]
@@ -272,7 +271,7 @@ def extract_k_runs(facts: PolygonFacts) -> tuple[ZkChain, ...]:
                 continue
             j = i
             while j + 1 < len(edges):
-                joint = _class_of(classes, edges[j][1])
+                joint = _class_of(classes[at[j + 1]])
                 if joint.kind is not VertexKind.FAKE:
                     break
                 if ks[j + 1] != k:
@@ -289,8 +288,8 @@ def extract_k_runs(facts: PolygonFacts) -> tuple[ZkChain, ...]:
                 end_vertex=edges[j][1],
                 edges=tuple(edges[i : j + 1]),
             )
-            for pole in (chain.start_vertex, chain.end_vertex):
-                if _class_of(classes, pole).kind is VertexKind.FAKE:
+            for pole, end in ((chain.start_vertex, at[i]), (chain.end_vertex, at[j + 1])):
+                if _class_of(classes[end]).kind is VertexKind.FAKE:
                     raise ClassificationError(f"chain pole {describe(pole)} classifies as fake")
             chains.append(chain)
             i = j + 1

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import functools
 import gc
 import io
 import pickle
@@ -108,6 +109,52 @@ def test_slice_heights_off_the_columns_match_edge_scan(corpus, derived_polygons)
             if x in columns:
                 continue
             assert slice_heights(polygon, x) == edge_scan_slice(polygon, x)
+
+
+def test_slice_heights_on_the_columns_match_edge_scan(corpus, derived_polygons):
+    from conftest import multi_column_polygons
+
+    for polygon in list(corpus.values()) + derived_polygons + multi_column_polygons(100):
+        columns = {v.x for v in polygon.vertices} | {m.position.x for m in polygon.marks}
+        fresh = SemitoricPolygon(polygon.vertices, polygon.marks)  # read before and after validation
+        for x in sorted(columns):
+            assert slice_heights(fresh, x) == slice_heights(polygon, x) == edge_scan_slice(polygon, x), (polygon, x)
+
+
+def test_validation_hashes_each_vertex_once(corpus, monkeypatch):
+    from conftest import focus_ladder, fuzz_derivatives
+
+    polygons = list(corpus.values()) + fuzz_derivatives(50) + [focus_ladder([1] * 32)]
+    fresh = [SemitoricPolygon(p.vertices, p.marks) for p in polygons]
+    hashes = []
+    point_hash = Point.__hash__
+    monkeypatch.setattr(Point, "__hash__", lambda point: hashes.append(1) or point_hash(point))
+    for polygon in fresh:
+        hashes.clear()
+        assert validate(polygon).valid
+        assert len(hashes) <= len(polygon.vertices), polygon
+
+
+def _count_dh_walks(monkeypatch) -> list:
+    walks = []
+    walk = PolygonFacts._slices.func
+    counted = functools.cached_property(lambda facts: walks.append(1) or walk(facts))
+    counted.__set_name__(PolygonFacts, "_slices")
+    monkeypatch.setattr(PolygonFacts, "_slices", counted)
+    return walks
+
+
+def test_dh_walks_the_columns_once_per_query(corpus, tmp_path, monkeypatch):
+    from conftest import focus_ladder
+
+    walks = _count_dh_walks(monkeypatch)
+    for polygon in (corpus["FF1"], corpus["NONADAPT3"], corpus["SQUARE"], focus_ladder([2, 1])):
+        path = tmp_path / "polygon.json"
+        path.write_text(serialize_polygon(polygon))
+        assert "_slices" not in vars(semitoric.parse_polygon(path.read_text()).facts)  # loading never walks it
+        walks.clear()
+        assert cli.run_cli(["dh", str(path)], io.StringIO(), io.StringIO()) == 0
+        assert len(walks) == 1, polygon
 
 
 def _raised_twice(fn, *args):

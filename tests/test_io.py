@@ -67,6 +67,15 @@ class TestParseSerialize:
         with pytest.raises(ParseError, match="p/q strings"):
             parse_polygon('{"vertices": [[0,0],["1","0"],["1","1"]]}')
 
+    @pytest.mark.parametrize("x", ["\u0661", "\u0661/1", "1/\u0661", "1/1\u0662", "\u0663/\u0663", "\uff11"])
+    def test_non_ascii_digits_rejected(self, tmp_path, x):
+        # int() and Fraction() read every Unicode decimal digit; the file format takes ASCII 0-9 only
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({"vertices": [["0", "0"], [x, "0"], ["0", "1"]]}))
+        with pytest.raises(ParseError, match="p/q strings"):
+            parse_polygon(path.read_bytes())
+        assert run_cli(["validate", str(path)], io.StringIO(), io.StringIO()) == 2
+
     def test_invalid_polygon_raises_report(self):
         text = (
             '{"vertices": [["0","0"],["1","0"],["2","1"]],'
