@@ -36,7 +36,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Collection, Literal, Optional, Sequence
 
-from .cuts import SignProduct, _normal_shear, _require_verdict, _with_signs, split_marks
+from . import cuts
+from .cuts import SignProduct, _normal_shear, _require_verdict, split_marks
 from .errors import DomainError, SemitoricError
 from .geometry import _exact, describe
 from .polygon import PolygonFacts, SemitoricPolygon, boundary_chains, require_valid
@@ -45,7 +46,7 @@ from .vertices import (
     _class_of,
     _outgoing,
     classify_vertex,
-    is_smooth_vertex,
+    is_smooth_class,
     outgoing_primitives,
 )
 
@@ -213,8 +214,8 @@ def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignPro
     """
     unit = split_marks(polygon)
     facts = unit.facts
-    # no cut ends off the mark columns, so there a valid polygon's vertices are Delzant
-    if not all(is_smooth_vertex(unit, v) for v in unit.vertices if v.x not in facts.marks_at):
+    # no cut ends off the mark columns, so there a valid polygon's vertices (classes by position) are Delzant
+    if not all(is_smooth_class(_class_of(c)) for v, c in zip(unit.vertices, facts.classes) if v.x not in facts.marks_at):
         return unit, SignProduct(((),))  # one factor with no choice: no sign vector
     per_column = []  # per column: the signs of every flip pattern that keeps its vertices smooth
     for x, marks in facts.marks_at.items():  # in mark order
@@ -265,7 +266,8 @@ def delzant_presentations(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, 
     """
     unit, delzant = _delzant_signs(require_valid(polygon))
     shear = _normal_shear(unit)  # a switch moves neither vertex 0 nor edge 0's direction: one shear for all
-    members = (_with_signs(unit, signs, shear) for signs in delzant)  # each swept straight into normal form
+    # each swept straight into normal form; called through ``cuts`` so that patching it there counts the builds
+    members = (cuts._flip_cuts(unit, signs, shear) for signs in delzant)
     return tuple(dict.fromkeys(members))  # first-seen order
 
 

@@ -32,7 +32,7 @@ from .geometry import Point, format_rational, parse_rational
 from .graph import build_graph, canonical_graph
 from .polygon import SemitoricPolygon, require_valid
 from .serialization import emit_dot, parse_polygon, polygon_data, serialize_polygon
-from .vertices import classify_vertex, is_smooth_vertex
+from .vertices import classify_vertex, is_smooth_class
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -123,7 +123,7 @@ def _cmd_classify(args, out) -> int:
     polygon = _load(args.file)
     for vertex in polygon.vertices:
         c = classify_vertex(polygon, vertex)
-        smooth = "yes" if is_smooth_vertex(polygon, vertex) else "no"
+        smooth = "yes" if is_smooth_class(c) else "no"
         print(f"{c} smooth={smooth}", file=out)
     return EXIT_OK
 

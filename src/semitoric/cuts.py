@@ -5,15 +5,15 @@ at the mark's column and coefficient (old sign) * (multiplicity): identity
 left of the column, a unipotent shear right of it.  Boundary vertices are
 inserted where the kink bends an edge and removed where it straightens one.
 Switches at distinct marks commute, so each of the 2^m presentations of the
-family is built in one sweep left to right: every point moves by the sum of
-the shears pivoting left of it, and only a point on a flipped column can
-become or stop being a vertex.  That point stays one exactly where its
-integer tangents still turn, det2(u, w sheared by the column's coefficient)
-!= 0.  The sweep's bookkeeping is indexed by mark column (flip
-coefficients, turn flags, each boundary point's rank among the columns,
-all read from ``PolygonFacts``), and each moved point's height is
-normalised once.  A ``SignProduct`` lists the family, building each member
-when it is read.
+family is built from its sign vector in one sweep left to right: every point
+moves by the sum of the shears pivoting left of it, and only a point on a
+flipped column can become or stop being a vertex.  That point stays one
+exactly where its integer tangents still turn, det2(u, w sheared by the
+column's coefficient) != 0.  The sweep's bookkeeping is indexed by mark
+column (flip coefficients, turn flags, each boundary point's rank among the
+columns, read from ``PolygonFacts``), and it moves each point by its running
+(slope, offset) with ``GlobalShear``'s one point-shear formula.  A
+``SignProduct`` lists the family, building each member when it is read.
 
 The family exists only for a valid polygon, and every member of it is
 valid: a switch changes the polygon near its column only, where the column
@@ -44,6 +44,7 @@ from .geometry import (
     GlobalShear,
     LatticeVector,
     Point,
+    _shear_point,
     describe,
     det2,
     shear_vector,
@@ -80,7 +81,7 @@ class SignProduct(Sequence):
         return all(self.factors)
 
     def _item(self, signs: tuple[int, ...]):
-        return signs if self.base is None else (signs, _with_signs(self.base, signs))
+        return signs if self.base is None else (signs, _flip_cuts(self.base, signs))
 
     def __getitem__(self, index):
         codes = range(self.size)[index]
@@ -170,16 +171,6 @@ def _require_verdict(
     return smooth
 
 
-def _sheared(point: Point, slope: int, offset: Fraction) -> Point:
-    """The point moved to height y + slope * x - offset, normalised once."""
-    if not slope and not offset:
-        return point
-    x, y = point.x, point.y
-    xd, yd, od = x.denominator, y.denominator, offset.denominator
-    numerator = (y.numerator * xd + slope * x.numerator * yd) * od - offset.numerator * xd * yd
-    return Point(x, Fraction(numerator, xd * yd * od))
-
-
 def _path_image(
     path: Sequence[tuple[Point, bool, int, bool]],
     side: int,
@@ -197,40 +188,44 @@ def _path_image(
         if on and turns[rank] is not None:
             vertex = turns[rank][side]
         if vertex:
-            out.append(_sheared(p, *shears[rank]))
+            out.append(_shear_point(p, *shears[rank]))
     return out
 
 
 def _flip_cuts(
-    polygon: SemitoricPolygon, flips: frozenset[int], start: Optional[GlobalShear] = None
+    polygon: SemitoricPolygon, signs: Sequence[int], start: Optional[GlobalShear] = None
 ) -> SemitoricPolygon:
-    """The presentation of a valid polygon with the given marks' cuts flipped,
-    moved by the global shear ``start`` when one is given.
+    """The presentation of a valid polygon with these cut signs, moved by the global
+    shear ``start`` when one is given; the polygon itself when neither changes it.
 
     Flipping mark i shears the plane right of its column by (old sign) *
-    (multiplicity); the shears of one column add.  One sweep along each
-    boundary chain, subdivided at the mark columns, moves every point by
-    ``start`` and the sum of the shears left of it.  Each flipped column is
-    checked by the column rule (:func:`_local_verdict`) and raises
+    (multiplicity); the shears of one column add, and may cancel.  One sweep
+    along each boundary chain, subdivided at the mark columns, moves every
+    point by ``start`` and the sum of the shears left of it.  Each flipped
+    column is checked by the column rule (:func:`_local_verdict`) and raises
     PresentationError where it fails; its bottom and top point stay vertices
     where their integer tangents still turn.  A switch of a valid polygon is
     valid, so nothing else is checked.
     """
+    if start is None and all(mark.cut_sign == sign for mark, sign in zip(polygon.marks, signs)):
+        return polygon
     facts = polygon.facts
-    coefficients = [0] * len(facts.marks_at)  # per mark column, left to right
-    for i in flips:
-        mark = polygon.marks[i]
-        coefficients[facts.mark_column[i]] += mark.cut_sign * mark.multiplicity
-    # a point's y becomes y + slope * x - offset: ``start``, plus c_i * (x - x_i) per flipped column x_i left of it
-    slope, offset = (start.slope, -start.offset) if start is not None else (0, 0)
-    shears, turns = [], []  # per mark column: the shear left of it, and whether its two points turn
-    for (x, marks), sides, coefficient in zip(facts.marks_at.items(), facts.sides.values(), coefficients):
+    # (slope, offset) of GlobalShear: ``start``, plus c * (x - x_c) for each flipped column x_c left of the point
+    slope, offset = (start.slope, start.offset) if start is not None else (0, 0)
+    shears, turns, moved = [], [], []  # per mark column: the shear left of it, whether its two points turn; the marks
+    signs = iter(signs)  # each column's zip(column, signs) takes that column's signs: zip tries ``column`` first
+    for (x, column), sides in zip(facts.marks_at.items(), facts.sides.values()):
+        coefficient = 0
+        for mark, sign in zip(column, signs):
+            if sign != mark.cut_sign:
+                coefficient += mark.cut_sign * mark.multiplicity
+            # the shears left and right of the mark's own column agree on it
+            moved.append(MarkedPoint(_shear_point(mark.position, slope, offset), mark.multiplicity, sign))
         shears.append((slope, offset))
         if coefficient:
-            signs = tuple(m.cut_sign for m in marks for _ in range(m.multiplicity))
-            _require_verdict(sides, signs, -coefficient)
+            _require_verdict(sides, tuple(m.cut_sign for m in column for _ in range(m.multiplicity)), -coefficient)
             turns.append(tuple(det2(u, shear_vector(w, coefficient)) != 0 for _, u, w in sides))
-            slope, offset = slope + coefficient, offset + coefficient * x
+            slope, offset = slope + coefficient, offset - coefficient * x
         else:
             turns.append(None)
     shears.append((slope, offset))
@@ -240,11 +235,7 @@ def _flip_cuts(
         bottom.pop()
     if facts.chains.left_vertical is None:
         top = top[1:]
-    marks = tuple(
-        MarkedPoint(_sheared(m.position, *shears[k]), m.multiplicity, -m.cut_sign if i in flips else m.cut_sign)
-        for i, (m, k) in enumerate(zip(polygon.marks, facts.mark_column))
-    )
-    return SemitoricPolygon(tuple(bottom + top[::-1]), marks)
+    return SemitoricPolygon(tuple(bottom + top[::-1]), tuple(moved))
 
 
 def switch_cut(polygon: SemitoricPolygon, index: int) -> SemitoricPolygon:
@@ -256,15 +247,7 @@ def switch_cut(polygon: SemitoricPolygon, index: int) -> SemitoricPolygon:
     require_valid(polygon)
     if not 0 <= index < len(polygon.marks):
         raise DomainError(f"mark index {index} out of range (have {len(polygon.marks)} marks)")
-    return _flip_cuts(polygon, frozenset((index,)))
-
-
-def _with_signs(
-    polygon: SemitoricPolygon, signs: tuple[int, ...], start: Optional[GlobalShear] = None
-) -> SemitoricPolygon:
-    """The presentation of ``polygon`` whose marks have these cut signs, moved by ``start`` when given."""
-    flips = frozenset(i for i, mark in enumerate(polygon.marks) if mark.cut_sign != signs[i])
-    return _flip_cuts(polygon, flips, start) if flips or start is not None else polygon
+    return _flip_cuts(polygon, [-m.cut_sign if i == index else m.cut_sign for i, m in enumerate(polygon.marks)])
 
 
 def enumerate_presentations(polygon: SemitoricPolygon) -> PresentationSet:

@@ -6,8 +6,8 @@ vectors, found in integers from the numerators and denominators of the
 rational edge vector; a polygon computes one per edge, once
 (``PolygonFacts.edges``), and its turn signs and vertex frames read them.
 The only affine map exposed is the global shear-plus-translation, which
-preserves vertical lines; the piecewise shears of cut switches are applied
-by the one sweep in ``cuts``.
+preserves vertical lines; its one point formula (:func:`_shear_point`) also
+moves the points of the cut-switch sweep in ``cuts``, at its running shear.
 """
 
 from __future__ import annotations
@@ -168,4 +168,14 @@ class GlobalShear:
         object.__setattr__(self, "offset", _exact(self.offset))
 
     def apply(self, point: Point) -> Point:
-        return Point(point.x, self.slope * point.x + point.y + self.offset)
+        return _shear_point(point, self.slope, self.offset)
+
+
+def _shear_point(point: Point, slope: int, offset: int | Fraction) -> Point:
+    """The point moved to height y + slope * x + offset, normalised once."""
+    if not slope and not offset:
+        return point
+    x, y = point.x, point.y
+    xd, yd, od = x.denominator, y.denominator, offset.denominator
+    numerator = (y.numerator * xd + slope * x.numerator * yd) * od + offset.numerator * xd * yd
+    return Point(x, Fraction(numerator, xd * yd * od))

@@ -34,7 +34,7 @@ class GraphVertex:
     label: Fraction
     genus: Optional[int] = None
     area: Optional[Fraction] = None
-    provenance: Optional[str] = None  # diagnostics only; excluded from equality
+    provenance: Optional[str] = None  # diagnostics only: == compares it, canonical_form drops it
 
 
 @dataclass(frozen=True)

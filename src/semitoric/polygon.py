@@ -251,16 +251,11 @@ class PolygonFacts:
         return self._walk(xs)
 
     @cached_property
-    def mark_column(self) -> tuple[int, ...]:
-        """Each mark's column: its index in ``marks_at``, whose columns run left to right."""
-        return tuple(k for k, group in enumerate(self.marks_at.values()) for _ in group)
-
-    @cached_property
     def mark_paths(self) -> tuple[tuple[tuple[Point, bool, int, bool], ...], ...]:
-        """The bottom and the top chain, left to right, with the boundary point on
-        each mark column put in.  Each point comes with whether it is a vertex,
-        its rank (the number of mark columns left of it) and whether it is on
-        the mark column of that index."""
+        """The bottom and the top chain, left to right, with the boundary point on each mark
+        column put in.  Each point comes with whether it is a vertex, its rank (the number of
+        mark columns left of it, which picks the shear the cut-switch sweep of a sign vector
+        moves it by) and whether it is on the mark column of that index."""
         xs = tuple(self.marks_at)
         paths = []
         for side, chain in enumerate((self.chains.bottom, self.chains.top)):

@@ -220,8 +220,6 @@ class TestSweepBuilder:
         assert len(checked) == 1  # the ladder's own
 
     def test_one_normalisation_is_exact(self):
-        from semitoric.cuts import _sheared
-
         rng = random.Random(13)
 
         def rational(digits):
@@ -236,13 +234,13 @@ class TestSweepBuilder:
         big = (Fraction(huge + 1, huge - 3), Fraction(-huge - 7, huge + 9), Fraction(3 * huge + 1, 2 * huge + 1))
         cases += [(Point(big[0], big[1]), 7, big[2]), (Point(big[2], 1), -2, big[0]), (Point(1, big[1]), 0, 0)]
         for point, slope, offset in cases:
-            image = _sheared(point, slope, offset)
-            assert image.x == point.x and image.y == point.y + slope * point.x - offset
+            image = GlobalShear(slope, offset).apply(point)  # the one point-shear formula
+            assert image.x == point.x and image.y == point.y + slope * point.x + offset
             assert type(image.y) is Fraction
 
     def test_a_start_shear_moves_every_member(self):
         # the sweep started at a global shear gives that shear's image of the member
-        from semitoric.cuts import _normal_shear, _with_signs
+        from semitoric.cuts import _flip_cuts, _normal_shear
 
         rng = random.Random(17)
         ladders = [focus_ladder(jumps) for jumps in ([1] * 4, [1] * 8, [2], [2, 1], [1, 2, 1], [3, 1], [2, 2])]
@@ -252,7 +250,10 @@ class TestSweepBuilder:
             shears = (random_global_shear(rng), _normal_shear(polygon), GlobalShear(0, 0))
             for signs, member in enumerate_presentations(polygon).members[:64]:
                 for shear in shears:
-                    assert _with_signs(polygon, signs, shear) == transform_polygon(member, shear), (polygon, signs)
+                    image = transform_polygon(member, shear)
+                    assert _flip_cuts(polygon, signs, shear) == image, (polygon, signs)
+                    # both sides move points by the one formula: check it against plain Fraction arithmetic
+                    assert image.vertices == tuple(Point(v.x, shear.slope * v.x + v.y + shear.offset) for v in member.vertices)
 
 
 class TestShearNormalForm:

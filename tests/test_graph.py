@@ -54,6 +54,13 @@ class TestBuildGraph:
         kinds = sorted(v.provenance for v in graph.vertices)
         assert kinds == ["elliptic-elliptic", "elliptic-elliptic", "elliptic-elliptic", "focus-focus"]
 
+    def test_provenance_is_compared_raw_and_dropped_canonically(self):
+        a = GraphVertex("isolated", Fraction(1), provenance="a")
+        b = GraphVertex("isolated", Fraction(1), provenance="b")
+        assert a != b
+        assert canonical_graph(KarshonGraph((a,), ())) == canonical_graph(KarshonGraph((b,), ()))
+        assert canonical_form(KarshonGraph((a,), ())) == canonical_form(KarshonGraph((b,), ()))
+
     def test_focus_vertices_never_carry_edges(self, corpus):
         from semitoric import FOCUS_FOCUS_WEIGHTS
 

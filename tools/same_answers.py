@@ -3,32 +3,42 @@
 
     python3 tools/same_answers.py REV
 
-REV is extracted with ``git archive`` into a temporary directory.  The
-inputs are made once, from this checkout's ``tests/conftest.py``: the
-corpus, ``fuzz_derivatives(200)``, ``multi_column_polygons`` at two seeds,
-and focus ladders together with their merged-mark forms (coincident unit
-marks of one sign joined into one mark), plus invalid probes: each corpus
-and fuzz polygon with its vertices reversed, with every cut sign flipped,
-and with its first vertex doubled.  Each is written as a polygon file, and
-each tree answers every input in its own process, with its own ``src/``:
+REV is extracted with ``git archive`` into a temporary directory.  Each tree
+makes the inputs in a process of its own, from its own ``tests/conftest.py``
+and ``src/``: the corpus, ``fuzz_derivatives(200)``,
+``multi_column_polygons`` at two seeds, and focus ladders together with
+their merged-mark forms (coincident unit marks of one sign joined into one
+mark), plus invalid probes: each corpus and fuzz polygon with its vertices
+reversed, with every cut sign flipped, and with its first vertex doubled.
+Each is written as a polygon file, and an input file that differs between
+the two trees is a difference.  Each tree then answers its own inputs (or
+the other tree's, when it could not make its own) in its own process:
 
 * library, on the parsed polygon, or for a file that does not parse on the
   polygon built from it without validation: ``validate``, ``dh_function``,
   ``dh_jump_report``, ``build_graph``, ``canonical_graph``,
-  ``classify_vertex`` at every vertex, ``slice_heights`` at every vertex
-  and mark column and at the midpoints between them, and ``orbit_counts`` at
-  the interior ones; on a valid polygon also ``adaptability``,
-  ``delzant_presentations``, the first 64 members of
-  ``enumerate_presentations`` and ``switch_cut`` at every mark index (and
-  one index past the end).  Compared by repr, or by error type and message;
+  ``shear_normal_form``, ``transform_polygon`` under four fixed global
+  shears (one with a non-integer offset), ``boundary_chains``,
+  ``vertical_edge_endpoints``, ``cut_degrees``, ``zk_chains``,
+  ``classify_vertex``, ``outgoing_primitives`` and ``isotropy_weights`` at
+  every vertex, ``slice_heights`` at every vertex and mark column and at
+  the midpoints between them, and ``orbit_counts`` at the interior ones; on
+  a valid polygon also ``adaptability``, ``delzant_presentations``, the
+  first 64 members of ``enumerate_presentations`` and ``switch_cut`` at
+  every mark index (and one index past the end).  Compared by repr, or by
+  error type and message;
 * command line: ``run_cli`` for ``validate``, ``dh``, ``graph`` (JSON and
   DOT) and ``classify`` on every input; on a valid one also
   ``presentations`` (with and without ``--delzant-only``), ``adaptable``,
-  ``self-intersection`` on both sides and ``switch-cut``.  Compared by exit
-  code, stdout and stderr.
+  ``self-intersection`` on both sides, ``switch-cut`` and ``chop`` at the
+  first Delzant vertex by half its allowance; and once per tree
+  ``corpus list`` and ``corpus get`` for every name.  Compared by exit
+  code, stdout and stderr, or by the error ``run_cli`` raised.
 
-Answers are compared by SHA-256.  The last line reads ``N differences``;
-the exit code is 0 when N is 0 and 1 otherwise.
+Answers are compared by SHA-256.  A tree that cannot make its inputs or
+answer them is a difference too, reported by the last line of its error.
+The last line reads ``N differences``; the exit code is 0 when N is 0 and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -42,9 +52,11 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LISTED = 64  # members of enumerate_presentations compared per input
+SHEARS = ((0, 0), (1, 0), (-2, Fraction(3, 7)), (3, -5))  # (slope, offset) of the global shears compared
 LADDERS = ([1] * 4, [1] * 8, [2], [2, 1], [1, 2, 1], [3, 1], [2, 2], [1, 1, 3], [2, 1, 2])
 
 
@@ -71,9 +83,9 @@ def _probes(polygon):
     return probes
 
 
-def write_inputs(directory: str) -> list[str]:
-    """Write every input polygon to ``directory``; return the file names."""
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+def write_inputs(tree: str, directory: str) -> list[str]:
+    """Write every input polygon, made with the library of ``tree``, to ``directory``; return the file names."""
+    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "tests")]
     from conftest import focus_ladder, fuzz_derivatives, multi_column_polygons
     from semitoric import corpus_get, corpus_names, serialize_polygon
 
@@ -118,14 +130,23 @@ def _unchecked(text: bytes):
 def _readers(polygon) -> dict:
     """The library's readers of one polygon, valid or not, by query name."""
     from semitoric import (
+        GlobalShear,
+        boundary_chains,
         build_graph,
         canonical_graph,
         classify_vertex,
+        cut_degrees,
         dh_function,
         dh_jump_report,
+        isotropy_weights,
         orbit_counts,
+        outgoing_primitives,
+        shear_normal_form,
         slice_heights,
+        transform_polygon,
         validate,
+        vertical_edge_endpoints,
+        zk_chains,
     )
 
     columns = sorted({v.x for v in polygon.vertices} | {m.position.x for m in polygon.marks})
@@ -136,12 +157,42 @@ def _readers(polygon) -> dict:
         "dh_jump_report": lambda: dh_jump_report(polygon),
         "build_graph": lambda: build_graph(polygon),
         "canonical_graph": lambda: canonical_graph(build_graph(polygon)),
+        "shear_normal_form": lambda: shear_normal_form(polygon),
+        "boundary_chains": lambda: boundary_chains(polygon),
+        "vertical_edge_endpoints": lambda: sorted(vertical_edge_endpoints(polygon)),
+        "cut_degrees": lambda: cut_degrees(polygon),
+        "zk_chains": lambda: zk_chains(polygon),
         "slice_heights": lambda: [_library_answer(lambda: slice_heights(polygon, x)) for x in columns + midpoints],
         "orbit_counts": lambda: [_library_answer(lambda: orbit_counts(polygon, x)) for x in columns[1:-1]],
     }
+    for slope, offset in SHEARS:
+        shear = GlobalShear(slope, offset)
+        calls[f"transform_polygon {slope} {offset}"] = lambda shear=shear: transform_polygon(polygon, shear)
     for i, vertex in enumerate(polygon.vertices):
-        calls[f"classify_vertex {i}"] = lambda vertex=vertex: classify_vertex(polygon, vertex)
+        for reader in (classify_vertex, outgoing_primitives, isotropy_weights):
+            calls[f"{reader.__name__} {i}"] = lambda reader=reader, vertex=vertex: reader(polygon, vertex)
     return calls
+
+
+def _chop_command(polygon) -> list[str]:
+    """``chop`` at the polygon's first Delzant vertex, by half the largest size it allows."""
+    from semitoric import chop_allowance, classify_vertex, format_rational
+    from semitoric.vertices import VertexKind
+
+    vertex = next(v for v in polygon.vertices if classify_vertex(polygon, v).kind is VertexKind.DELZANT)
+    at = f"{format_rational(vertex.x)},{format_rational(vertex.y)}"
+    return ["chop", "--vertex", at, "--size", format_rational(chop_allowance(polygon, vertex) / 2)]
+
+
+def _cli_answer(argv: list[str]) -> str:
+    from semitoric.cli import run_cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        code = run_cli(argv, stdout, stderr)
+    except Exception as exc:  # run_cli should answer every input; a raised error is an answer too
+        return _digest(f"raised {type(exc).__name__}: {exc}")
+    return _digest(f"{code}\0{stdout.getvalue()}\0{stderr.getvalue()}")
 
 
 def answer(tree: str, directory: str, names: list[str]) -> dict[str, str]:
@@ -149,15 +200,17 @@ def answer(tree: str, directory: str, names: list[str]) -> dict[str, str]:
     sys.path.insert(0, os.path.join(tree, "src"))
     from semitoric import (
         adaptability,
+        corpus_names,
         delzant_presentations,
         enumerate_presentations,
         parse_polygon,
         switch_cut,
     )
-    from semitoric.cli import run_cli
 
     os.chdir(directory)  # relative paths, so messages naming a file agree
-    out = {}
+    out = {"cli corpus list": _cli_answer(["corpus", "list"])}
+    for corpus_name in corpus_names():
+        out[f"cli corpus get {corpus_name}"] = _cli_answer(["corpus", "get", corpus_name])
     for name in names:
         with open(name, "rb") as handle:
             text = handle.read()
@@ -179,12 +232,14 @@ def answer(tree: str, directory: str, names: list[str]) -> dict[str, str]:
             commands += [["presentations"], ["presentations", "--delzant-only"], ["adaptable"]]
             commands += [["self-intersection", "--side", side] for side in ("left", "right")]
             commands += [["switch-cut", "--index", str(i)] for i in indices]
+            try:
+                commands.append(_chop_command(polygon))
+            except Exception as exc:  # picking the vertex failed: that is the answer
+                out[f"{name} cli chop"] = _digest(f"{type(exc).__name__}: {exc}")
         for query, call in calls.items():
             out[f"{name} {query}"] = _digest(_library_answer(call))
         for command in commands:
-            stdout, stderr = io.StringIO(), io.StringIO()
-            code = run_cli([command[0], name, *command[1:]], stdout, stderr)
-            out[f"{name} cli {' '.join(command)}"] = _digest(f"{code}\0{stdout.getvalue()}\0{stderr.getvalue()}")
+            out[f"{name} cli {' '.join(command)}"] = _cli_answer([command[0], name, *command[1:]])
     return out
 
 
@@ -194,35 +249,74 @@ def _extract(rev: str, directory: str) -> None:
         tar.extractall(directory)
 
 
-def _answers(tree: str, directory: str, names: list[str]) -> dict[str, str]:
-    worker = [sys.executable, os.path.abspath(__file__), "--worker", tree, directory]
-    result = subprocess.run(worker, input="\n".join(names), capture_output=True, text=True)
+def _worker(*args: str, stdin: str = "") -> tuple[object, str]:
+    """Run this script as a worker; its JSON output, or None and the last line of its error."""
+    command = [sys.executable, os.path.abspath(__file__), *args]
+    result = subprocess.run(command, input=stdin, capture_output=True, text=True)
     if result.returncode:
-        sys.exit(f"answering in {tree} failed:\n{result.stderr}")
-    return json.loads(result.stdout)
+        lines = result.stderr.strip().splitlines()
+        return None, lines[-1] if lines else f"exit code {result.returncode}"
+    return json.loads(result.stdout), ""
+
+
+def _files(directory: str, names: list[str]) -> dict[str, str]:
+    out = {}
+    for name in names:
+        with open(os.path.join(directory, name), "rb") as handle:
+            out[name] = hashlib.sha256(handle.read()).hexdigest()
+    return out
+
+
+def compare(rev: str, scratch: str) -> tuple[int, int, list[str]]:
+    """(inputs, answers, differences) of this checkout against the tree of ``rev``."""
+    trees = {rev: os.path.join(scratch, "tree"), "this checkout": ROOT}
+    _extract(rev, trees[rev])
+    differences, made = [], {}
+    for label, tree in trees.items():
+        directory = os.path.join(scratch, f"inputs {len(made)}")
+        os.mkdir(directory)
+        names, error = _worker("--make", tree, directory)
+        if names is None:
+            differences.append(f"inputs made by {label}: {error}")
+        else:
+            made[label] = (directory, names)
+    if len(made) == 2:
+        files = [_files(directory, names) for directory, names in made.values()]
+        names = sorted(files[0].keys() | files[1].keys())
+        differences += [f"input {name}" for name in names if files[0].get(name) != files[1].get(name)]
+    if not made:
+        return 0, 0, differences
+    answers = []
+    for label, tree in trees.items():
+        directory, names = made.get(label) or next(iter(made.values()))  # the other tree's inputs
+        found, error = _worker("--answer", tree, directory, stdin="\n".join(names))
+        if found is None:
+            differences.append(f"answers of {label}: {error}")
+        answers.append(found or {})
+    theirs, ours = answers
+    differences += sorted(key for key in ours.keys() | theirs.keys() if ours.get(key) != theirs.get(key))
+    return max(len(names) for _, names in made.values()), max(map(len, answers)), differences
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", help="git revision to compare with")
-    parser.add_argument("--worker", nargs=2, metavar=("TREE", "INPUTS"), help=argparse.SUPPRESS)
+    parser.add_argument("--make", nargs=2, metavar=("TREE", "INPUTS"), help=argparse.SUPPRESS)
+    parser.add_argument("--answer", nargs=2, metavar=("TREE", "INPUTS"), help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.worker:
-        tree, directory = args.worker
-        json.dump(answer(tree, directory, sys.stdin.read().split()), sys.stdout)
+    if args.make:
+        json.dump(write_inputs(*args.make), sys.stdout)
+        return
+    if args.answer:
+        json.dump(answer(*args.answer, sys.stdin.read().split()), sys.stdout)
         return
     if args.rev is None:
         parser.error("a revision is required")
     with tempfile.TemporaryDirectory() as scratch:
-        inputs, other = os.path.join(scratch, "inputs"), os.path.join(scratch, "tree")
-        os.mkdir(inputs)
-        _extract(args.rev, other)
-        names = write_inputs(inputs)
-        theirs, ours = _answers(other, inputs, names), _answers(ROOT, inputs, names)
-    differences = sorted(key for key in ours.keys() | theirs.keys() if ours.get(key) != theirs.get(key))
+        inputs, answers, differences = compare(args.rev, scratch)
     for key in differences:
         print(f"differs: {key}")
-    print(f"{len(names)} inputs, {len(ours)} answers, {len(differences)} differences")
+    print(f"{inputs} inputs, {answers} answers, {len(differences)} differences")
     sys.exit(1 if differences else 0)
 
 
