@@ -282,8 +282,8 @@ def compare(rev: str, scratch: str) -> tuple[int, int, list[str]]:
             made[label] = (directory, names)
     if len(made) == 2:
         files = [_files(directory, names) for directory, names in made.values()]
-        names = sorted(files[0].keys() | files[1].keys())
-        differences += [f"input {name}" for name in names if files[0].get(name) != files[1].get(name)]
+        either = sorted(files[0].keys() | files[1].keys())
+        differences += [f"input {name}" for name in either if files[0].get(name) != files[1].get(name)]
     if not made:
         return 0, 0, differences
     answers = []
