@@ -12,20 +12,24 @@ jump report recomputes both sides of this identity from independent data.
 Adaptability (the circle action extends to a torus action) is decided twice:
 by orbit counting per column, and by searching the cut-sign family for a
 presentation that is a Delzant polygon.  The two verdicts must agree; a
-disagreement raises instead of guessing.  Both are polynomial in the number
-m of focus-focus points: the search tries the k + 1 up-counts of each column
-of k points on their own, the current one too (one O(1) column rule per
-up-count, on the column's ``PolygonFacts.sides``; no presentation is built),
-because a cut switch changes the polygon only on and right of its column,
-and right of it by a unimodular shear.  Only columns of one or two points
-can be Delzant, because a smooth corner ends at most one cut.  The cut
-family exists only for a valid polygon, so ``adaptability`` and
+disagreement raises instead of guessing.  Both read the valid polygon's own
+facts by position, once, and neither reads the other.  The orbit count is
+one walk along the bottom chain, the top chain and the mark columns.  The
+search decides each column of k points from its counts (k and the current
+up-count): a cut switch changes the polygon only on and right of its
+column, and right of it by a unimodular shear, so the column rule (an O(1)
+look at the column's ``PolygonFacts.sides``; no presentation is built) at
+the up-counts 0, 1, k - 1 and k decides validity and smoothness for the
+whole range, whatever k is.  Only columns of one or two points can be
+Delzant, because a smooth corner ends at most one cut.  The cut family
+exists only for a valid polygon, so ``adaptability`` and
 ``delzant_presentations`` refuse an invalid one with ValidationFailure.
-``delzant_presentations`` builds each Delzant member once, in one sweep that
-starts at the family's normal-form shear (one global shear, found from the
-unit polygon), so each member lands in shear normal form as it is built.
-A polygon's validation report is kept on its facts, so neither entry point
-validates a polygon twice.
+``delzant_presentations`` builds each Delzant member once, from the
+unit-split polygon it makes only when there is a member to build, in one
+sweep that starts at the family's normal-form shear (one global shear,
+found from the unit polygon), so each member lands in shear normal form as
+it is built.  A polygon's validation report is kept on its facts, so
+neither entry point validates a polygon twice.
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter
 from typing import Collection, Literal, Optional, Sequence
 
 from . import cuts
-from .cuts import SignProduct, _normal_shear, _require_verdict, split_marks
+from .cuts import SignProduct, _counts, _normal_shear, _require_verdict, _unit_marks, split_marks
 from .errors import DomainError, SemitoricError
 from .geometry import _exact, describe
 from .polygon import PolygonFacts, SemitoricPolygon, boundary_chains, require_valid
@@ -173,6 +178,34 @@ def orbit_counts(polygon: SemitoricPolygon, x: Fraction) -> OrbitCounts:
     return OrbitCounts(ee=ee, ff=facts.multiplicity_at(x), zk=facts.runs_over(x))
 
 
+def _mark_column_orbits(facts: PolygonFacts) -> list[tuple[Fraction, int, int, int]]:
+    """(x, ee, ff, zk) of :func:`orbit_counts` at each mark column of a valid polygon, from one walk along each chain.
+
+    Only a mark column can have three non-free orbits: a fake vertex ends a
+    cut, and a chain's point on any other interior column is either a
+    non-fake vertex (one elliptic-elliptic orbit) or inside at most one
+    k-run (one orbit of finite isotropy).  A point is inside a k-run where
+    it lies inside an edge of first component >= 2 or on a fake joint of two
+    such edges (a fake vertex joins edges of equal first components).
+    """
+    if not facts.marks_at:
+        return []
+    xs, sides = list(facts.marks_at), []
+    for side, (path, at) in enumerate(zip((facts.chains.bottom, facts.chains.top), facts._positions)):
+        k, counts = bisect_left(path, xs[0], key=attrgetter("x")), []  # every mark column is interior
+        for x in xs:
+            while path[k].x < x:
+                k += 1
+            # (ee, zk) of this chain's point; the edge reaching path[k] from the left, as in PolygonFacts._along
+            vertex = path[k].x == x and facts.classes[at[k]].kind is not VertexKind.FAKE
+            counts.append((1, 0) if vertex else (0, abs(facts.edges[at[k - 1 + side]].a) >= 2))
+        sides.append(counts)
+    return [
+        (x, bottom_ee + top_ee, sum(m.multiplicity for m in marks), bottom_zk + top_zk)
+        for (x, marks), (bottom_ee, bottom_zk), (top_ee, top_zk) in zip(facts.marks_at.items(), *sides)
+    ]
+
+
 @dataclass(frozen=True)
 class AdaptabilityVerdict:
     adaptable: bool
@@ -194,36 +227,48 @@ def _column_blocks(signs: Sequence[int], ups: Collection[int]) -> tuple[tuple[in
     return tuple(tuple(-s if code >> b & 1 else s for b, s in enumerate(signs)) for code in codes)
 
 
-def _delzant_signs(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, SignProduct]:
-    """The unit-split polygon of a valid polygon, and the sign vector of each of its Delzant presentations.
+def _delzant_signs(polygon: SemitoricPolygon) -> SignProduct:
+    """The sign vector of each Delzant presentation of a valid polygon.
 
-    Splitting lets coincident focus-focus points take independent cut signs,
-    which is the family the existence criterion quantifies over.  Flipping
-    unit mark i is bit i of a code, and sign vectors come in increasing
-    code order, each built when read, so their number may pass 2^64.
+    The existence criterion quantifies over the unit-split family, where
+    coincident focus-focus points take independent cut signs, so a sign
+    vector has one entry per unit mark, in the mark order of
+    :func:`split_marks`.  Flipping unit mark i is bit i of a code, and sign
+    vectors come in increasing code order, each built when read, so their
+    number may pass 2^64.
 
     A switch at column x shears the half-plane right of x unimodularly, so
     no boundary point off column x changes class, smoothness or validity,
-    and near x the presentation depends only on the column's up-count.  So
-    the Delzant presentations are the codes whose up-count at every column
-    keeps that column's vertices smooth, each up-count (the current one
-    too) checked alone by an O(1) look at the column's bottom and top point
-    (the column rule :func:`cuts._local_verdict`, which also checks each
-    member built).  Every member of a valid polygon's family is valid, and
-    no presentation is built.
+    and near x the presentation depends only on the column's up-count u, one
+    of 0..k for k points (the column rule :func:`cuts._local_verdict`, an
+    O(1) look at the column's bottom and top point, which also checks each
+    member built).  The up-counts 0, 1, k - 1 and k decide the whole range:
+
+    * each side's turn is linear in u, and while cuts still end at a corner
+      its class does not depend on u (in every presentation the bottom
+      corner's cuts shear its frame by ups - k and the top's by ups, ups
+      the current up-count), so 0 and k - 1 decide the bottom's validity
+      for u < k, 1 and k the top's for u > 0;
+    * a smooth corner ends at most one cut, so a smooth up-count has both
+      cut degrees k - u and u at most 1: it is one of the four, and there is
+      one only where k <= 2, the only columns whose unit signs are listed.
+
+    Every member of a valid polygon's family is valid, and no presentation
+    is built, nor the unit-split polygon.
     """
-    unit = split_marks(polygon)
-    facts = unit.facts
-    # no cut ends off the mark columns, so there a valid polygon's vertices (classes by position) are Delzant
-    if not all(is_smooth_class(_class_of(c)) for v, c in zip(unit.vertices, facts.classes) if v.x not in facts.marks_at):
-        return unit, SignProduct(((),))  # one factor with no choice: no sign vector
+    facts = polygon.facts
+    on_marks = {i for _, _, bottom, top in facts.heights.values() for i in (bottom, top)}
+    # no cut ends off the mark columns, so there a valid polygon's vertices are Delzant
+    if not all(is_smooth_class(c) for i, c in enumerate(facts.classes) if i not in on_marks):
+        return SignProduct(((),))  # one factor with no choice: no sign vector
     per_column = []  # per column: the signs of every flip pattern that keeps its vertices smooth
-    for x, marks in facts.marks_at.items():  # in mark order
-        signs = tuple(m.cut_sign for m in marks)
-        ups = [u for u in range(len(signs) + 1) if _require_verdict(facts.sides[x], signs, u - signs.count(1))]
-        per_column.append(_column_blocks(signs, ups))
+    for column, sides in zip(facts.marks_at.values(), facts.sides.values()):  # in mark order
+        k, ups = _counts(column)
+        smooth = [u for u in sorted({0, 1, k - 1, k}) if _require_verdict(sides, k, ups, u - ups)]
+        signs = tuple(m.cut_sign for m in _unit_marks(column)) if smooth else ()  # so k <= 2 where any is smooth
+        per_column.append(_column_blocks(signs, smooth))
     # the first column's bits are the lowest, so it varies fastest
-    return unit, SignProduct(tuple(per_column))
+    return SignProduct(tuple(per_column))
 
 
 def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
@@ -232,19 +277,15 @@ def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
     (i)  every interior column carries at most two non-free orbits;
     (ii) some presentation in the (unit-split) cut family is Delzant.
 
-    Both are polynomial in the number of focus-focus points.  Raises
-    ValidationFailure when the polygon is invalid, and CriteriaDisagreement
-    when the two verdicts differ, which signals a bug rather than a legal
-    state.
+    Both are polynomial in the number of focus-focus points, and neither
+    depends on a mark's multiplicity.  Raises ValidationFailure when the
+    polygon is invalid, and CriteriaDisagreement when the two verdicts
+    differ, which signals a bug rather than a legal state.
     """
-    facts = require_valid(polygon).facts
-    violating = []
-    for x in facts.columns[1:-1]:  # the marks of a valid polygon are interior
-        counts = orbit_counts(polygon, x)
-        if counts.total >= 3:
-            violating.append((x, counts))
+    orbits = _mark_column_orbits(require_valid(polygon).facts)
+    violating = [(x, OrbitCounts(ee=ee, ff=ff, zk=zk)) for x, ee, ff, zk in orbits if ee + ff + zk >= 3]
     by_counts = not violating
-    _, delzant = _delzant_signs(polygon)
+    delzant = _delzant_signs(polygon)
     by_existence = bool(delzant)
     if by_counts != by_existence:
         raise CriteriaDisagreement(
@@ -264,7 +305,10 @@ def delzant_presentations(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, 
 
     Raises ValidationFailure when the polygon is invalid.
     """
-    unit, delzant = _delzant_signs(require_valid(polygon))
+    delzant = _delzant_signs(require_valid(polygon))
+    if not delzant:
+        return ()
+    unit = split_marks(polygon)  # the members' marks are unit marks
     shear = _normal_shear(unit)  # a switch moves neither vertex 0 nor edge 0's direction: one shear for all
     # each swept straight into normal form; called through ``cuts`` so that patching it there counts the builds
     members = (cuts._flip_cuts(unit, signs, shear) for signs in delzant)

@@ -32,7 +32,7 @@ from .geometry import Point, format_rational, parse_rational
 from .graph import build_graph, canonical_graph
 from .polygon import SemitoricPolygon, require_valid
 from .serialization import emit_dot, parse_polygon, polygon_data, serialize_polygon
-from .vertices import classify_vertex, is_smooth_class
+from .vertices import is_smooth_class
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -120,9 +120,7 @@ def _cmd_validate(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
-    polygon = _load(args.file)
-    for vertex in polygon.vertices:
-        c = classify_vertex(polygon, vertex)
+    for c in _load(args.file).facts.classes:  # by position: a valid polygon's classes hold no error
         smooth = "yes" if is_smooth_class(c) else "no"
         print(f"{c} smooth={smooth}", file=out)
     return EXIT_OK

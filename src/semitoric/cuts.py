@@ -32,7 +32,7 @@ sweep starts at that shear, and each member lands in normal form directly.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -49,7 +49,7 @@ from .geometry import (
     det2,
     shear_vector,
 )
-from .polygon import MarkedPoint, SemitoricPolygon, boundary_chains, require_valid
+from .polygon import MarkedPoint, SemitoricPolygon, _mark_key, boundary_chains, require_valid
 from .vertices import is_smooth_class, lattice_class
 
 
@@ -132,22 +132,23 @@ def transform_polygon(polygon: SemitoricPolygon, shear: GlobalShear) -> Semitori
 
 
 def _local_verdict(
-    sides: Sequence[tuple[Point, LatticeVector, LatticeVector]], signs: Sequence[int], shift: int
+    sides: Sequence[tuple[Point, LatticeVector, LatticeVector]], k: int, ups: int, shift: int
 ) -> Optional[bool]:
     """Whether the presentation that moves this column's up-count by ``shift``
     is smooth on the column, or None when that presentation is invalid.
 
-    ``sides`` is ``PolygonFacts.sides`` of a valid polygon at a column with
-    marks of these cut signs.  The switch shears the boundary right of the
-    column by -shift, so only each side's right tangent w turns.  Where the
-    boundary then runs straight the point is no vertex, and invalid if a cut
-    ends there; where it turns the wrong way the polygon is reflex.  A corner
-    takes the class of its new frame and of the cuts ending there: the
-    new up-count's marks at the top, the rest at the bottom.
+    ``sides`` is ``PolygonFacts.sides`` of a valid polygon at a column of
+    ``k`` focus-focus points, ``ups`` of them cut upward.  The switch shears
+    the boundary right of the column by -shift, so only each side's right
+    tangent w turns.  Where the boundary then runs straight the point is no
+    vertex, and invalid if a cut ends there; where it turns the wrong way
+    the polygon is reflex.  A corner takes the class of its new frame and of
+    the cuts ending there: the new up-count at the top, the rest at the
+    bottom.
     """
-    ups = signs.count(1) + shift
+    up = ups + shift
     smooth = True
-    for (point, u, w), inward, degree, sign in zip(sides, (1, -1), (len(signs) - ups, ups), (-1, 1)):
+    for (point, u, w), inward, degree, sign in zip(sides, (1, -1), (k - up, up), (-1, 1)):
         w = shear_vector(w, -shift)
         turn = inward * det2(u, w)  # > 0: a convex corner
         if turn < 0 or (turn == 0 and degree):
@@ -161,11 +162,16 @@ def _local_verdict(
     return smooth
 
 
+def _counts(column: Sequence[MarkedPoint]) -> tuple[int, int]:
+    """(k, ups) of a mark column: its number of focus-focus points, and how many of them are cut upward."""
+    return sum(m.multiplicity for m in column), sum(m.multiplicity for m in column if m.cut_sign > 0)
+
+
 def _require_verdict(
-    sides: Sequence[tuple[Point, LatticeVector, LatticeVector]], signs: Sequence[int], shift: int
+    sides: Sequence[tuple[Point, LatticeVector, LatticeVector]], k: int, ups: int, shift: int
 ) -> bool:
     """:func:`_local_verdict`, raising PresentationError where it is None."""
-    smooth = _local_verdict(sides, signs, shift)
+    smooth = _local_verdict(sides, k, ups, shift)
     if smooth is None:  # a switch of a valid presentation is valid
         raise PresentationError(f"up-count shift {shift} at x = {describe(sides[0][0].x)}: invalid presentation")
     return smooth
@@ -223,7 +229,7 @@ def _flip_cuts(
             moved.append(MarkedPoint(_shear_point(mark.position, slope, offset), mark.multiplicity, sign))
         shears.append((slope, offset))
         if coefficient:
-            _require_verdict(sides, tuple(m.cut_sign for m in column for _ in range(m.multiplicity)), -coefficient)
+            _require_verdict(sides, *_counts(column), -coefficient)
             turns.append(tuple(det2(u, shear_vector(w, coefficient)) != 0 for _, u, w in sides))
             slope, offset = slope + coefficient, offset - coefficient * x
         else:
@@ -270,12 +276,13 @@ def split_marks(polygon: SemitoricPolygon) -> SemitoricPolygon:
     """
     if all(mark.multiplicity == 1 for mark in polygon.marks):
         return polygon
-    units = []
-    for mark in polygon.marks:
-        units.extend(
-            MarkedPoint(mark.position, 1, mark.cut_sign) for _ in range(mark.multiplicity)
-        )
-    return SemitoricPolygon(polygon.vertices, tuple(units))
+    return SemitoricPolygon(polygon.vertices, _unit_marks(polygon.marks))
+
+
+def _unit_marks(marks: Iterable[MarkedPoint]) -> tuple[MarkedPoint, ...]:
+    """The marks of :func:`split_marks`: each mark of multiplicity m as m unit marks, in polygon mark order."""
+    units = (MarkedPoint(mark.position, 1, mark.cut_sign) for mark in marks for _ in range(mark.multiplicity))
+    return tuple(sorted(units, key=_mark_key))
 
 
 def _normal_shear(polygon: SemitoricPolygon) -> GlobalShear:

@@ -497,13 +497,15 @@ def _validation_report(facts: PolygonFacts) -> ValidationReport:
     except ClassificationError as exc:
         return ValidationReport({}, (Violation("conflicting-cut-signs", "marks", str(exc)),))
 
+    bottom, top = facts._positions
+    extreme = {bottom[0], bottom[-1], top[0], top[-1]}  # the chains' ends: the vertices on J_min and J_max
     classifications: dict[Point, object] = {}
-    for vertex, result in zip(facts.vertices, facts.classes):
+    for i, (vertex, result) in enumerate(zip(facts.vertices, facts.classes)):
         if isinstance(result, SemitoricError):
             violations.append(Violation("unclassifiable-vertex", describe(vertex), str(result)))
             continue
         classifications[vertex] = result
-        if result.kind is not VertexKind.DELZANT and vertex.x in (j_min, j_max):
+        if result.kind is not VertexKind.DELZANT and i in extreme:
             violations.append(
                 Violation("extreme-not-delzant", describe(vertex), f"extreme vertex classifies as {result.kind.value}")
             )

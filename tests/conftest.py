@@ -151,3 +151,9 @@ def focus_ladder(jumps, widths=None, drops=None, slope=0, headroom=1):
         for k in range(jump)
     ]
     return require_valid(SemitoricPolygon(tuple(bottom) + tuple(reversed(top)), tuple(marks)))
+
+
+def multiplicity_probe(k: int) -> SemitoricPolygon:
+    """A valid five-vertex polygon whose one mark, cut down to the fake vertex (1, 0), has multiplicity k."""
+    vertices = (Point(0, 0), Point(1, 0), Point(2, k), Point(2, k + 1), Point(0, k + 1))
+    return require_valid(SemitoricPolygon(vertices, (MarkedPoint(Point(1, 1), k, -1),)))

@@ -1,16 +1,20 @@
+import importlib.util
+import sys
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import adaptability_oracle
-from conftest import corpus_polygons_under_ops, focus_ladder, multi_column_polygons
+from conftest import corpus_polygons_under_ops, focus_ladder, multi_column_polygons, multiplicity_probe
 from karshon_dh_oracle import dh_from_graph
 from semitoric import (
     DomainError,
     GeometryError,
     MarkedPoint,
+    OrbitCounts,
     Point,
     PresentationError,
     SemitoricPolygon,
@@ -25,8 +29,10 @@ from semitoric import (
     is_smooth_vertex,
     orbit_counts,
     outgoing_primitives,
+    parse_polygon,
     primitive,
     self_intersection,
+    serialize_polygon,
     slice_heights,
     split_marks,
     switch_cut,
@@ -113,6 +119,24 @@ class TestJumpReport:
                 assert report.consistent, (polygon, member)
 
 
+def column_families(corpus, derived_polygons):
+    """The families of tools/same_answers.py and the multiplicity probe up to k = 64, each also
+    with every cut sign flipped (not all of those valid)."""
+    tool = Path(__file__).parents[1] / "tools" / "same_answers.py"
+    spec = importlib.util.spec_from_file_location("same_answers", tool)
+    same_answers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_answers)
+    ladders = [focus_ladder(jumps) for jumps in same_answers.LADDERS]
+    polygons = list(corpus.values()) + derived_polygons + ladders + [same_answers._merged(p) for p in ladders]
+    polygons += multi_column_polygons(120, max_marks=8) + multi_column_polygons(60, seed=3, max_marks=8)
+    polygons += [multiplicity_probe(k) for k in range(1, 65)]
+    flipped = [
+        SemitoricPolygon(p.vertices, tuple(MarkedPoint(m.position, m.multiplicity, -m.cut_sign) for m in p.marks))
+        for p in polygons
+    ]
+    return polygons + flipped
+
+
 class TestOrbitCounts:
     def test_examples(self, corpus):
         counts = orbit_counts(corpus["NONADAPT3"], Fraction(1))
@@ -159,6 +183,19 @@ class TestOrbitCounts:
                     # the six admissible shapes: ff >= 1 and ee + zk <= 2
                     assert counts.ff >= 1
                     assert counts.ee + counts.zk <= 2
+
+    def test_mark_column_walk_matches_orbit_counts(self, corpus, derived_polygons):
+        # adaptability's one walk gives orbit_counts' (ee, ff, zk) at every mark column of a valid polygon
+        from semitoric.analysis import _mark_column_orbits
+
+        columns = 0
+        for polygon in column_families(corpus, derived_polygons):
+            if not validate(polygon).valid:
+                continue
+            walk = [(x, OrbitCounts(ee, ff, zk)) for x, ee, ff, zk in _mark_column_orbits(polygon.facts)]
+            assert walk == [(x, orbit_counts(polygon, x)) for x in polygon.facts.marks_at], polygon
+            columns += len(walk)
+        assert columns > 600
 
 
 class TestAdaptability:
@@ -299,7 +336,7 @@ class TestPerColumnSearch:
                     built = None
                 else:
                     built = all(is_smooth_vertex(shape, v) for v in shape.facts.vertices_at.get(x, ()))
-                assert _local_verdict(sides, signs, shift) == built, (unit, x, shift)
+                assert _local_verdict(sides, len(signs), signs.count(1), shift) == built, (unit, x, shift)
                 yield built
 
         seen = []
@@ -314,6 +351,45 @@ class TestPerColumnSearch:
             marks[-1] = MarkedPoint(marks[-1].position, 1, -marks[-1].cut_sign)
             seen.extend(verdicts(SemitoricPolygon(polygon.vertices, tuple(marks)), marks[-1].position.x))
         assert set(seen) == {None, True, False}
+
+    def test_four_up_counts_decide_each_column(self, corpus, derived_polygons):
+        # the up-counts 0, 1, k - 1 and k find the same smooth up-counts as all k + 1 do, and
+        # an invalid one exactly where one exists, on every mark column of the families of
+        # tools/same_answers.py, each also with every cut sign flipped, and of the probe up to k = 64
+        from semitoric.cuts import _counts, _local_verdict
+
+        columns, invalid = 0, 0
+        for polygon in column_families(corpus, derived_polygons):
+            for column, side in zip(polygon.facts.marks_at.values(), polygon.facts.sides.values()):
+                k, ups = _counts(column)
+                every = {u: _local_verdict(side, k, ups, u - ups) for u in range(k + 1)}
+                four = {u: every[u] for u in {0, 1, k - 1, k}}
+                assert [u for u in every if every[u]] == [u for u in sorted(four) if four[u]], (polygon, k)
+                assert (None in every.values()) == (None in four.values()), (polygon, k)
+                columns += 1
+                invalid += None in every.values()
+        assert columns > 1000 and invalid > 0
+
+    def test_adaptability_reads_facts_by_position(self, corpus, derived_polygons, monkeypatch):
+        # on a parsed polygon: no unit-split polygon, no vertex looked up by Point, no Point hashed
+        polygons = list(corpus.values()) + derived_polygons[:50] + multi_column_polygons(50, seed=3)
+        polygons += [focus_ladder([1] * 8), multiplicity_probe(2), multiplicity_probe(64)]
+        parsed = [parse_polygon(serialize_polygon(p)) for p in polygons]
+
+        def refused(*args):
+            raise AssertionError("called")
+
+        for name in ("split_marks", "classify_vertex"):
+            for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "semitoric"]:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+        hashes = []
+        point_hash = Point.__hash__
+        monkeypatch.setattr(Point, "__hash__", lambda point: hashes.append(1) or point_hash(point))
+        for polygon in parsed:
+            verdict = adaptability(polygon)
+            assert verdict.adaptable == bool(verdict.delzant_signs) and hashes == [], polygon
+        assert verdict.violating_levels == ((1, OrbitCounts(0, 64, 0)),)
 
     def test_ninety_six_point_ladder(self):
         # 32 triple columns, m = 96: every column violates, no presentation is Delzant

@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_polygons_under_ops, focus_ladder, multi_column_polygons
+from conftest import corpus_polygons_under_ops, focus_ladder, multi_column_polygons, multiplicity_probe
 from semitoric import (
     DomainError,
     GeometryError,
@@ -209,6 +210,23 @@ class TestCli:
         assert code == 0
         assert "non-adaptable" in out
         assert "x=1" in out and "E=0, FF=3, S=0" in out
+
+    @pytest.mark.parametrize(
+        "command",
+        [["validate"], ["dh"], ["adaptable"], ["presentations"], ["presentations", "--delzant-only"],
+         ["switch-cut", "--index", "0"]],
+    )
+    def test_one_mark_of_multiplicity_ten_to_the_eighteen(self, tmp_path, command):
+        # a few bytes of input: no answer but the graph's may cost time or memory in k
+        path = tmp_path / "probe.json"
+        path.write_text(serialize_polygon(multiplicity_probe(10**18)))
+        start = time.perf_counter()
+        code, out, _ = self.run(command[0], str(path), *command[1:])
+        assert code == 0 and time.perf_counter() - start < 1
+        if command == ["adaptable"]:
+            assert out == "non-adaptable\nviolating level x=1: E=0, FF=1000000000000000000, S=0\n"
+        if command[-1] == "--delzant-only":
+            assert out == "[]\n"
 
     def test_validate_file(self, tmp_path):
         good = tmp_path / "good.json"

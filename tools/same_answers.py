@@ -6,10 +6,12 @@
 REV is extracted with ``git archive`` into a temporary directory.  Each tree
 makes the inputs in a process of its own, from its own ``tests/conftest.py``
 and ``src/``: the corpus, ``fuzz_derivatives(200)``,
-``multi_column_polygons`` at two seeds, and focus ladders together with
-their merged-mark forms (coincident unit marks of one sign joined into one
-mark), plus invalid probes: each corpus and fuzz polygon with its vertices
-reversed, with every cut sign flipped, and with its first vertex doubled.
+``multi_column_polygons`` at two seeds, focus ladders together with their
+merged-mark forms (coincident unit marks of one sign joined into one mark),
+and the multiplicity family (one mark of multiplicity k, see
+``multiplicity_probe``, at k from 1 to 10^4), plus invalid probes: each
+corpus and fuzz polygon with its vertices reversed, with every cut sign
+flipped, and with its first vertex doubled.
 Each is written as a polygon file, and an input file that differs between
 the two trees is a difference.  Each tree then answers its own inputs (or
 the other tree's, when it could not make its own) in its own process:
@@ -20,6 +22,7 @@ the other tree's, when it could not make its own) in its own process:
   ``shear_normal_form``, ``transform_polygon`` under four fixed global
   shears (one with a non-integer offset), ``boundary_chains``,
   ``vertical_edge_endpoints``, ``cut_degrees``, ``zk_chains``,
+  ``is_delzant_polygon``,
   ``classify_vertex``, ``outgoing_primitives`` and ``isotropy_weights`` at
   every vertex, ``slice_heights`` at every vertex and mark column and at
   the midpoints between them, and ``orbit_counts`` at the interior ones; on
@@ -35,7 +38,9 @@ the other tree's, when it could not make its own) in its own process:
   ``corpus list`` and ``corpus get`` for every name.  Compared by exit
   code, stdout and stderr, or by the error ``run_cli`` raised.
 
-Answers are compared by SHA-256.  A tree that cannot make its inputs or
+Answers are compared by SHA-256.  A revision whose adaptability search is
+quadratic in a mark's multiplicity spends a few seconds on the k = 10^4
+member of the multiplicity family.  A tree that cannot make its inputs or
 answer them is a difference too, reported by the last line of its error.
 The last line reads ``N differences``; the exit code is 0 when N is 0 and 1
 otherwise.
@@ -58,6 +63,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LISTED = 64  # members of enumerate_presentations compared per input
 SHEARS = ((0, 0), (1, 0), (-2, Fraction(3, 7)), (3, -5))  # (slope, offset) of the global shears compared
 LADDERS = ([1] * 4, [1] * 8, [2], [2, 1], [1, 2, 1], [3, 1], [2, 2], [1, 1, 3], [2, 1, 2])
+MULTIPLICITIES = (1, 2, 3, 4, 7, 64, 10**3, 10**4)
+
+
+def multiplicity_probe(k: int):
+    """A valid five-vertex polygon whose one mark, cut down to the fake vertex (1, 0), has multiplicity k."""
+    from semitoric import MarkedPoint, Point, SemitoricPolygon
+
+    vertices = (Point(0, 0), Point(1, 0), Point(2, k), Point(2, k + 1), Point(0, k + 1))
+    return SemitoricPolygon(vertices, (MarkedPoint(Point(1, 1), k, -1),))
 
 
 def _merged(polygon):
@@ -95,6 +109,7 @@ def write_inputs(tree: str, directory: str) -> list[str]:
     polygons += multi_column_polygons(120, max_marks=8) + multi_column_polygons(60, seed=3, max_marks=8)
     ladders = [focus_ladder(jumps) for jumps in LADDERS]
     polygons += ladders + [_merged(ladder) for ladder in ladders]
+    polygons += [multiplicity_probe(k) for k in MULTIPLICITIES]
     names = []
     for polygon in dict.fromkeys(polygons):
         names.append(f"{len(names):04d}.json")
@@ -138,6 +153,7 @@ def _readers(polygon) -> dict:
         cut_degrees,
         dh_function,
         dh_jump_report,
+        is_delzant_polygon,
         isotropy_weights,
         orbit_counts,
         outgoing_primitives,
@@ -162,6 +178,7 @@ def _readers(polygon) -> dict:
         "vertical_edge_endpoints": lambda: sorted(vertical_edge_endpoints(polygon)),
         "cut_degrees": lambda: cut_degrees(polygon),
         "zk_chains": lambda: zk_chains(polygon),
+        "is_delzant_polygon": lambda: is_delzant_polygon(polygon),
         "slice_heights": lambda: [_library_answer(lambda: slice_heights(polygon, x)) for x in columns + midpoints],
         "orbit_counts": lambda: [_library_answer(lambda: orbit_counts(polygon, x)) for x in columns[1:-1]],
     }
