@@ -13,13 +13,14 @@ Adaptability (the circle action extends to a torus action) is decided twice:
 by orbit counting per column, and by searching the cut-sign family for a
 presentation that is a Delzant polygon.  The two verdicts must agree; a
 disagreement raises instead of guessing.  Both read the valid polygon's own
-facts by position, once, and neither reads the other.  The orbit count is
-one walk along the bottom chain, the top chain and the mark columns.  The
-search decides each column of k points from its counts (k and the current
-up-count): a cut switch changes the polygon only on and right of its
-column, and right of it by a unimodular shear, so the column rule (an O(1)
-look at the column's ``PolygonFacts.sides``; no presentation is built) at
-the up-counts 0, 1, k - 1 and k decides validity and smoothness for the
+facts by position, once, and neither reads the other.  The orbit count
+reads each mark column's two points where one walk along the chains found
+them (``PolygonFacts.heights`` and ``sides``).  The search decides each
+column of k points from its counts (k and the current up-count): a cut
+switch changes the polygon only on and right of its column, and right of
+it by a unimodular shear, so the column rule (an O(1) look at the
+column's ``PolygonFacts.sides``; no presentation is built) at the
+up-counts 0, 1, k - 1 and k decides validity and smoothness for the
 whole range, whatever k is.  Only columns of one or two points can be
 Delzant, because a smooth corner ends at most one cut.  The cut family
 exists only for a valid polygon, so ``adaptability`` and
@@ -38,7 +39,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import attrgetter
 from typing import Collection, Literal, Optional, Sequence
 
 from . import cuts
@@ -82,7 +82,7 @@ class PiecewiseLinear:
 def dh_function(polygon: SemitoricPolygon) -> PiecewiseLinear:
     """Density of the pushforward of the Liouville measure: slice length per column."""
     facts = polygon.facts
-    return PiecewiseLinear(facts.columns, tuple(top - bottom for bottom, top, _, _ in facts._slices))
+    return PiecewiseLinear(facts.columns, tuple(top - bottom for bottom, top, *_ in facts._slices))
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def dh_jump_report(polygon: SemitoricPolygon) -> JumpReport:
     for i in range(1, len(density.breakpoints) - 1):
         x = density.breakpoints[i]
         left, right = slopes[i - 1], slopes[i]
-        _, _, bottom, top = facts._slices[i]
+        bottom, top = facts._slices[i][2:4]
         e_top, e_bottom = _weight_term(facts, top), _weight_term(facts, bottom)
         marks_here = facts.multiplicity_at(x)
         entries.append(
@@ -179,31 +179,22 @@ def orbit_counts(polygon: SemitoricPolygon, x: Fraction) -> OrbitCounts:
 
 
 def _mark_column_orbits(facts: PolygonFacts) -> list[tuple[Fraction, int, int, int]]:
-    """(x, ee, ff, zk) of :func:`orbit_counts` at each mark column of a valid polygon, from one walk along each chain.
+    """(x, ee, ff, zk) of :func:`orbit_counts` at each mark column of a valid polygon, from its two points.
 
     Only a mark column can have three non-free orbits: a fake vertex ends a
     cut, and a chain's point on any other interior column is either a
     non-fake vertex (one elliptic-elliptic orbit) or inside at most one
     k-run (one orbit of finite isotropy).  A point is inside a k-run where
     it lies inside an edge of first component >= 2 or on a fake joint of two
-    such edges (a fake vertex joins edges of equal first components).
+    such edges (a fake vertex joins edges of equal first components), so
+    the tangent left of it (``PolygonFacts.sides``) decides.
     """
-    if not facts.marks_at:
-        return []
-    xs, sides = list(facts.marks_at), []
-    for side, (path, at) in enumerate(zip((facts.chains.bottom, facts.chains.top), facts._positions)):
-        k, counts = bisect_left(path, xs[0], key=attrgetter("x")), []  # every mark column is interior
-        for x in xs:
-            while path[k].x < x:
-                k += 1
-            # (ee, zk) of this chain's point; the edge reaching path[k] from the left, as in PolygonFacts._along
-            vertex = path[k].x == x and facts.classes[at[k]].kind is not VertexKind.FAKE
-            counts.append((1, 0) if vertex else (0, abs(facts.edges[at[k - 1 + side]].a) >= 2))
-        sides.append(counts)
-    return [
-        (x, bottom_ee + top_ee, sum(m.multiplicity for m in marks), bottom_zk + top_zk)
-        for (x, marks), (bottom_ee, bottom_zk), (top_ee, top_zk) in zip(facts.marks_at.items(), *sides)
-    ]
+    out = []
+    for (x, marks), slice_, sides in zip(facts.marks_at.items(), facts.heights.values(), facts.sides.values()):
+        ee = [v is not None and facts.classes[v].kind is not VertexKind.FAKE for v in slice_[2:4]]
+        zk = sum(abs(u.a) >= 2 for elliptic, (_, u, _) in zip(ee, sides) if not elliptic)
+        out.append((x, sum(ee), sum(m.multiplicity for m in marks), zk))
+    return out
 
 
 @dataclass(frozen=True)
@@ -257,7 +248,7 @@ def _delzant_signs(polygon: SemitoricPolygon) -> SignProduct:
     is built, nor the unit-split polygon.
     """
     facts = polygon.facts
-    on_marks = {i for _, _, bottom, top in facts.heights.values() for i in (bottom, top)}
+    on_marks = {i for heights in facts.heights.values() for i in heights[2:4]}
     # no cut ends off the mark columns, so there a valid polygon's vertices are Delzant
     if not all(is_smooth_class(c) for i, c in enumerate(facts.classes) if i not in on_marks):
         return SignProduct(((),))  # one factor with no choice: no sign vector

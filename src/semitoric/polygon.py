@@ -13,7 +13,8 @@ pickling, so it lives exactly as long as the polygon.  Each of its facts
 (the primitive direction of each edge, the boundary chains and vertical
 edges, the slice heights at the mark columns and the Duistermaat-Heckman
 walk over every column, the boundary points and tangents on each mark
-column, the cut degrees, each vertex's class, the k-runs, the validation
+column and the chains subdivided there, all read from one walk along each
+chain, the cut degrees, each vertex's class, the k-runs, the validation
 report) is computed on first read and kept.  A fact whose computation fails
 is not kept: every read raises again, with the same type and message.  Only
 the vertex classes hold errors, one per unclassifiable vertex, so validation
@@ -41,7 +42,9 @@ from .errors import (
     SemitoricError,
     ValidationFailure,
 )
-from .geometry import LatticeVector, Point, _exact, cross, describe, det2, primitive_direction
+from .geometry import LatticeVector, Point, _exact, cross, describe, det2
+
+_Slice = tuple[Fraction, Fraction, Optional[int], Optional[int], int, int]  # one column, see PolygonFacts._walk
 
 
 @dataclass(frozen=True)
@@ -211,14 +214,15 @@ class PolygonFacts:
         top_left = n - 1 if chains.left_vertical else 0  # the top chain runs from it against polygon order
         return range(len(chains.bottom)), [(top_left - k) % n for k in range(len(chains.top))]
 
-    def _walk(self, columns: Sequence[Fraction]) -> list[tuple[Fraction, Fraction, Optional[int], Optional[int]]]:
-        """(bottom y, top y, bottom vertex, top vertex) at each of these sorted columns of
-        [j_min, j_max], from one walk along each chain; a vertex is its position, or None."""
-        return [(by, ty, bi, ti) for (by, bi), (ty, ti) in zip(self._along(0, columns), self._along(1, columns))]
+    def _walk(self, columns: Sequence[Fraction]) -> list[_Slice]:
+        """(bottom y, top y, bottom vertex, top vertex, bottom index, top index) at each of these
+        sorted columns of [j_min, j_max], from one walk along each chain (see :meth:`_along`)."""
+        bottom, top = self._along(0, columns), self._along(1, columns)
+        return [(by, ty, bv, tv, bk, tk) for (by, bv, bk), (ty, tv, tk) in zip(bottom, top)]
 
-    def _along(self, side: int, columns: Sequence[Fraction]) -> list[tuple[Fraction, Optional[int]]]:
-        """The bottom (side 0) or top (side 1) chain's y at each column, with the position of its vertex
-        there (None between vertices), walking chain and columns together from a bisection at the first."""
+    def _along(self, side: int, columns: Sequence[Fraction]) -> list[tuple[Fraction, Optional[int], int]]:
+        """The bottom (side 0) or top (side 1) chain's y at each column, its vertex's position there (None
+        between vertices) and the index of its first point at or right of the column, from a bisection."""
         path, at = (self.chains.bottom, self.chains.top)[side], self._positions[side]
         out, k = [], bisect_left(path, columns[0], key=attrgetter("x")) if columns else 0
         for x in columns:
@@ -226,25 +230,24 @@ class PolygonFacts:
                 k += 1
             b = path[k]
             if b.x == x:
-                out.append((b.y, at[k]))
+                out.append((b.y, at[k], k))
                 continue
             # y = a.y + (x - a.x) * q / p, normalised once; the top runs against polygon order
             a, (p, q) = path[k - 1], self.edges[at[k - 1 + side]]
             (xn, xd), (an, ad), (yn, yd) = x.as_integer_ratio(), a.x.as_integer_ratio(), a.y.as_integer_ratio()
             scale = xd * ad * p
-            out.append((Fraction(yn * scale + (xn * ad - an * xd) * q * yd, yd * scale), None))
+            out.append((Fraction(yn * scale + (xn * ad - an * xd) * q * yd, yd * scale), None, k))
         return out
 
     @cached_property
-    def heights(self) -> dict[Fraction, tuple[Fraction, Fraction, Optional[int], Optional[int]]]:
-        """(bottom y, top y, bottom vertex, top vertex) at each mark column in [j_min, j_max]."""
-        xs = list(self.marks_at)
-        inside = xs[bisect_left(xs, self.j_min) : bisect_right(xs, self.j_max)]
+    def heights(self) -> dict[Fraction, _Slice]:
+        """The :meth:`_walk` record at each mark column in [j_min, j_max]."""
+        inside = [x for x in self.marks_at if self.j_min <= x <= self.j_max]  # the marks are sorted by x
         return dict(zip(inside, self._walk(inside)))
 
     @cached_property
-    def _slices(self) -> list[tuple[Fraction, Fraction, Optional[int], Optional[int]]]:
-        """(bottom y, top y, bottom vertex, top vertex) at every column, for the DH density."""
+    def _slices(self) -> list[_Slice]:
+        """The :meth:`_walk` record at every column, for the DH density."""
         xs = self.columns
         for x in xs[: bisect_left(xs, self.j_min)] + xs[bisect_right(xs, self.j_max) :]:
             self.slice_at(x)  # raises: a mark off the moment interval
@@ -256,24 +259,32 @@ class PolygonFacts:
         column put in.  Each point comes with whether it is a vertex, its rank (the number of
         mark columns left of it, which picks the shear the cut-switch sweep of a sign vector
         moves it by) and whether it is on the mark column of that index."""
-        xs = tuple(self.marks_at)
         paths = []
         for side, chain in enumerate((self.chains.bottom, self.chains.top)):
-            added = [Point(x, h[side]) for x, h in self.heights.items() if h[2 + side] is None]
-            path, rank = [], 0
-            for p, vertex in sorted([(p, True) for p in chain] + [(p, False) for p in added]):
-                while rank < len(xs) and xs[rank] < p.x:
-                    rank += 1
-                path.append((p, vertex, rank, rank < len(xs) and xs[rank] == p.x))
-            paths.append(tuple(path))
+            path, start = [], 0  # the chain's points before ``start`` are in the path
+            for rank, (x, slice_) in enumerate(self.heights.items()):
+                k, vertex = slice_[4 + side], slice_[2 + side] is not None
+                path += [(p, True, rank, False) for p in chain[start:k]]
+                path.append((chain[k] if vertex else Point(x, slice_[side]), vertex, rank, True))
+                start = k + vertex
+            paths.append(tuple(path + [(p, True, len(self.heights), False) for p in chain[start:]]))
         return tuple(paths)
 
     @cached_property
     def sides(self) -> dict[Fraction, tuple[tuple[Point, LatticeVector, LatticeVector], ...]]:
-        """Mark column -> its bottom and then its top boundary point, each with
-        the rightward primitive tangents of the boundary left and right of it."""
-        paths = (self.chains.bottom, self.chains.top)
-        return {x: tuple(_side(path, x, y) for path, y in zip(paths, self.heights[x])) for x in self.marks_at}
+        """Mark column -> its bottom and then its top boundary point, each with the rightward
+        primitive tangents of the boundary left and right of it: the chain's own edge directions
+        at the walk's index, negated on the top chain, which runs against polygon order."""
+        out = {}
+        for x, slice_ in self.heights.items():
+            column = []
+            for side, at in enumerate(self._positions):
+                # the edges into the chain's point k and, at a vertex, out of it; the top runs against polygon order
+                k, sign = slice_[4 + side], 1 - 2 * side
+                u, w = (self.edges[at[i + side]] for i in (k - 1, k - (slice_[2 + side] is None)))
+                column.append((Point(x, slice_[side]), *(LatticeVector(sign * e.a, sign * e.b) for e in (u, w))))
+            out[x] = tuple(column)
+        return out
 
     def slice_at(self, x: Fraction) -> tuple[Fraction, Fraction]:
         """(y_bottom, y_top) at x: a lookup at a mark column, a bisection elsewhere."""
@@ -373,12 +384,6 @@ def _direction(a: Point, b: Point) -> Optional[LatticeVector]:
         return None
     g = gcd(dx, dy)
     return LatticeVector(dx // g, dy // g)
-
-
-def _side(path: Sequence[Point], x: Fraction, y: Fraction) -> tuple[Point, LatticeVector, LatticeVector]:
-    i = bisect_left(path, x, key=attrgetter("x"))  # x is interior: path[i - 1].x < x <= path[i].x
-    left, right = path[i - 1], path[i + 1] if path[i].x == x else path[i]
-    return Point(x, y), primitive_direction(x - left.x, y - left.y), primitive_direction(right.x - x, right.y - y)
 
 
 def _structure_violations(facts: PolygonFacts) -> list[Violation]:

@@ -1,7 +1,9 @@
 import importlib.util
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,7 @@ from semitoric import (
     outgoing_primitives,
     parse_polygon,
     primitive,
+    primitive_direction,
     self_intersection,
     serialize_polygon,
     slice_heights,
@@ -135,6 +138,59 @@ def column_families(corpus, derived_polygons):
         for p in polygons
     ]
     return polygons + flipped
+
+
+def reference_sides(facts):
+    """``PolygonFacts.sides`` by a bisection of each chain per mark column, with the tangents
+    taken as primitive directions of Fraction differences (the walk reads them off ``facts.edges``)."""
+
+    def side(path, x, y):
+        i = bisect_left(path, x, key=attrgetter("x"))  # x is interior: path[i - 1].x < x <= path[i].x
+        left, right = path[i - 1], path[i + 1] if path[i].x == x else path[i]
+        return Point(x, y), primitive_direction(x - left.x, y - left.y), primitive_direction(right.x - x, right.y - y)
+
+    paths = (facts.chains.bottom, facts.chains.top)
+    return {x: tuple(side(path, x, y) for path, y in zip(paths, facts.heights[x])) for x in facts.marks_at}
+
+
+def reference_mark_paths(facts):
+    """``PolygonFacts.mark_paths`` by sorting each chain's points together with the boundary
+    points put in on the mark columns (the walk slices each chain at its stored indices)."""
+    xs = tuple(facts.marks_at)
+    paths = []
+    for side, chain in enumerate((facts.chains.bottom, facts.chains.top)):
+        added = [Point(x, h[side]) for x, h in facts.heights.items() if h[2 + side] is None]
+        path, rank = [], 0
+        for p, vertex in sorted([(p, True) for p in chain] + [(p, False) for p in added]):
+            while rank < len(xs) and xs[rank] < p.x:
+                rank += 1
+            path.append((p, vertex, rank, rank < len(xs) and xs[rank] == p.x))
+        paths.append(tuple(path))
+    return tuple(paths)
+
+
+class TestMarkColumnRecord:
+    """The heights walk's chain indices give the same tangents and subdivided chains as searching each chain."""
+
+    def test_sides_match_the_reference(self, corpus, derived_polygons):
+        polygons = column_families(corpus, derived_polygons)
+        # the sign-flipped invalid polygons whose columns test_local_rule_matches_the_build reads
+        for polygon in multi_column_polygons(100, seed=7, max_marks=8):
+            marks = list(polygon.marks)
+            marks[-1] = MarkedPoint(marks[-1].position, 1, -marks[-1].cut_sign)
+            polygons.append(SemitoricPolygon(polygon.vertices, tuple(marks)))
+        columns = 0
+        for polygon in polygons:
+            assert polygon.facts.sides == reference_sides(polygon.facts), polygon
+            columns += len(polygon.facts.sides)
+        assert columns > 1500
+
+    def test_mark_paths_match_the_reference(self, corpus, derived_polygons):
+        columns = 0
+        for polygon in column_families(corpus, derived_polygons):
+            assert polygon.facts.mark_paths == reference_mark_paths(polygon.facts), polygon
+            columns += len(polygon.facts.marks_at)
+        assert columns > 1200
 
 
 class TestOrbitCounts:

@@ -157,6 +157,30 @@ def test_dh_walks_the_columns_once_per_query(corpus, tmp_path, monkeypatch):
         assert len(walks) == 1, polygon
 
 
+def test_mark_columns_bisect_once_per_chain(corpus, tmp_path, monkeypatch):
+    # one walk along each chain finds every mark column's heights, tangents, orbit counts and subdivided chains
+    import semitoric.analysis as analysis
+    import semitoric.polygon as polygon_module
+    from conftest import focus_ladder
+
+    bisections = []
+    for module in (polygon_module, analysis):
+        monkeypatch.setattr(
+            module, "bisect_left", lambda *args, found=module.bisect_left, **kw: bisections.append(1) or found(*args, **kw)
+        )
+    commands = (["adaptable"], ["switch-cut", "--index", "0"], ["presentations"], ["presentations", "--delzant-only"])
+    queries = 0
+    for polygon in list(corpus.values()) + [focus_ladder([1, 2, 1])]:
+        path = tmp_path / "polygon.json"
+        path.write_text(serialize_polygon(polygon))
+        for command in commands if polygon.marks else commands[:1]:
+            bisections.clear()
+            assert cli.run_cli([command[0], str(path), *command[1:]], io.StringIO(), io.StringIO()) == 0
+            assert len(bisections) <= 2, (polygon, command, len(bisections))
+            queries += 1
+    assert queries > 20
+
+
 def _raised_twice(fn, *args):
     caught = []
     for _ in range(2):

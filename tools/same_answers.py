@@ -27,9 +27,11 @@ the other tree's, when it could not make its own) in its own process:
   every vertex, ``slice_heights`` at every vertex and mark column and at
   the midpoints between them, and ``orbit_counts`` at the interior ones; on
   a valid polygon also ``adaptability``, ``delzant_presentations``, the
-  first 64 members of ``enumerate_presentations`` and ``switch_cut`` at
-  every mark index (and one index past the end).  Compared by repr, or by
-  error type and message;
+  first 64 members of ``enumerate_presentations``, ``switch_cut`` at
+  every mark index (and one index past the end), ``self_intersection`` on
+  both sides, and ``chop_allowance`` and ``corner_chop`` (by half the
+  allowance) at the first Delzant vertex.  Compared by repr, or by error
+  type and message;
 * command line: ``run_cli`` for ``validate``, ``dh``, ``graph`` (JSON and
   DOT) and ``classify`` on every input; on a valid one also
   ``presentations`` (with and without ``--delzant-only``), ``adaptable``,
@@ -191,14 +193,29 @@ def _readers(polygon) -> dict:
     return calls
 
 
-def _chop_command(polygon) -> list[str]:
-    """``chop`` at the polygon's first Delzant vertex, by half the largest size it allows."""
-    from semitoric import chop_allowance, classify_vertex, format_rational
+def _first_delzant(polygon):
+    """The polygon's first Delzant vertex, where the chop is compared."""
+    from semitoric import classify_vertex
     from semitoric.vertices import VertexKind
 
-    vertex = next(v for v in polygon.vertices if classify_vertex(polygon, v).kind is VertexKind.DELZANT)
+    return next(v for v in polygon.vertices if classify_vertex(polygon, v).kind is VertexKind.DELZANT)
+
+
+def _half_chop(polygon):
+    """(vertex, size) of the chop compared: the first Delzant vertex, by half the largest size it allows."""
+    from semitoric import chop_allowance
+
+    vertex = _first_delzant(polygon)
+    return vertex, chop_allowance(polygon, vertex) / 2
+
+
+def _chop_command(polygon) -> list[str]:
+    """``chop`` at the polygon's first Delzant vertex, by half the largest size it allows."""
+    from semitoric import format_rational
+
+    vertex, size = _half_chop(polygon)
     at = f"{format_rational(vertex.x)},{format_rational(vertex.y)}"
-    return ["chop", "--vertex", at, "--size", format_rational(chop_allowance(polygon, vertex) / 2)]
+    return ["chop", "--vertex", at, "--size", format_rational(size)]
 
 
 def _cli_answer(argv: list[str]) -> str:
@@ -217,10 +234,13 @@ def answer(tree: str, directory: str, names: list[str]) -> dict[str, str]:
     sys.path.insert(0, os.path.join(tree, "src"))
     from semitoric import (
         adaptability,
+        chop_allowance,
+        corner_chop,
         corpus_names,
         delzant_presentations,
         enumerate_presentations,
         parse_polygon,
+        self_intersection,
         switch_cut,
     )
 
@@ -243,6 +263,10 @@ def answer(tree: str, directory: str, names: list[str]) -> dict[str, str]:
                 "adaptability": lambda: adaptability(polygon),
                 "delzant_presentations": lambda: delzant_presentations(polygon),
                 "enumerate_presentations": lambda: enumerate_presentations(polygon).members[:LISTED],
+                "self_intersection left": lambda: self_intersection(polygon, "left"),
+                "self_intersection right": lambda: self_intersection(polygon, "right"),
+                "chop_allowance": lambda: chop_allowance(polygon, _first_delzant(polygon)),
+                "corner_chop": lambda: corner_chop(polygon, *_half_chop(polygon)),
             })
             indices = range(len(polygon.marks) + 1)
             calls.update({f"switch_cut {i}": (lambda i=i: switch_cut(polygon, i)) for i in indices})
