@@ -168,6 +168,10 @@ class OrbitCounts:
 
 
 def orbit_counts(polygon: SemitoricPolygon, x: Fraction) -> OrbitCounts:
+    """The non-free circle orbits over the interior column at ``x``.
+
+    Defined for j_min < x < j_max only; any other column raises DomainError.
+    """
     x = _exact(x)
     facts = polygon.facts
     if not facts.j_min < x < facts.j_max:
@@ -175,7 +179,8 @@ def orbit_counts(polygon: SemitoricPolygon, x: Fraction) -> OrbitCounts:
     ee = sum(
         1 for v in facts.vertices_at.get(x, ()) if classify_vertex(polygon, v).kind is not VertexKind.FAKE
     )
-    return OrbitCounts(ee=ee, ff=facts.multiplicity_at(x), zk=facts.runs_over(x))
+    zk = sum(run.start_vertex.x < x < run.end_vertex.x for run in facts.k_runs)
+    return OrbitCounts(ee=ee, ff=facts.multiplicity_at(x), zk=zk)
 
 
 def _mark_column_orbits(facts: PolygonFacts) -> list[tuple[Fraction, int, int, int]]:

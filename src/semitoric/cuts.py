@@ -5,15 +5,16 @@ at the mark's column and coefficient (old sign) * (multiplicity): identity
 left of the column, a unipotent shear right of it.  Boundary vertices are
 inserted where the kink bends an edge and removed where it straightens one.
 Switches at distinct marks commute, so each of the 2^m presentations of the
-family is built from its sign vector in one sweep left to right: every point
-moves by the sum of the shears pivoting left of it, and only a point on a
-flipped column can become or stop being a vertex.  That point stays one
-exactly where its integer tangents still turn, det2(u, w sheared by the
-column's coefficient) != 0.  The sweep's bookkeeping is indexed by mark
-column (flip coefficients, turn flags, each boundary point's rank among the
-columns, read from ``PolygonFacts``), and it moves each point by its running
-(slope, offset) with ``GlobalShear``'s one point-shear formula.  A
-``SignProduct`` lists the family, building each member when it is read.
+family is built from its sign vector in one pass over the mark columns:
+every point moves by the sum of the shears pivoting left of it, and only a
+point on a flipped column can become or stop being a vertex.  That point
+stays one exactly where its integer tangents still turn, det2(u, w sheared
+by the column's coefficient) != 0.  At each flipped column the pass takes
+each boundary chain's points up to the index that the heights walk
+recorded there (``PolygonFacts.heights``), so no subdivided copy of a
+chain is kept, and it moves each point by its running (slope, offset)
+with ``GlobalShear``'s one point-shear formula.  A ``SignProduct`` lists
+the family, building each member when it is read.
 
 The family exists only for a valid polygon, and every member of it is
 valid: a switch changes the polygon near its column only, where the column
@@ -27,14 +28,13 @@ checked by the column rule at its flipped columns, not re-validated.
 The shear normal form reads only vertex 0 and the direction of edge 0,
 which no switch moves, and a global shear commutes with every switch, so
 one shear (:func:`_normal_shear`) normalises every member of a family: the
-sweep starts at that shear, and each member lands in normal form directly.
+pass starts at that shear, and each member lands in normal form directly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, product
 from math import prod
 from typing import Iterator, Optional
@@ -177,27 +177,6 @@ def _require_verdict(
     return smooth
 
 
-def _path_image(
-    path: Sequence[tuple[Point, bool, int, bool]],
-    side: int,
-    shears: Sequence[tuple[int, Fraction]],
-    turns: Sequence[Optional[tuple[bool, bool]]],
-) -> list[Point]:
-    """The vertices of a sheared chain, left to right.
-
-    A point of rank r moves by ``shears[r]``.  The shears are affine between
-    flipped columns, so a point off them is a vertex exactly when it was
-    one; a point on a flipped column is one where its image turns.
-    """
-    out = []
-    for p, vertex, rank, on in path:
-        if on and turns[rank] is not None:
-            vertex = turns[rank][side]
-        if vertex:
-            out.append(_shear_point(p, *shears[rank]))
-    return out
-
-
 def _flip_cuts(
     polygon: SemitoricPolygon, signs: Sequence[int], start: Optional[GlobalShear] = None
 ) -> SemitoricPolygon:
@@ -205,37 +184,44 @@ def _flip_cuts(
     shear ``start`` when one is given; the polygon itself when neither changes it.
 
     Flipping mark i shears the plane right of its column by (old sign) *
-    (multiplicity); the shears of one column add, and may cancel.  One sweep
-    along each boundary chain, subdivided at the mark columns, moves every
-    point by ``start`` and the sum of the shears left of it.  Each flipped
-    column is checked by the column rule (:func:`_local_verdict`) and raises
-    PresentationError where it fails; its bottom and top point stay vertices
-    where their integer tangents still turn.  A switch of a valid polygon is
-    valid, so nothing else is checked.
+    (multiplicity); the shears of one column add, and may cancel.  One pass
+    over the mark columns moves every point by ``start`` and the sum of the
+    shears left of it: at each column where the shear changes it takes each
+    chain's points up to the index the heights walk recorded there, then
+    the column's own point where its sheared tangents still turn.  Each
+    flipped column is checked by the column rule (:func:`_local_verdict`)
+    and raises PresentationError where it fails.  A switch of a valid
+    polygon is valid, so nothing else is checked.
     """
     if start is None and all(mark.cut_sign == sign for mark, sign in zip(polygon.marks, signs)):
         return polygon
     facts = polygon.facts
+    chains = (facts.chains.bottom, facts.chains.top)
     # (slope, offset) of GlobalShear: ``start``, plus c * (x - x_c) for each flipped column x_c left of the point
     slope, offset = (start.slope, start.offset) if start is not None else (0, 0)
-    shears, turns, moved = [], [], []  # per mark column: the shear left of it, whether its two points turn; the marks
+    images, taken, moved = ([], []), [0, 0], []  # each chain's image and how many of its points it has; the marks
     signs = iter(signs)  # each column's zip(column, signs) takes that column's signs: zip tries ``column`` first
-    for (x, column), sides in zip(facts.marks_at.items(), facts.sides.values()):
+    for (x, column), slice_, sides in zip(facts.marks_at.items(), facts.heights.values(), facts.sides.values()):
         coefficient = 0
         for mark, sign in zip(column, signs):
             if sign != mark.cut_sign:
                 coefficient += mark.cut_sign * mark.multiplicity
             # the shears left and right of the mark's own column agree on it
             moved.append(MarkedPoint(_shear_point(mark.position, slope, offset), mark.multiplicity, sign))
-        shears.append((slope, offset))
-        if coefficient:
-            _require_verdict(sides, *_counts(column), -coefficient)
-            turns.append(tuple(det2(u, shear_vector(w, coefficient)) != 0 for _, u, w in sides))
-            slope, offset = slope + coefficient, offset - coefficient * x
-        else:
-            turns.append(None)
-    shears.append((slope, offset))
-    bottom, top = (_path_image(path, side, shears, turns) for side, path in enumerate(facts.mark_paths))
+        if not coefficient:
+            continue  # the shear runs on across the column, and so does each chain
+        _require_verdict(sides, *_counts(column), -coefficient)
+        for side, (image, path, (point, u, w)) in enumerate(zip(images, chains, sides)):
+            # the chain's points since the last flipped column, then its point on this one where it still turns
+            k = slice_[4 + side]
+            image += [_shear_point(p, slope, offset) for p in path[taken[side] : k]]
+            if det2(u, shear_vector(w, coefficient)):
+                image.append(_shear_point(point, slope, offset))
+            taken[side] = k + (slice_[2 + side] is not None)
+        slope, offset = slope + coefficient, offset - coefficient * x
+    for image, path, k in zip(images, chains, taken):  # the points right of the last flipped column
+        image += [_shear_point(p, slope, offset) for p in path[k:]]
+    bottom, top = images
     # the chains share their end points where no vertical edge joins them
     if facts.chains.right_vertical is None:
         bottom.pop()

@@ -13,14 +13,14 @@ pickling, so it lives exactly as long as the polygon.  Each of its facts
 (the primitive direction of each edge, the boundary chains and vertical
 edges, the slice heights at the mark columns and the Duistermaat-Heckman
 walk over every column, the boundary points and tangents on each mark
-column and the chains subdivided there, all read from one walk along each
-chain, the cut degrees, each vertex's class, the k-runs, the validation
-report) is computed on first read and kept.  A fact whose computation fails
-is not kept: every read raises again, with the same type and message.  Only
-the vertex classes hold errors, one per unclassifiable vertex, so validation
-can report them all.  A reader computes only what it reads: a degenerate
-polygon is rejected without a vertex being classified, and validation looks
-no vertex up by its ``Point``, so it hashes each vertex once.
+column, all read from one walk along each chain, the cut degrees, each
+vertex's class, the k-runs, the validation report) is computed on first
+read and kept.  A fact whose computation fails is not kept: every read
+raises again, with the same type and message.  Only the vertex classes
+hold errors, one per unclassifiable vertex, so validation can report them
+all.  A reader computes only what it reads: a degenerate polygon is
+rejected without a vertex being classified, and validation looks no
+vertex up by its ``Point``, so it hashes each vertex once.
 """
 
 from __future__ import annotations
@@ -254,23 +254,6 @@ class PolygonFacts:
         return self._walk(xs)
 
     @cached_property
-    def mark_paths(self) -> tuple[tuple[tuple[Point, bool, int, bool], ...], ...]:
-        """The bottom and the top chain, left to right, with the boundary point on each mark
-        column put in.  Each point comes with whether it is a vertex, its rank (the number of
-        mark columns left of it, which picks the shear the cut-switch sweep of a sign vector
-        moves it by) and whether it is on the mark column of that index."""
-        paths = []
-        for side, chain in enumerate((self.chains.bottom, self.chains.top)):
-            path, start = [], 0  # the chain's points before ``start`` are in the path
-            for rank, (x, slice_) in enumerate(self.heights.items()):
-                k, vertex = slice_[4 + side], slice_[2 + side] is not None
-                path += [(p, True, rank, False) for p in chain[start:k]]
-                path.append((chain[k] if vertex else Point(x, slice_[side]), vertex, rank, True))
-                start = k + vertex
-            paths.append(tuple(path + [(p, True, len(self.heights), False) for p in chain[start:]]))
-        return tuple(paths)
-
-    @cached_property
     def sides(self) -> dict[Fraction, tuple[tuple[Point, LatticeVector, LatticeVector], ...]]:
         """Mark column -> its bottom and then its top boundary point, each with the rightward
         primitive tangents of the boundary left and right of it: the chain's own edge directions
@@ -364,16 +347,6 @@ class PolygonFacts:
         from .vertices import extract_k_runs  # deferred: the lattice rules live there
 
         return extract_k_runs(self)
-
-    @cached_property
-    def _run_xs(self) -> tuple[list[Fraction], list[Fraction]]:
-        """The sorted start x and the sorted end x of the k-runs."""
-        return sorted(r.start_vertex.x for r in self.k_runs), sorted(r.end_vertex.x for r in self.k_runs)
-
-    def runs_over(self, x: Fraction) -> int:
-        """Number of k-runs whose open x-span contains x."""
-        starts, ends = self._run_xs
-        return bisect_left(starts, x) - bisect_right(ends, x)  # a run ending left of x starts left of it
 
 
 def _direction(a: Point, b: Point) -> Optional[LatticeVector]:

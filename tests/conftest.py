@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -157,3 +159,12 @@ def multiplicity_probe(k: int) -> SemitoricPolygon:
     """A valid five-vertex polygon whose one mark, cut down to the fake vertex (1, 0), has multiplicity k."""
     vertices = (Point(0, 0), Point(1, 0), Point(2, k), Point(2, k + 1), Point(0, k + 1))
     return require_valid(SemitoricPolygon(vertices, (MarkedPoint(Point(1, 1), k, -1),)))
+
+
+def same_answers_tool():
+    """``tools/same_answers.py`` as a module, for the input families the tests share with it."""
+    tool = Path(__file__).parents[1] / "tools" / "same_answers.py"
+    spec = importlib.util.spec_from_file_location("same_answers", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,16 +1,20 @@
-import importlib.util
 import sys
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import adaptability_oracle
-from conftest import corpus_polygons_under_ops, focus_ladder, multi_column_polygons, multiplicity_probe
+from conftest import (
+    corpus_polygons_under_ops,
+    focus_ladder,
+    multi_column_polygons,
+    multiplicity_probe,
+    same_answers_tool,
+)
 from karshon_dh_oracle import dh_from_graph
 from semitoric import (
     DomainError,
@@ -125,10 +129,7 @@ class TestJumpReport:
 def column_families(corpus, derived_polygons):
     """The families of tools/same_answers.py and the multiplicity probe up to k = 64, each also
     with every cut sign flipped (not all of those valid)."""
-    tool = Path(__file__).parents[1] / "tools" / "same_answers.py"
-    spec = importlib.util.spec_from_file_location("same_answers", tool)
-    same_answers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(same_answers)
+    same_answers = same_answers_tool()
     ladders = [focus_ladder(jumps) for jumps in same_answers.LADDERS]
     polygons = list(corpus.values()) + derived_polygons + ladders + [same_answers._merged(p) for p in ladders]
     polygons += multi_column_polygons(120, max_marks=8) + multi_column_polygons(60, seed=3, max_marks=8)
@@ -153,24 +154,8 @@ def reference_sides(facts):
     return {x: tuple(side(path, x, y) for path, y in zip(paths, facts.heights[x])) for x in facts.marks_at}
 
 
-def reference_mark_paths(facts):
-    """``PolygonFacts.mark_paths`` by sorting each chain's points together with the boundary
-    points put in on the mark columns (the walk slices each chain at its stored indices)."""
-    xs = tuple(facts.marks_at)
-    paths = []
-    for side, chain in enumerate((facts.chains.bottom, facts.chains.top)):
-        added = [Point(x, h[side]) for x, h in facts.heights.items() if h[2 + side] is None]
-        path, rank = [], 0
-        for p, vertex in sorted([(p, True) for p in chain] + [(p, False) for p in added]):
-            while rank < len(xs) and xs[rank] < p.x:
-                rank += 1
-            path.append((p, vertex, rank, rank < len(xs) and xs[rank] == p.x))
-        paths.append(tuple(path))
-    return tuple(paths)
-
-
 class TestMarkColumnRecord:
-    """The heights walk's chain indices give the same tangents and subdivided chains as searching each chain."""
+    """The heights walk's chain indices give the same tangents as searching each chain."""
 
     def test_sides_match_the_reference(self, corpus, derived_polygons):
         polygons = column_families(corpus, derived_polygons)
@@ -184,13 +169,6 @@ class TestMarkColumnRecord:
             assert polygon.facts.sides == reference_sides(polygon.facts), polygon
             columns += len(polygon.facts.sides)
         assert columns > 1500
-
-    def test_mark_paths_match_the_reference(self, corpus, derived_polygons):
-        columns = 0
-        for polygon in column_families(corpus, derived_polygons):
-            assert polygon.facts.mark_paths == reference_mark_paths(polygon.facts), polygon
-            columns += len(polygon.facts.marks_at)
-        assert columns > 1200
 
 
 class TestOrbitCounts:

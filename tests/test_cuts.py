@@ -24,7 +24,7 @@ from semitoric import (
     validate,
 )
 import presentation_oracle
-from conftest import focus_ladder, multi_column_polygons, random_global_shear
+from conftest import focus_ladder, multi_column_polygons, multiplicity_probe, random_global_shear, same_answers_tool
 
 
 def pt(x, y):
@@ -178,8 +178,10 @@ class TestSweepBuilder:
 
     def test_matches_the_reference_builder(self, corpus, derived_polygons):
         # the reference shears every point once per flipped column and re-validates
-        ladders = [focus_ladder(jumps) for jumps in ([1] * 4, [1] * 8, [2], [2, 1], [1, 2, 1], [3, 1], [2, 2])]
-        families = list(corpus.values()) + derived_polygons + ladders
+        same_answers = same_answers_tool()
+        ladders = [focus_ladder(jumps) for jumps in same_answers.LADDERS]
+        families = list(corpus.values()) + derived_polygons + ladders + [same_answers._merged(p) for p in ladders]
+        families += [multiplicity_probe(k) for k in range(1, 9)]
         families += multi_column_polygons(120, max_marks=8) + multi_column_polygons(60, seed=3, max_marks=8)
         families = list(dict.fromkeys(q for p in families for q in (p, split_marks(p))))
         built = 0

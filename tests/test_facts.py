@@ -158,7 +158,7 @@ def test_dh_walks_the_columns_once_per_query(corpus, tmp_path, monkeypatch):
 
 
 def test_mark_columns_bisect_once_per_chain(corpus, tmp_path, monkeypatch):
-    # one walk along each chain finds every mark column's heights, tangents, orbit counts and subdivided chains
+    # one walk along each chain finds every mark column's heights, tangents, orbit counts and chain slices
     import semitoric.analysis as analysis
     import semitoric.polygon as polygon_module
     from conftest import focus_ladder

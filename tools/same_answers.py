@@ -8,10 +8,11 @@ makes the inputs in a process of its own, from its own ``tests/conftest.py``
 and ``src/``: the corpus, ``fuzz_derivatives(200)``,
 ``multi_column_polygons`` at two seeds, focus ladders together with their
 merged-mark forms (coincident unit marks of one sign joined into one mark),
-and the multiplicity family (one mark of multiplicity k, see
-``multiplicity_probe``, at k from 1 to 10^4), plus invalid probes: each
-corpus and fuzz polygon with its vertices reversed, with every cut sign
-flipped, and with its first vertex doubled.
+the multiplicity family (one mark of multiplicity k, see
+``multiplicity_probe``, at k from 1 to 10^4) and the corner-chop family
+(SQUARE, FF1 and NONADAPT3 grown to 256 vertices, see ``chopped``), plus
+invalid probes: each corpus and fuzz polygon with its vertices reversed,
+with every cut sign flipped, and with its first vertex doubled.
 Each is written as a polygon file, and an input file that differs between
 the two trees is a difference.  Each tree then answers its own inputs (or
 the other tree's, when it could not make its own) in its own process:
@@ -42,7 +43,8 @@ the other tree's, when it could not make its own) in its own process:
 
 Answers are compared by SHA-256.  A revision whose adaptability search is
 quadratic in a mark's multiplicity spends a few seconds on the k = 10^4
-member of the multiplicity family.  A tree that cannot make its inputs or
+member of the multiplicity family, and each tree takes a few seconds to
+grow the corner-chop family.  A tree that cannot make its inputs or
 answer them is a difference too, reported by the last line of its error.
 The last line reads ``N differences``; the exit code is 0 when N is 0 and 1
 otherwise.
@@ -66,6 +68,8 @@ LISTED = 64  # members of enumerate_presentations compared per input
 SHEARS = ((0, 0), (1, 0), (-2, Fraction(3, 7)), (3, -5))  # (slope, offset) of the global shears compared
 LADDERS = ([1] * 4, [1] * 8, [2], [2, 1], [1, 2, 1], [3, 1], [2, 2], [1, 1, 3], [2, 1, 2])
 MULTIPLICITIES = (1, 2, 3, 4, 7, 64, 10**3, 10**4)
+CHOPPED = ("SQUARE", "FF1", "NONADAPT3")  # corpus polygons grown by corner chops
+CHOPPED_SIZE = 256  # vertices of each grown polygon
 
 
 def multiplicity_probe(k: int):
@@ -74,6 +78,26 @@ def multiplicity_probe(k: int):
 
     vertices = (Point(0, 0), Point(1, 0), Point(2, k), Point(2, k + 1), Point(0, k + 1))
     return SemitoricPolygon(vertices, (MarkedPoint(Point(1, 1), k, -1),))
+
+
+def chopped(polygon):
+    """The polygon grown to ``CHOPPED_SIZE`` vertices by corner chops.  Each chop takes the Delzant vertex
+    with the largest ``chop_allowance`` (the first on ties) by a third of it, passing over a chop
+    that raises DomainError to the next vertex."""
+    from semitoric import DomainError, VertexKind, chop_allowance, classify_vertex, corner_chop
+
+    while len(polygon.vertices) < CHOPPED_SIZE:
+        delzant = [v for v in polygon.vertices if classify_vertex(polygon, v).kind is VertexKind.DELZANT]
+        allowances = [chop_allowance(polygon, v) for v in delzant]
+        for i in sorted(range(len(delzant)), key=lambda i: -allowances[i]):  # a stable sort: the first on ties
+            try:
+                polygon = corner_chop(polygon, delzant[i], allowances[i] / 3)
+                break
+            except DomainError:
+                continue
+        else:
+            raise DomainError(f"no Delzant vertex of {polygon} can be chopped")
+    return polygon
 
 
 def _merged(polygon):
@@ -112,6 +136,7 @@ def write_inputs(tree: str, directory: str) -> list[str]:
     ladders = [focus_ladder(jumps) for jumps in LADDERS]
     polygons += ladders + [_merged(ladder) for ladder in ladders]
     polygons += [multiplicity_probe(k) for k in MULTIPLICITIES]
+    polygons += [chopped(corpus_get(name).polygon) for name in CHOPPED]
     names = []
     for polygon in dict.fromkeys(polygons):
         names.append(f"{len(names):04d}.json")
