@@ -124,13 +124,16 @@ def dh_jump_report(polygon: SemitoricPolygon) -> JumpReport:
     density = dh_function(polygon)
     facts = polygon.facts
     slopes = [density.segment_slope(i) for i in range(len(density.breakpoints) - 1)]
+    multiplicity = [0] * len(density.breakpoints)  # at each column, found by bisection: no column is hashed
+    for x, marks in facts.marks_at.items():
+        multiplicity[bisect_left(density.breakpoints, x)] = sum(m.multiplicity for m in marks)
     entries = []
     for i in range(1, len(density.breakpoints) - 1):
         x = density.breakpoints[i]
         left, right = slopes[i - 1], slopes[i]
         bottom, top = facts._slices[i][2:4]
         e_top, e_bottom = _weight_term(facts, top), _weight_term(facts, bottom)
-        marks_here = facts.multiplicity_at(x)
+        marks_here = multiplicity[i]
         entries.append(
             JumpEntry(
                 x=x,
@@ -195,7 +198,7 @@ def _mark_column_orbits(facts: PolygonFacts) -> list[tuple[Fraction, int, int, i
     the tangent left of it (``PolygonFacts.sides``) decides.
     """
     out = []
-    for (x, marks), slice_, sides in zip(facts.marks_at.items(), facts.heights.values(), facts.sides.values()):
+    for (x, marks), slice_, sides in zip(facts.marks_at.items(), facts.heights.values(), facts.sides):
         ee = [v is not None and facts.classes[v].kind is not VertexKind.FAKE for v in slice_[2:4]]
         zk = sum(abs(u.a) >= 2 for elliptic, (_, u, _) in zip(ee, sides) if not elliptic)
         out.append((x, sum(ee), sum(m.multiplicity for m in marks), zk))
@@ -258,7 +261,7 @@ def _delzant_signs(polygon: SemitoricPolygon) -> SignProduct:
     if not all(is_smooth_class(c) for i, c in enumerate(facts.classes) if i not in on_marks):
         return SignProduct(((),))  # one factor with no choice: no sign vector
     per_column = []  # per column: the signs of every flip pattern that keeps its vertices smooth
-    for column, sides in zip(facts.marks_at.values(), facts.sides.values()):  # in mark order
+    for column, sides in zip(facts.marks_at.values(), facts.sides):  # in mark order
         k, ups = _counts(column)
         smooth = [u for u in sorted({0, 1, k - 1, k}) if _require_verdict(sides, k, ups, u - ups)]
         signs = tuple(m.cut_sign for m in _unit_marks(column)) if smooth else ()  # so k <= 2 where any is smooth

@@ -137,7 +137,7 @@ def _local_verdict(
     """Whether the presentation that moves this column's up-count by ``shift``
     is smooth on the column, or None when that presentation is invalid.
 
-    ``sides`` is ``PolygonFacts.sides`` of a valid polygon at a column of
+    ``sides`` is the ``PolygonFacts.sides`` entry of a valid polygon at a column of
     ``k`` focus-focus points, ``ups`` of them cut upward.  The switch shears
     the boundary right of the column by -shift, so only each side's right
     tangent w turns.  Where the boundary then runs straight the point is no
@@ -201,7 +201,7 @@ def _flip_cuts(
     slope, offset = (start.slope, start.offset) if start is not None else (0, 0)
     images, taken, moved = ([], []), [0, 0], []  # each chain's image and how many of its points it has; the marks
     signs = iter(signs)  # each column's zip(column, signs) takes that column's signs: zip tries ``column`` first
-    for (x, column), slice_, sides in zip(facts.marks_at.items(), facts.heights.values(), facts.sides.values()):
+    for (x, column), slice_, sides in zip(facts.marks_at.items(), facts.heights.values(), facts.sides):
         coefficient = 0
         for mark, sign in zip(column, signs):
             if sign != mark.cut_sign:

@@ -10,8 +10,14 @@ Construction from a presentation:
 * each k-run of boundary edges becomes a directed edge, south pole to north
   pole, weighted k.
 
+The graph is built by vertex position: the vertical edges' endpoints are
+the chain ends on their sides, and each k-run carries its poles' positions,
+so no vertex is looked up by its ``Point``.
+
 Two presentations of one system always produce equal graphs, which is what
-the canonical form below makes checkable byte-for-byte.
+the canonical form below makes checkable byte-for-byte.  It sorts the
+vertices once, on the label, and orders only the runs of equal labels by
+the rest of the key.
 """
 
 from __future__ import annotations
@@ -19,11 +25,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import groupby
+from typing import Iterator, Optional
 
 from .geometry import format_rational
-from .polygon import SemitoricPolygon, boundary_chains, vertical_edge_endpoints
-from .vertices import VertexKind, _class_of, zk_chains
+from .polygon import SemitoricPolygon
+from .vertices import VertexKind, _class_of
 
 ISOLATED = "isolated"
 FAT = "fat"
@@ -52,32 +59,32 @@ class KarshonGraph:
 
 def build_graph(polygon: SemitoricPolygon) -> KarshonGraph:
     """Construct the labeled directed graph of a validated presentation."""
-    on_vertical = vertical_edge_endpoints(polygon)
+    facts = polygon.facts
+    chains = facts.chains  # first: a degenerate polygon raises before a vertex is classified
+    bottom, top = facts._positions
+    # a vertical edge joins the two chains' ends on its side, which then differ
+    fixed = {i for ends in ((bottom[0], top[0]), (bottom[-1], top[-1])) if ends[0] != ends[1] for i in ends}
     vertices: list[GraphVertex] = []
-    ids: dict[object, int] = {}
+    ids: list[Optional[int]] = [None] * len(polygon.vertices)  # vertex position -> its graph id
 
-    for v, found in zip(polygon.vertices, polygon.facts.classes):  # chains first: the vertices are distinct
+    for i, (v, found) in enumerate(zip(polygon.vertices, facts.classes)):
         c = _class_of(found)
-        if c.kind is VertexKind.FAKE or v in on_vertical:
+        if c.kind is VertexKind.FAKE or i in fixed:
             continue
-        ids[v] = len(vertices)
+        ids[i] = len(vertices)
         vertices.append(GraphVertex(ISOLATED, v.x, provenance="elliptic-elliptic"))
     for mark in polygon.marks:
         for _ in range(mark.multiplicity):
             vertices.append(GraphVertex(ISOLATED, mark.position.x, provenance="focus-focus"))
-    chains = boundary_chains(polygon)
     for edge in (chains.left_vertical, chains.right_vertical):
         if edge is None:
             continue
-        bottom, top = edge
+        bottom_end, top_end = edge
         vertices.append(
-            GraphVertex(FAT, bottom.x, genus=0, area=top.y - bottom.y, provenance="fixed-surface")
+            GraphVertex(FAT, bottom_end.x, genus=0, area=top_end.y - bottom_end.y, provenance="fixed-surface")
         )
 
-    edges = tuple(
-        GraphEdge(ids[chain.start_vertex], ids[chain.end_vertex], chain.k)
-        for chain in zk_chains(polygon)
-    )
+    edges = tuple(GraphEdge(ids[south], ids[north], run.k) for run, south, north in facts._poles)
     return KarshonGraph(tuple(vertices), edges)
 
 
@@ -97,20 +104,39 @@ def serialize_graph(graph: KarshonGraph) -> str:
     return json.dumps({"vertices": rows, "edges": edges}, separators=(",", ":"))
 
 
-def _sort_key(vertex: GraphVertex):
+def _rest_key(vertex: GraphVertex):
+    """The sort key after the label: every other field a fat vertex serializes."""
     return (
-        vertex.label,
         vertex.kind,
-        vertex.area if vertex.area is not None else Fraction(0),
+        vertex.area if vertex.area is not None else 0,
         vertex.genus if vertex.genus is not None else 0,
     )
+
+
+def _blocks(vertices: list[GraphVertex]) -> Iterator[list[int]]:
+    """Vertex indices sorted by (label, kind, area, genus) and grouped where all four agree.
+
+    One sort on the label; only a run of equal labels is sorted again, by the rest of
+    the key.  Both sorts are stable, so each block keeps its vertices' input order.
+    """
+    order = sorted(range(len(vertices)), key=lambda i: vertices[i].label)
+    for _, run in groupby(order, key=lambda i: vertices[i].label):
+        run = list(run)
+        if len(run) == 1:
+            yield run
+            continue
+        run.sort(key=lambda i: _rest_key(vertices[i]))
+        for _, block in groupby(run, key=lambda i: _rest_key(vertices[i])):
+            yield list(block)
 
 
 def canonical_form(graph: KarshonGraph) -> KarshonGraph:
     """Provenance-stripped copy with vertices sorted and ties broken.
 
     Vertices sort by (label, kind, area, genus), every field a fat vertex
-    serializes.  Tied isolated vertices serialize alike, so the order that makes
+    serializes: one sort on the label, after which only the runs of equal
+    labels are ordered by the rest of the key.  Tied isolated vertices
+    serialize alike, so the order that makes
     :func:`serialize_graph` smallest is read off the edge list, in polynomial
     time: the vertices with edges take their block's textually first ids
     (``"10"`` before ``"9"``), and where two do, which goes first is a bit.
@@ -121,15 +147,16 @@ def canonical_form(graph: KarshonGraph) -> KarshonGraph:
     every polygon does; other graphs raise ValueError.
     """
     stripped = [GraphVertex(v.kind, v.label, v.genus, v.area) for v in graph.vertices]
-    blocks: dict[tuple, list[int]] = {}
-    for i in sorted(range(len(stripped)), key=lambda i: _sort_key(stripped[i])):
-        blocks.setdefault(_sort_key(stripped[i]), []).append(i)
     touched = {v for e in graph.edges for v in (e.source, e.target)}
     slot: dict[int, int] = {}  # vertex -> position, where known
     choice: dict[int, tuple[int, tuple[int, int]]] = {}  # vertex of a pair -> (pair, position per bit)
     bound = {-1: (-1, 0)}  # pair -> (root, parity), its bit being root's xor parity; root -1 has bit 0
     start = 0
-    for block in blocks.values():
+    for block in _blocks(stripped):
+        if len(block) == 1:
+            slot[block[0]] = start
+            start += 1
+            continue
         positions = sorted(range(start, start + len(block)), key=str)
         bearing = [v for v in block if v in touched and stripped[v].kind == ISOLATED]
         forked = len(bearing) == 2 and any(sum(e.source == v for e in graph.edges) > 1 for v in bearing)

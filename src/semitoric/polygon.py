@@ -14,13 +14,14 @@ pickling, so it lives exactly as long as the polygon.  Each of its facts
 edges, the slice heights at the mark columns and the Duistermaat-Heckman
 walk over every column, the boundary points and tangents on each mark
 column, all read from one walk along each chain, the cut degrees, each
-vertex's class, the k-runs, the validation report) is computed on first
-read and kept.  A fact whose computation fails is not kept: every read
-raises again, with the same type and message.  Only the vertex classes
-hold errors, one per unclassifiable vertex, so validation can report them
-all.  A reader computes only what it reads: a degenerate polygon is
-rejected without a vertex being classified, and validation looks no
-vertex up by its ``Point``, so it hashes each vertex once.
+vertex's class, the k-runs with their poles' positions, the validation
+report) is computed on first read and kept.  A fact whose computation fails
+is not kept: every read raises again, with the same type and message.  Only
+the vertex classes hold errors, one per unclassifiable vertex, so validation
+can report them all.  A reader computes only what it reads: a degenerate
+polygon is rejected without a vertex being classified, validation looks no
+vertex up by its ``Point``, and the report's classifications (vertex ->
+class) are built on first read, so loading a polygon hashes no ``Point``.
 """
 
 from __future__ import annotations
@@ -135,18 +136,41 @@ class ValidationReport:
     """Outcome of :func:`validate`: per-vertex classes plus rule violations.
 
     The report is kept on the polygon's facts and shared by every later
-    check, so its classifications are a read-only view.
+    check, so its classifications are a read-only view.  :func:`validate`
+    builds them on first read, so a query that never reads them hashes no
+    vertex; they read, compare and print as the dict they wrap.
     """
 
     classifications: Mapping[Point, object]
     violations: tuple[Violation, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "classifications", MappingProxyType(dict(self.classifications)))
+        classes = self.classifications
+        classes = classes if isinstance(classes, _Classifications) else dict(classes)
+        object.__setattr__(self, "classifications", MappingProxyType(classes))
 
     @property
     def valid(self) -> bool:
         return not self.violations
+
+
+class _Classifications:
+    """Vertex -> class of each classified vertex: a dict built on first read, behind every dict method."""
+
+    def __init__(self, vertices: tuple[Point, ...], classes: tuple[object, ...]):
+        self._pairs = vertices, classes
+
+    @cached_property
+    def _dict(self) -> dict[Point, object]:
+        return {v: c for v, c in zip(*self._pairs) if not isinstance(c, SemitoricError)}
+
+    def __eq__(self, other) -> bool:  # an operator, not dict.__eq__, so that another proxy's mapping is asked too
+        return self._dict == other
+
+
+for _name in ("__getitem__", "__iter__", "__reversed__", "__len__", "__contains__", "__or__", "__ror__", "__repr__",
+              "get", "keys", "values", "items", "copy"):  # every other dict method a MappingProxyType calls
+    setattr(_Classifications, _name, lambda self, *args, _name=_name: getattr(self._dict, _name)(*args))
 
 
 @dataclass(frozen=True)
@@ -254,11 +278,12 @@ class PolygonFacts:
         return self._walk(xs)
 
     @cached_property
-    def sides(self) -> dict[Fraction, tuple[tuple[Point, LatticeVector, LatticeVector], ...]]:
-        """Mark column -> its bottom and then its top boundary point, each with the rightward
-        primitive tangents of the boundary left and right of it: the chain's own edge directions
-        at the walk's index, negated on the top chain, which runs against polygon order."""
-        out = {}
+    def sides(self) -> tuple[tuple[tuple[Point, LatticeVector, LatticeVector], ...], ...]:
+        """At each column of :attr:`heights`, in its order: the bottom and then the top boundary
+        point, each with the rightward primitive tangents of the boundary left and right of it: the
+        chain's own edge directions at the walk's index, negated on the top chain, which runs against
+        polygon order.  A tuple, not a dict, so a reader hashes no column."""
+        out = []
         for x, slice_ in self.heights.items():
             column = []
             for side, at in enumerate(self._positions):
@@ -266,8 +291,8 @@ class PolygonFacts:
                 k, sign = slice_[4 + side], 1 - 2 * side
                 u, w = (self.edges[at[i + side]] for i in (k - 1, k - (slice_[2 + side] is None)))
                 column.append((Point(x, slice_[side]), *(LatticeVector(sign * e.a, sign * e.b) for e in (u, w))))
-            out[x] = tuple(column)
-        return out
+            out.append(tuple(column))
+        return tuple(out)
 
     def slice_at(self, x: Fraction) -> tuple[Fraction, Fraction]:
         """(y_bottom, y_top) at x: a lookup at a mark column, a bisection elsewhere."""
@@ -342,11 +367,16 @@ class PolygonFacts:
         return sum(m.multiplicity for m in self.marks_at.get(x, ()))
 
     @cached_property
-    def k_runs(self) -> tuple:
-        """The ZkChain runs of both chains."""
+    def _poles(self) -> tuple[tuple[object, int, int], ...]:
+        """Each ZkChain run of both chains with the positions of its start and its end vertex."""
         from .vertices import extract_k_runs  # deferred: the lattice rules live there
 
         return extract_k_runs(self)
+
+    @cached_property
+    def k_runs(self) -> tuple:
+        """The ZkChain runs of both chains."""
+        return tuple(run for run, _, _ in self._poles)
 
 
 def _direction(a: Point, b: Point) -> Optional[LatticeVector]:
@@ -477,17 +507,14 @@ def _validation_report(facts: PolygonFacts) -> ValidationReport:
 
     bottom, top = facts._positions
     extreme = {bottom[0], bottom[-1], top[0], top[-1]}  # the chains' ends: the vertices on J_min and J_max
-    classifications: dict[Point, object] = {}
     for i, (vertex, result) in enumerate(zip(facts.vertices, facts.classes)):
         if isinstance(result, SemitoricError):
             violations.append(Violation("unclassifiable-vertex", describe(vertex), str(result)))
-            continue
-        classifications[vertex] = result
-        if result.kind is not VertexKind.DELZANT and i in extreme:
+        elif result.kind is not VertexKind.DELZANT and i in extreme:
             violations.append(
                 Violation("extreme-not-delzant", describe(vertex), f"extreme vertex classifies as {result.kind.value}")
             )
-    return ValidationReport(classifications, tuple(violations))
+    return ValidationReport(_Classifications(facts.vertices, facts.classes), tuple(violations))
 
 
 def require_valid(polygon: SemitoricPolygon) -> SemitoricPolygon:

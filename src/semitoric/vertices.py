@@ -255,10 +255,10 @@ def zk_chains(polygon: SemitoricPolygon) -> tuple[ZkChain, ...]:
     return polygon.facts.k_runs
 
 
-def extract_k_runs(facts: PolygonFacts) -> tuple[ZkChain, ...]:
-    """The k-runs of both chains of the polygon these facts describe."""
+def extract_k_runs(facts: PolygonFacts) -> tuple[tuple[ZkChain, int, int], ...]:
+    """The k-runs of both chains of the polygon these facts describe, each with its poles' positions."""
     bc, classes = facts.chains, facts.classes
-    chains: list[ZkChain] = []
+    chains: list[tuple[ZkChain, int, int]] = []
     for side, path, at in zip(("bottom", "top"), (bc.bottom, bc.top), facts._positions):
         edges = list(zip(path, path[1:]))
         # the bottom runs in polygon order, so edge k leaves point k; the top runs against it
@@ -291,6 +291,6 @@ def extract_k_runs(facts: PolygonFacts) -> tuple[ZkChain, ...]:
             for pole, end in ((chain.start_vertex, at[i]), (chain.end_vertex, at[j + 1])):
                 if _class_of(classes[end]).kind is VertexKind.FAKE:
                     raise ClassificationError(f"chain pole {describe(pole)} classifies as fake")
-            chains.append(chain)
+            chains.append((chain, at[i], at[j + 1]))
             i = j + 1
     return tuple(chains)

@@ -1,21 +1,79 @@
-"""Reference canonical form, used as an oracle.
+"""Reference graph builder and canonical form, used as oracles.
 
-This is the library's earlier ``canonical_form``, kept verbatim: it tries
+``canonical_form`` is the library's earlier one, kept verbatim: it tries
 every permutation of every block of same-label isolated vertices and keeps
 the ``serialize_graph``-minimal result.  Its cost is the product of the
 block factorials, so it refuses blocks above size 8 and products above 8!.
 The library now places tied vertices directly; the differential tests check
 that both give the same bytes wherever this search is inside its budget.
+Its sort key is its own copy, so the order it checks does not move with the
+library's.
+
+``build_graph`` is the library's earlier builder, kept verbatim: it looks
+each vertex up by its ``Point``, where the library reads positions.
 """
 
 import itertools
+from fractions import Fraction
 
-from semitoric import DomainError, GraphEdge, GraphVertex, KarshonGraph, serialize_graph
-from semitoric.graph import ISOLATED, _sort_key
+from semitoric import (
+    DomainError,
+    GraphEdge,
+    GraphVertex,
+    KarshonGraph,
+    SemitoricPolygon,
+    VertexKind,
+    boundary_chains,
+    serialize_graph,
+    vertical_edge_endpoints,
+    zk_chains,
+)
+from semitoric.graph import FAT, ISOLATED
+from semitoric.vertices import _class_of
 
 # permutation budget for breaking label ties deterministically
 TIE_BLOCK_LIMIT = 8
 TIE_PRODUCT_LIMIT = 40320
+
+
+def build_graph(polygon: SemitoricPolygon) -> KarshonGraph:
+    """Construct the labeled directed graph of a validated presentation."""
+    on_vertical = vertical_edge_endpoints(polygon)
+    vertices: list[GraphVertex] = []
+    ids: dict[object, int] = {}
+
+    for v, found in zip(polygon.vertices, polygon.facts.classes):  # chains first: the vertices are distinct
+        c = _class_of(found)
+        if c.kind is VertexKind.FAKE or v in on_vertical:
+            continue
+        ids[v] = len(vertices)
+        vertices.append(GraphVertex(ISOLATED, v.x, provenance="elliptic-elliptic"))
+    for mark in polygon.marks:
+        for _ in range(mark.multiplicity):
+            vertices.append(GraphVertex(ISOLATED, mark.position.x, provenance="focus-focus"))
+    chains = boundary_chains(polygon)
+    for edge in (chains.left_vertical, chains.right_vertical):
+        if edge is None:
+            continue
+        bottom, top = edge
+        vertices.append(
+            GraphVertex(FAT, bottom.x, genus=0, area=top.y - bottom.y, provenance="fixed-surface")
+        )
+
+    edges = tuple(
+        GraphEdge(ids[chain.start_vertex], ids[chain.end_vertex], chain.k)
+        for chain in zk_chains(polygon)
+    )
+    return KarshonGraph(tuple(vertices), edges)
+
+
+def _sort_key(vertex: GraphVertex):
+    return (
+        vertex.label,
+        vertex.kind,
+        vertex.area if vertex.area is not None else Fraction(0),
+        vertex.genus if vertex.genus is not None else 0,
+    )
 
 
 def canonical_form(graph: KarshonGraph) -> KarshonGraph:

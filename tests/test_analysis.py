@@ -151,7 +151,7 @@ def reference_sides(facts):
         return Point(x, y), primitive_direction(x - left.x, y - left.y), primitive_direction(right.x - x, right.y - y)
 
     paths = (facts.chains.bottom, facts.chains.top)
-    return {x: tuple(side(path, x, y) for path, y in zip(paths, facts.heights[x])) for x in facts.marks_at}
+    return tuple(tuple(side(path, x, y) for path, y in zip(paths, facts.heights[x])) for x in facts.marks_at)
 
 
 class TestMarkColumnRecord:
@@ -360,7 +360,7 @@ class TestPerColumnSearch:
         def verdicts(unit, x):
             first = unit.marks.index(unit.facts.marks_at[x][0])
             signs = tuple(mark.cut_sign for mark in unit.facts.marks_at[x])
-            sides = unit.facts.sides[x]
+            sides = dict(zip(unit.facts.heights, unit.facts.sides))[x]
             for shift in range(-signs.count(1), signs.count(-1) + 1):
                 # the smallest code moving the up-count by shift: the first |shift| marks of sign -sign(shift)
                 flips = [b for b, s in enumerate(signs) if s == (-1 if shift > 0 else 1)][: abs(shift)]
@@ -394,7 +394,7 @@ class TestPerColumnSearch:
 
         columns, invalid = 0, 0
         for polygon in column_families(corpus, derived_polygons):
-            for column, side in zip(polygon.facts.marks_at.values(), polygon.facts.sides.values()):
+            for column, side in zip(polygon.facts.marks_at.values(), polygon.facts.sides):
                 k, ups = _counts(column)
                 every = {u: _local_verdict(side, k, ups, u - ups) for u in range(k + 1)}
                 four = {u: every[u] for u in {0, 1, k - 1, k}}

@@ -11,6 +11,7 @@ import traceback
 import weakref
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 import semitoric
@@ -24,6 +25,7 @@ from semitoric import (
     Point,
     PolygonFacts,
     SemitoricPolygon,
+    ValidationReport,
     classify_vertex,
     serialize_polygon,
     slice_heights,
@@ -99,6 +101,26 @@ def test_a_kept_report_is_read_only(corpus):
     assert validate(polygon) is report and report.classifications[vertex] == classify_vertex(polygon, vertex)
 
 
+def test_report_classifications_read_as_a_dict(corpus):
+    # built on first read, they answer every mapping read as the report built from a dict does
+    for polygon in corpus.values():
+        report = validate(SemitoricPolygon(polygon.vertices, polygon.marks))
+        eager = ValidationReport({v: classify_vertex(polygon, v) for v in polygon.vertices}, report.violations)
+        lazy, built = report.classifications, eager.classifications
+        assert type(lazy) is type(built) is MappingProxyType
+        assert report == eager and eager == report and repr(report) == repr(eager) and str(lazy) == str(built)
+        assert report == validate(SemitoricPolygon(polygon.vertices, polygon.marks))
+        assert lazy == built and built == lazy and lazy == dict(built) and dict(built) == lazy
+        assert list(lazy) == list(built) and list(reversed(lazy)) == list(reversed(built)) and len(lazy) == len(built)
+        assert lazy.keys() == built.keys() and list(lazy.values()) == list(built.values())
+        assert lazy.items() == built.items() and lazy.copy() == built.copy() and type(lazy.copy()) is dict
+        assert lazy | {} == built | {} and {} | lazy == {} | built
+        vertex = polygon.vertices[0]
+        assert vertex in lazy and lazy.get(vertex) == lazy[vertex] == built[vertex] and lazy.get(None, 1) == 1
+        with pytest.raises(TypeError):
+            hash(report)
+
+
 def test_slice_heights_off_the_columns_match_edge_scan(corpus, derived_polygons):
     rng = random.Random(20240818)
     for polygon in list(corpus.values()) + derived_polygons:
@@ -122,6 +144,7 @@ def test_slice_heights_on_the_columns_match_edge_scan(corpus, derived_polygons):
 
 
 def test_validation_hashes_each_vertex_once(corpus, monkeypatch):
+    # validation reads every vertex by position, and the report's classifications are built on first read
     from conftest import focus_ladder, fuzz_derivatives
 
     polygons = list(corpus.values()) + fuzz_derivatives(50) + [focus_ladder([1] * 32)]
@@ -132,7 +155,27 @@ def test_validation_hashes_each_vertex_once(corpus, monkeypatch):
     for polygon in fresh:
         hashes.clear()
         assert validate(polygon).valid
-        assert len(hashes) <= len(polygon.vertices), polygon
+        assert hashes == [], polygon
+
+
+@pytest.mark.parametrize("argv", [["graph"], ["graph", "--format", "dot"], ["dh"], ["adaptable"], ["classify"]])
+def test_cli_queries_hash_nothing_after_load(corpus, tmp_path, monkeypatch, argv):
+    # past the load, these queries read vertices and columns by position: no Point or Fraction is hashed
+    from conftest import fuzz_derivatives
+
+    paths = []
+    for i, polygon in enumerate(list(corpus.values()) + fuzz_derivatives(50)):
+        paths.append(tmp_path / f"{i}.json")
+        paths[-1].write_text(serialize_polygon(polygon))
+    hashes = []
+    for cls in (Point, Fraction):
+        monkeypatch.setattr(cls, "__hash__", lambda value, found=cls.__hash__: hashes.append(value) or found(value))
+    load = cli._load
+    monkeypatch.setattr(cli, "_load", lambda source: [load(source), hashes.clear()][0])
+    for path in paths:
+        hashes.append("not loaded")
+        assert cli.run_cli([argv[0], str(path), *argv[1:]], io.StringIO(), io.StringIO()) == 0
+        assert hashes == [], (path.read_text(), hashes[:3])
 
 
 def _count_dh_walks(monkeypatch) -> list:

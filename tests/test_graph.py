@@ -1,15 +1,22 @@
 import json
 import random
+import time
 from fractions import Fraction
-from math import factorial, prod
+from math import ceil, factorial, log2, prod
 
 import pytest
 
 import graph_oracle
 from semitoric import (
+    ClassificationError,
+    DomainError,
+    GeometryError,
     GraphEdge,
     GraphVertex,
     KarshonGraph,
+    MarkedPoint,
+    Point,
+    SemitoricPolygon,
     betti_b2,
     build_graph,
     canonical_form,
@@ -19,8 +26,8 @@ from semitoric import (
     enumerate_presentations,
     graphs_equal,
     kirwan_check,
+    serialize_graph,
 )
-from semitoric.graph import _sort_key
 
 
 class TestBuildGraph:
@@ -79,6 +86,54 @@ class TestBuildGraph:
                 assert graph.vertices[edge.target].kind == "isolated"
                 assert edge.weight >= 2
                 assert graph.vertices[edge.source].label < graph.vertices[edge.target].label
+
+
+def built_by(build, polygon):
+    """``build`` on a fresh copy of the polygon, or the type and message of what it raised."""
+    try:
+        return build(SemitoricPolygon(polygon.vertices, polygon.marks))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstReferenceBuilder:
+    """The by-position builder gives the graph, and the error, of the Point-keyed one it replaced."""
+
+    def test_valid_polygons(self, corpus, derived_polygons):
+        from conftest import focus_ladder, multi_column_polygons, same_answers_tool
+
+        ladders = [focus_ladder(jumps) for jumps in same_answers_tool().LADDERS]
+        members = [member for p in derived_polygons for _, member in enumerate_presentations(p).members]
+        polygons = list(corpus.values()) + derived_polygons + multi_column_polygons() + ladders + members
+        edges = 0
+        for polygon in polygons:
+            graph = built_by(build_graph, polygon)
+            assert isinstance(graph, KarshonGraph) and graph == built_by(graph_oracle.build_graph, polygon), polygon
+            edges += len(graph.edges)
+        assert len(polygons) > 700 and edges > 250
+
+    def test_invalid_probes(self, corpus, derived_polygons):
+        rng = random.Random(19)
+        probes = []
+        for polygon in list(corpus.values()) + derived_polygons:
+            flipped = tuple(MarkedPoint(m.position, m.multiplicity, -m.cut_sign) for m in polygon.marks)
+            probes.append(SemitoricPolygon(tuple(reversed(polygon.vertices)), polygon.marks))
+            probes.append(SemitoricPolygon(polygon.vertices, flipped))
+            probes.append(SemitoricPolygon(polygon.vertices))
+        for _ in range(300):
+            points = {Point(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))) for _ in range(rng.randint(3, 6))}
+            marks = tuple(
+                MarkedPoint(Point(Fraction(rng.randint(-6, 6), 2), Fraction(rng.randint(-6, 6), 2)), 1, rng.choice((-1, 1)))
+                for _ in range(rng.randint(0, 1))
+            )
+            probes.append(SemitoricPolygon(tuple(rng.sample(sorted(points, key=str), len(points))), marks))
+        errors = []
+        for polygon in probes:
+            answer = built_by(build_graph, polygon)
+            assert answer == built_by(graph_oracle.build_graph, polygon), polygon
+            if not isinstance(answer, KarshonGraph):
+                errors.append(answer[0])
+        assert len(errors) > 500 and set(errors) == {GeometryError, ClassificationError, DomainError}
 
 
 class TestCanonicalGraph:
@@ -167,9 +222,23 @@ class TestCanonicalGraph:
         # weighted projective-plane action
         assert graphs_equal(build_graph(corpus["FF1"]), build_graph(corpus["TRI121"]))
 
+    def test_wide_coprime_denominators(self):
+        # 64 labels with pairwise coprime 13,000-bit denominators: compared in pairs their
+        # products stay small, while one common denominator would have 830,000 bits
+        rng = random.Random(19)
+        primes = [p for p in range(2, 320) if all(p % q for q in range(2, p))][:64]
+        labels = [Fraction(rng.getrandbits(13_000), p ** ceil(13_000 / log2(p))) for p in primes]
+        rng.shuffle(labels)
+        graph = KarshonGraph(tuple(GraphVertex("isolated", label) for label in labels), ())
+        start = time.perf_counter()
+        form = canonical_form(graph)
+        assert time.perf_counter() - start < 1
+        assert [v.label for v in form.vertices] == sorted(labels)
+        assert serialize_graph(form) == graph_oracle.canonical_graph(graph)
+
     def test_canonical_form_sorted(self, corpus):
         graph = canonical_form(build_graph(corpus["NONADAPT3"]))
-        keys = [(v.label, v.kind, v.area or Fraction(0)) for v in graph.vertices]
+        keys = [graph_oracle._sort_key(v) for v in graph.vertices]
         assert keys == sorted(keys)
         assert all(v.provenance is None for v in graph.vertices)
 
@@ -226,7 +295,7 @@ def boundary_graph(rng: random.Random) -> KarshonGraph:
 
 def tied_blocks(graph: KarshonGraph) -> list[list[int]]:
     """Sorted positions grouped into the blocks the oracle permutes."""
-    keys = sorted(_sort_key(v) for v in graph.vertices)
+    keys = sorted(graph_oracle._sort_key(v) for v in graph.vertices)
     blocks: dict = {}
     for position, key in enumerate(keys):
         if key[1] == "isolated":
