@@ -25,11 +25,11 @@ whole range, whatever k is.  Only columns of one or two points can be
 Delzant, because a smooth corner ends at most one cut.  The cut family
 exists only for a valid polygon, so ``adaptability`` and
 ``delzant_presentations`` refuse an invalid one with ValidationFailure.
-``delzant_presentations`` builds each Delzant member once, from the
-unit-split polygon it makes only when there is a member to build, in one
-sweep that starts at the family's normal-form shear (one global shear,
-found from the unit polygon), so each member lands in shear normal form as
-it is built.  A polygon's validation report is kept on its facts, so
+``delzant_presentations`` builds each Delzant member once, in one sweep of
+the polygon's own facts with each column's unit marks (no unit-split
+polygon is made), started at the family's normal-form shear (one global
+shear, found from the polygon), so each member lands in shear normal form
+as it is built.  A polygon's validation report is kept on its facts, so
 neither entry point validates a polygon twice.
 """
 
@@ -42,17 +42,16 @@ from itertools import combinations
 from typing import Collection, Literal, Optional, Sequence
 
 from . import cuts
-from .cuts import SignProduct, _counts, _normal_shear, _require_verdict, _unit_marks, split_marks
+from .cuts import SignProduct, _counts, _normal_shear, _require_verdict, _unit_marks
 from .errors import DomainError, SemitoricError
 from .geometry import _exact, describe
-from .polygon import PolygonFacts, SemitoricPolygon, boundary_chains, require_valid
+from .polygon import PolygonFacts, SemitoricPolygon, require_valid
 from .vertices import (
     VertexKind,
     _class_of,
     _outgoing,
     classify_vertex,
     is_smooth_class,
-    outgoing_primitives,
 )
 
 
@@ -179,9 +178,8 @@ def orbit_counts(polygon: SemitoricPolygon, x: Fraction) -> OrbitCounts:
     facts = polygon.facts
     if not facts.j_min < x < facts.j_max:
         raise DomainError(f"orbit counts are defined for interior columns only, got x = {describe(x)}")
-    ee = sum(
-        1 for v in facts.vertices_at.get(x, ()) if classify_vertex(polygon, v).kind is not VertexKind.FAKE
-    )
+    column = facts.vertices_at.get(x, ())
+    ee = sum(classify_vertex(polygon, facts.vertices[i]).kind is not VertexKind.FAKE for i in column)
     zk = sum(run.start_vertex.x < x < run.end_vertex.x for run in facts.k_runs)
     return OrbitCounts(ee=ee, ff=facts.multiplicity_at(x), zk=zk)
 
@@ -307,10 +305,10 @@ def delzant_presentations(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, 
     delzant = _delzant_signs(require_valid(polygon))
     if not delzant:
         return ()
-    unit = split_marks(polygon)  # the members' marks are unit marks
-    shear = _normal_shear(unit)  # a switch moves neither vertex 0 nor edge 0's direction: one shear for all
+    units = [_unit_marks(column) for column in polygon.facts.marks_at.values()]  # the members' marks
+    shear = _normal_shear(polygon)  # a switch moves neither vertex 0 nor edge 0's direction: one shear for all
     # each swept straight into normal form; called through ``cuts`` so that patching it there counts the builds
-    members = (cuts._flip_cuts(unit, signs, shear) for signs in delzant)
+    members = (cuts._flip_cuts(polygon, signs, shear, units) for signs in delzant)
     return tuple(dict.fromkeys(members))  # first-seen order
 
 
@@ -322,12 +320,13 @@ def self_intersection(polygon: SemitoricPolygon, side: Literal["left", "right"])
     x-reflection of the same formula.  Its absolute value always equals
     |det| of the two outgoing primitives.
     """
-    chains = boundary_chains(polygon)
+    facts = polygon.facts
+    verticals = facts._verticals  # raises GeometryError on a degenerate polygon
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    edge = chains.left_vertical if side == "left" else chains.right_vertical
+    edge = verticals[side == "right"]
     if edge is None:
         raise DomainError(f"no vertical edge on the {side} side")
     # the non-vertical edge leaving each endpoint, bottom endpoint first
-    bottom_out, top_out = (next(d for d in outgoing_primitives(polygon, end) if d.a) for end in edge)
+    bottom_out, top_out = (next(d for d in _outgoing(facts, end) if d.a) for end in edge)
     return bottom_out.b - top_out.b

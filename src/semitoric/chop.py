@@ -16,25 +16,21 @@ from .errors import DomainError, SemitoricError, ValidationFailure
 from .geometry import LatticeVector, Point, _exact, describe
 from .graph import betti_b2, build_graph
 from .polygon import SemitoricPolygon, require_valid
-from .vertices import VertexKind, classify_vertex, outgoing_primitives
+from .vertices import VertexKind, _class_of, _outgoing
 
 
-def _edge_parameter(vertex: Point, other: Point, direction: LatticeVector) -> Fraction:
-    """Length of the edge vertex->other in units of its primitive direction."""
-    if direction.a != 0:
-        return (other.x - vertex.x) / direction.a
-    return (other.y - vertex.y) / direction.b
+def _edges(polygon: SemitoricPolygon, i: int) -> tuple[tuple[Point, LatticeVector, Fraction], ...]:
+    """(neighbour, outgoing primitive, length in its units) of the edges from vertex i to its two neighbours."""
+    verts = polygon.vertices
+    vertex, out = verts[i], []
+    for other, d in zip((verts[i - 1], verts[(i + 1) % len(verts)]), _outgoing(polygon.facts, i)):
+        out.append((other, d, (other.x - vertex.x) / d.a if d.a else (other.y - vertex.y) / d.b))
+    return tuple(out)
 
 
 def chop_allowance(polygon: SemitoricPolygon, vertex: Point) -> Fraction:
     """Largest size bound for a chop at the vertex (exclusive): min edge length."""
-    toward_prev, toward_next = outgoing_primitives(polygon, vertex)  # raises DomainError off the vertices
-    verts, i = polygon.vertices, polygon.facts.index[vertex]
-    prev_v, next_v = verts[i - 1], verts[(i + 1) % len(verts)]
-    return min(
-        _edge_parameter(vertex, prev_v, toward_prev),
-        _edge_parameter(vertex, next_v, toward_next),
-    )
+    return min(length for _, _, length in _edges(polygon, polygon.facts.position(vertex)))
 
 
 def corner_chop(polygon: SemitoricPolygon, vertex: Point, delta: Fraction) -> SemitoricPolygon:
@@ -42,20 +38,17 @@ def corner_chop(polygon: SemitoricPolygon, vertex: Point, delta: Fraction) -> Se
     delta = _exact(delta)
     if delta <= 0:
         raise DomainError("chop size must be positive")
-    if classify_vertex(polygon, vertex).kind is not VertexKind.DELZANT:
+    i = polygon.facts.position(vertex)
+    if _class_of(polygon.facts.classes[i]).kind is not VertexKind.DELZANT:
         raise DomainError(f"vertex is not Delzant: {describe(vertex)}")
-    verts, i = polygon.vertices, polygon.facts.index[vertex]
-    prev_v, next_v = verts[i - 1], verts[(i + 1) % len(verts)]
-    toward_prev, toward_next = outgoing_primitives(polygon, vertex)
-    if delta >= _edge_parameter(vertex, prev_v, toward_prev):
-        raise DomainError(f"chop size {describe(delta)} does not stay strictly inside the edge toward {describe(prev_v)}")
-    if delta >= _edge_parameter(vertex, next_v, toward_next):
-        raise DomainError(f"chop size {describe(delta)} does not stay strictly inside the edge toward {describe(next_v)}")
+    edges = _edges(polygon, i)
+    for other, _, length in edges:
+        if delta >= length:
+            inside = f"does not stay strictly inside the edge toward {describe(other)}"
+            raise DomainError(f"chop size {describe(delta)} {inside}")
 
-    on_prev_edge = Point(vertex.x + delta * toward_prev.a, vertex.y + delta * toward_prev.b)
-    on_next_edge = Point(vertex.x + delta * toward_next.a, vertex.y + delta * toward_next.b)
-    new_vertices = verts[:i] + (on_prev_edge, on_next_edge) + verts[i + 1 :]
-    result = SemitoricPolygon(new_vertices, polygon.marks)
+    cut = tuple(Point(vertex.x + delta * d.a, vertex.y + delta * d.b) for _, d, _ in edges)  # on each edge
+    result = SemitoricPolygon(polygon.vertices[:i] + cut + polygon.vertices[i + 1 :], polygon.marks)
     try:
         require_valid(result)
     except ValidationFailure as exc:

@@ -178,10 +178,15 @@ def _require_verdict(
 
 
 def _flip_cuts(
-    polygon: SemitoricPolygon, signs: Sequence[int], start: Optional[GlobalShear] = None
+    polygon: SemitoricPolygon, signs: Sequence[int], start: Optional[GlobalShear] = None,
+    columns: Optional[Iterable[Sequence[MarkedPoint]]] = None,
 ) -> SemitoricPolygon:
     """The presentation of a valid polygon with these cut signs, moved by the global
     shear ``start`` when one is given; the polygon itself when neither changes it.
+
+    ``columns`` holds each mark column's marks, one sign each: the polygon's
+    own (``PolygonFacts.marks_at``) by default, or each column's
+    :func:`_unit_marks`, for a member of the unit-split family.
 
     Flipping mark i shears the plane right of its column by (old sign) *
     (multiplicity); the shears of one column add, and may cancel.  One pass
@@ -193,15 +198,17 @@ def _flip_cuts(
     and raises PresentationError where it fails.  A switch of a valid
     polygon is valid, so nothing else is checked.
     """
-    if start is None and all(mark.cut_sign == sign for mark, sign in zip(polygon.marks, signs)):
-        return polygon
     facts = polygon.facts
+    if columns is None:
+        if start is None and all(mark.cut_sign == sign for mark, sign in zip(polygon.marks, signs)):
+            return polygon
+        columns = facts.marks_at.values()
     chains = (facts.chains.bottom, facts.chains.top)
     # (slope, offset) of GlobalShear: ``start``, plus c * (x - x_c) for each flipped column x_c left of the point
     slope, offset = (start.slope, start.offset) if start is not None else (0, 0)
     images, taken, moved = ([], []), [0, 0], []  # each chain's image and how many of its points it has; the marks
     signs = iter(signs)  # each column's zip(column, signs) takes that column's signs: zip tries ``column`` first
-    for (x, column), slice_, sides in zip(facts.marks_at.items(), facts.heights.values(), facts.sides):
+    for x, column, slice_, sides in zip(facts.marks_at, columns, facts.heights.values(), facts.sides):
         coefficient = 0
         for mark, sign in zip(column, signs):
             if sign != mark.cut_sign:

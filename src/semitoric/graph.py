@@ -11,8 +11,8 @@ Construction from a presentation:
   pole, weighted k.
 
 The graph is built by vertex position: the vertical edges' endpoints are
-the chain ends on their sides, and each k-run carries its poles' positions,
-so no vertex is looked up by its ``Point``.
+the facts' one record of their positions, and each k-run carries its poles'
+positions, so no vertex is looked up by its ``Point``.
 
 Two presentations of one system always produce equal graphs, which is what
 the canonical form below makes checkable byte-for-byte.  It sorts the
@@ -60,10 +60,8 @@ class KarshonGraph:
 def build_graph(polygon: SemitoricPolygon) -> KarshonGraph:
     """Construct the labeled directed graph of a validated presentation."""
     facts = polygon.facts
-    chains = facts.chains  # first: a degenerate polygon raises before a vertex is classified
-    bottom, top = facts._positions
-    # a vertical edge joins the two chains' ends on its side, which then differ
-    fixed = {i for ends in ((bottom[0], top[0]), (bottom[-1], top[-1])) if ends[0] != ends[1] for i in ends}
+    verticals = facts._verticals  # first: a degenerate polygon raises before a vertex is classified
+    fixed = {i for edge in verticals if edge for i in edge}
     vertices: list[GraphVertex] = []
     ids: list[Optional[int]] = [None] * len(polygon.vertices)  # vertex position -> its graph id
 
@@ -76,10 +74,10 @@ def build_graph(polygon: SemitoricPolygon) -> KarshonGraph:
     for mark in polygon.marks:
         for _ in range(mark.multiplicity):
             vertices.append(GraphVertex(ISOLATED, mark.position.x, provenance="focus-focus"))
-    for edge in (chains.left_vertical, chains.right_vertical):
+    for edge in verticals:
         if edge is None:
             continue
-        bottom_end, top_end = edge
+        bottom_end, top_end = (polygon.vertices[i] for i in edge)
         vertices.append(
             GraphVertex(FAT, bottom_end.x, genus=0, area=top_end.y - bottom_end.y, provenance="fixed-surface")
         )

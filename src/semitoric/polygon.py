@@ -10,18 +10,20 @@ where the fake and hidden-Delzant vertex classes live.
 Everything the library reads about a polygon is one :class:`PolygonFacts`
 value, kept on the polygon instance outside equality, hashing, repr and
 pickling, so it lives exactly as long as the polygon.  Each of its facts
-(the primitive direction of each edge, the boundary chains and vertical
-edges, the slice heights at the mark columns and the Duistermaat-Heckman
-walk over every column, the boundary points and tangents on each mark
-column, all read from one walk along each chain, the cut degrees, each
-vertex's class, the k-runs with their poles' positions, the validation
-report) is computed on first read and kept.  A fact whose computation fails
+(the primitive direction of each edge, the boundary split once into chains
+of vertex positions and the vertical edges' endpoint positions, the slice
+heights at the mark columns and the Duistermaat-Heckman walk over every
+column, the boundary points and tangents on each mark column, all read
+from one walk along each chain, the cut degrees, each vertex's class, the
+k-runs with their poles' positions, the validation report) is computed on
+first read and kept.  A fact whose computation fails
 is not kept: every read raises again, with the same type and message.  Only
 the vertex classes hold errors, one per unclassifiable vertex, so validation
 can report them all.  A reader computes only what it reads: a degenerate
 polygon is rejected without a vertex being classified, validation looks no
 vertex up by its ``Point``, and the report's classifications (vertex ->
 class) are built on first read, so loading a polygon hashes no ``Point``.
+A reader given a vertex's ``Point`` scans its column for its position.
 """
 
 from __future__ import annotations
@@ -188,21 +190,26 @@ class PolygonFacts:
 
     A fact whose computation raises is not kept, so every read raises again.
     Only :attr:`classes` holds errors, one per unclassifiable vertex.  Facts of
-    single vertices are indexed by position; :attr:`index` finds it from a Point.
+    single vertices are indexed by position; :meth:`position` finds it from a
+    Point.  The boundary is split once, into the chains' vertex positions
+    (:attr:`_positions`), and :attr:`_verticals` holds the vertical edges'.
     """
 
     def __init__(self, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...]):
         self.vertices, self.marks = vertices, marks
-        self.vertices_at: dict[Fraction, list[Point]] = {}  # column -> its vertices, in polygon order
-        for v in vertices:
-            self.vertices_at.setdefault(v.x, []).append(v)
+        self.vertices_at: dict[Fraction, list[int]] = {}  # column -> its vertices' positions, in polygon order
+        for i, v in enumerate(vertices):
+            self.vertices_at.setdefault(v.x, []).append(i)
         self.j_min, self.j_max = vertices[0].x, max(self.vertices_at)  # the rotation starts bottom left
         self.marks_at = {x: tuple(group) for x, group in groupby(marks, key=lambda m: m.position.x)}
 
-    @cached_property
-    def index(self) -> dict[Point, int]:
-        """Vertex -> its first position in ``vertices``."""
-        return {v: i for i, v in reversed(tuple(enumerate(self.vertices)))}
+    def position(self, vertex: Point) -> int:
+        """The vertex's first position in ``vertices``, found in its column; DomainError off the vertices."""
+        if isinstance(vertex, Point):
+            for i in self.vertices_at.get(vertex.x, ()):
+                if self.vertices[i].y == vertex.y:
+                    return i
+        raise DomainError(f"{describe(vertex)} is not a vertex of the polygon")
 
     @cached_property
     def columns(self) -> tuple[Fraction, ...]:
@@ -221,22 +228,32 @@ class PolygonFacts:
         return tuple(_structure_violations(self))
 
     @cached_property
-    def chains(self) -> BoundaryChains:
+    def _positions(self) -> tuple[Sequence[int], Sequence[int]]:
+        """The position in ``vertices`` of each point of the bottom and of the top chain, both left to right:
+        the one split of the boundary.  The bottom runs rightward from vertex 0, the bottom left; a vertical
+        edge climbs the right and descends the left, and the top runs against polygon order."""
         if self.structure:
             raise GeometryError(f"degenerate polygon: {self.structure[0].message}")
-        return _split_boundary(self.vertices, self.edges)
+        edges = self.edges
+        bottom_right = next(i for i, e in enumerate(edges) if e.a <= 0)
+        top_right = bottom_right + (edges[bottom_right].a == 0)
+        # the top runs back from the last vertex, after vertex 0 where no vertical edge descends the left
+        top = range(len(edges) - 1, top_right - 1, -1)
+        return range(bottom_right + 1), [0, *top] if edges[-1].a else top
 
     @cached_property
-    def on_vertical(self) -> frozenset[Point]:
-        """The endpoints of the vertical edges."""
-        return frozenset(p for edge in (self.chains.left_vertical, self.chains.right_vertical) if edge for p in edge)
+    def _verticals(self) -> tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]:
+        """The (bottom, top) positions of the left and of the right vertical edge, None where a side has none:
+        a vertical edge joins the two chains' ends on its side, which then differ."""
+        bottom, top = self._positions
+        left, right = (bottom[0], top[0]), (bottom[-1], top[-1])
+        return left if left[0] != left[1] else None, right if right[0] != right[1] else None
 
     @cached_property
-    def _positions(self) -> tuple[Sequence[int], Sequence[int]]:
-        """The position in ``vertices`` of each point of the bottom and of the top chain."""
-        n, chains = len(self.vertices), self.chains
-        top_left = n - 1 if chains.left_vertical else 0  # the top chain runs from it against polygon order
-        return range(len(chains.bottom)), [(top_left - k) % n for k in range(len(chains.top))]
+    def chains(self) -> BoundaryChains:
+        verts, (bottom, top) = self.vertices, self._positions
+        left, right = (edge and (verts[edge[0]], verts[edge[1]]) for edge in self._verticals)
+        return BoundaryChains(verts[: len(bottom)], tuple(map(verts.__getitem__, top)), left, right)
 
     def _walk(self, columns: Sequence[Fraction]) -> list[_Slice]:
         """(bottom y, top y, bottom vertex, top vertex, bottom index, top index) at each of these
@@ -393,7 +410,7 @@ def _structure_violations(facts: PolygonFacts) -> list[Violation]:
     verts = facts.vertices
     if len(verts) < 3:
         return [Violation("too-few-vertices", "polygon", f"{len(verts)} vertices, need at least 3")]
-    if any(len({v.y for v in col}) < len(col) for col in facts.vertices_at.values() if len(col) > 1):
+    if any(len({verts[i].y for i in col}) < len(col) for col in facts.vertices_at.values() if len(col) > 1):
         return [Violation("duplicate-vertex", "polygon", "vertices are not pairwise distinct")]
     # each edge is a positive multiple of its primitive direction, so these are the turns' signs
     edges = facts.edges
@@ -415,19 +432,6 @@ def _structure_violations(facts: PolygonFacts) -> list[Violation]:
     return out
 
 
-def _split_boundary(verts: tuple[Point, ...], edges: Sequence[LatticeVector]) -> BoundaryChains:
-    # the bottom runs rightward from vertex 0, the bottom left; a vertical edge climbs the right, descends the left
-    bottom_right = next(i for i, e in enumerate(edges) if e.a <= 0)
-    top_right = bottom_right + (edges[bottom_right].a == 0)
-    top_left = len(verts) - 1 if edges[-1].a == 0 else 0
-
-    bottom = verts[: bottom_right + 1]
-    top = tuple(reversed(verts[top_right : top_left + 1] if top_left else verts[top_right:] + verts[:1]))
-    left_vertical = (verts[0], verts[top_left]) if top_left else None
-    right_vertical = (verts[bottom_right], verts[top_right]) if top_right > bottom_right else None
-    return BoundaryChains(bottom=bottom, top=top, left_vertical=left_vertical, right_vertical=right_vertical)
-
-
 def boundary_chains(polygon: SemitoricPolygon) -> BoundaryChains:
     """Split the boundary into bottom/top paths and the extreme vertical edges.
 
@@ -439,7 +443,8 @@ def boundary_chains(polygon: SemitoricPolygon) -> BoundaryChains:
 
 def vertical_edge_endpoints(polygon: SemitoricPolygon) -> frozenset[Point]:
     """Vertices incident to a vertical edge (images of fixed surfaces)."""
-    return polygon.facts.on_vertical
+    verts = polygon.vertices
+    return frozenset(verts[i] for edge in polygon.facts._verticals if edge for i in edge)
 
 
 def slice_heights(polygon: SemitoricPolygon, x: Fraction) -> tuple[Fraction, Fraction]:

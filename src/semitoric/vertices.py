@@ -33,7 +33,7 @@ from typing import Literal
 
 from .errors import ClassificationError, DomainError, GeometryError, SemitoricError
 from .geometry import LatticeVector, Point, describe, det2, format_rational, shear_vector
-from .polygon import MarkedPoint, PolygonFacts, SemitoricPolygon, vertical_edge_endpoints
+from .polygon import MarkedPoint, PolygonFacts, SemitoricPolygon
 
 
 class VertexKind(Enum):
@@ -110,10 +110,7 @@ def _outgoing(facts: PolygonFacts, i: int) -> tuple[LatticeVector, LatticeVector
 
 def outgoing_primitives(polygon: SemitoricPolygon, vertex: Point) -> tuple[LatticeVector, LatticeVector]:
     """Primitive tangents of the two incident edges, directed away from the vertex."""
-    i = polygon.facts.index.get(vertex)
-    if i is None:
-        raise DomainError(f"{describe(vertex)} is not a vertex of the polygon")
-    return _outgoing(polygon.facts, i)
+    return _outgoing(polygon.facts, polygon.facts.position(vertex))
 
 
 def _tangent_frame(facts: PolygonFacts, i: int) -> tuple[LatticeVector, LatticeVector]:
@@ -194,10 +191,7 @@ def classify_vertex(polygon: SemitoricPolygon, vertex: Point) -> VertexClassific
     Raises ClassificationError when no class matches; on validated polygons
     exactly one always does.
     """
-    i = polygon.facts.index.get(vertex)
-    if i is None:
-        raise DomainError(f"{describe(vertex)} is not a vertex of the polygon")
-    return _class_of(polygon.facts.classes[i])
+    return _class_of(polygon.facts.classes[polygon.facts.position(vertex)])
 
 
 def _class_of(found: object) -> VertexClassification:
@@ -240,12 +234,13 @@ def isotropy_weights(polygon: SemitoricPolygon, vertex: Point) -> tuple[int, int
     tangents.  Fake vertices carry no fixed point and vertices of vertical
     edges belong to a fixed surface; both are rejected.
     """
-    c = classify_vertex(polygon, vertex)
-    if c.kind is VertexKind.FAKE:
+    facts = polygon.facts
+    i = facts.position(vertex)
+    if _class_of(facts.classes[i]).kind is VertexKind.FAKE:
         raise DomainError(f"{describe(vertex)} is a fake vertex; no isolated fixed point lies over it")
-    if vertex in vertical_edge_endpoints(polygon):
+    if any(edge and i in edge for edge in facts._verticals):
         raise DomainError(f"{describe(vertex)} lies on a vertical edge; its preimage is part of a fixed surface")
-    first, second = outgoing_primitives(polygon, vertex)
+    first, second = _outgoing(facts, i)
     weights = sorted((first.a, second.a))
     return weights[0], weights[1]
 

@@ -369,7 +369,8 @@ class TestPerColumnSearch:
                 except PresentationError:
                     built = None
                 else:
-                    built = all(is_smooth_vertex(shape, v) for v in shape.facts.vertices_at.get(x, ()))
+                    column = shape.facts.vertices_at.get(x, ())  # vertex positions
+                    built = all(is_smooth_vertex(shape, shape.vertices[i]) for i in column)
                 assert _local_verdict(sides, len(signs), signs.count(1), shift) == built, (unit, x, shift)
                 yield built
 

@@ -26,7 +26,12 @@ from semitoric import (
     PolygonFacts,
     SemitoricPolygon,
     ValidationReport,
+    boundary_chains,
+    chop_allowance,
     classify_vertex,
+    isotropy_weights,
+    outgoing_primitives,
+    parse_polygon,
     serialize_polygon,
     slice_heights,
     validate,
@@ -158,23 +163,58 @@ def test_validation_hashes_each_vertex_once(corpus, monkeypatch):
         assert hashes == [], polygon
 
 
-@pytest.mark.parametrize("argv", [["graph"], ["graph", "--format", "dot"], ["dh"], ["adaptable"], ["classify"]])
+def test_point_readers_build_no_point_map(corpus, monkeypatch):
+    # a vertex given by its Point is found by a scan of its column, then read by position
+    from conftest import fuzz_derivatives
+
+    polygons = [parse_polygon(serialize_polygon(p)) for p in list(corpus.values()) + fuzz_derivatives(50)]
+    hashes = []
+    point_hash = Point.__hash__
+    monkeypatch.setattr(Point, "__hash__", lambda point: hashes.append(point) or point_hash(point))
+    calls = 0
+    for polygon in polygons:
+        for vertex in polygon.vertices:
+            for reader in (classify_vertex, outgoing_primitives, isotropy_weights, chop_allowance):
+                try:
+                    reader(polygon, vertex)
+                except DomainError:  # isotropy weights at a fake vertex or on a vertical edge
+                    pass
+                calls += 1
+        assert hashes == [], (polygon, hashes[:3])
+    assert calls > 900
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph"],
+        ["graph", "--format", "dot"],
+        ["dh"],
+        ["adaptable"],
+        ["classify"],
+        ["self-intersection", "--side", "left"],
+        ["self-intersection", "--side", "right"],
+    ],
+)
 def test_cli_queries_hash_nothing_after_load(corpus, tmp_path, monkeypatch, argv):
     # past the load, these queries read vertices and columns by position: no Point or Fraction is hashed
     from conftest import fuzz_derivatives
 
-    paths = []
+    side = argv[-1] if argv[0] == "self-intersection" else None
+    paths, codes = [], []
     for i, polygon in enumerate(list(corpus.values()) + fuzz_derivatives(50)):
         paths.append(tmp_path / f"{i}.json")
         paths[-1].write_text(serialize_polygon(polygon))
+        # exit 1 only where the side asked for has no vertical edge
+        codes.append(1 if side and getattr(boundary_chains(polygon), f"{side}_vertical") is None else 0)
     hashes = []
     for cls in (Point, Fraction):
         monkeypatch.setattr(cls, "__hash__", lambda value, found=cls.__hash__: hashes.append(value) or found(value))
     load = cli._load
     monkeypatch.setattr(cli, "_load", lambda source: [load(source), hashes.clear()][0])
-    for path in paths:
+    for path, code in zip(paths, codes):
         hashes.append("not loaded")
-        assert cli.run_cli([argv[0], str(path), *argv[1:]], io.StringIO(), io.StringIO()) == 0
+        assert cli.run_cli([argv[0], str(path), *argv[1:]], io.StringIO(), io.StringIO()) == code
         assert hashes == [], (path.read_text(), hashes[:3])
 
 
@@ -212,8 +252,10 @@ def test_mark_columns_bisect_once_per_chain(corpus, tmp_path, monkeypatch):
             module, "bisect_left", lambda *args, found=module.bisect_left, **kw: bisections.append(1) or found(*args, **kw)
         )
     commands = (["adaptable"], ["switch-cut", "--index", "0"], ["presentations"], ["presentations", "--delzant-only"])
+    # a mark of multiplicity 2: the Delzant listing sweeps its unit marks over the polygon's own walk
+    doubled = SemitoricPolygon((pt(0, 0), pt(1, 0), pt(2, 2)), (MarkedPoint(pt(1, Fraction(1, 2)), 2, -1),))
     queries = 0
-    for polygon in list(corpus.values()) + [focus_ladder([1, 2, 1])]:
+    for polygon in list(corpus.values()) + [focus_ladder([1, 2, 1]), doubled]:
         path = tmp_path / "polygon.json"
         path.write_text(serialize_polygon(polygon))
         for command in commands if polygon.marks else commands[:1]:

@@ -20,13 +20,16 @@ the other tree's, when it could not make its own) in its own process:
 * library, on the parsed polygon, or for a file that does not parse on the
   polygon built from it without validation: ``validate``, ``dh_function``,
   ``dh_jump_report``, ``build_graph``, ``canonical_graph``,
+  ``validate`` compared by ``==`` with the report of a deep copy and with
+  a ``ValidationReport`` rebuilt from its classifications and violations,
   ``shear_normal_form``, ``transform_polygon`` under four fixed global
   shears (one with a non-integer offset), ``boundary_chains``,
   ``vertical_edge_endpoints``, ``cut_degrees``, ``zk_chains``,
   ``is_delzant_polygon``,
-  ``classify_vertex``, ``outgoing_primitives`` and ``isotropy_weights`` at
-  every vertex, ``slice_heights`` at every vertex and mark column and at
-  the midpoints between them, and ``orbit_counts`` at the interior ones; on
+  ``classify_vertex``, ``outgoing_primitives``, ``isotropy_weights`` and
+  ``chop_allowance`` at every vertex, ``slice_heights`` at every vertex
+  and mark column and at the midpoints between them, and ``orbit_counts``
+  at the interior ones; on
   a valid polygon also ``adaptability``, ``delzant_presentations``, the
   first 64 members of ``enumerate_presentations``, ``switch_cut`` at
   every mark index (and one index past the end), ``self_intersection`` on
@@ -53,6 +56,7 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import io
 import json
@@ -169,6 +173,15 @@ def _unchecked(text: bytes):
     return SemitoricPolygon(vertices, marks)
 
 
+def _same_reports(polygon) -> tuple[bool, bool]:
+    """Whether the polygon's report equals that of a fresh copy, and one rebuilt from its classifications."""
+    from semitoric import ValidationReport, validate
+
+    report = validate(polygon)
+    rebuilt = ValidationReport(dict(report.classifications), report.violations)
+    return report == validate(copy.deepcopy(polygon)), report == rebuilt
+
+
 def _readers(polygon) -> dict:
     """The library's readers of one polygon, valid or not, by query name."""
     from semitoric import (
@@ -176,6 +189,7 @@ def _readers(polygon) -> dict:
         boundary_chains,
         build_graph,
         canonical_graph,
+        chop_allowance,
         classify_vertex,
         cut_degrees,
         dh_function,
@@ -196,6 +210,7 @@ def _readers(polygon) -> dict:
     midpoints = [(a + b) / 2 for a, b in zip(columns, columns[1:])]
     calls = {
         "validate": lambda: validate(polygon),
+        "validate ==": lambda: _same_reports(polygon),
         "dh_function": lambda: dh_function(polygon),
         "dh_jump_report": lambda: dh_jump_report(polygon),
         "build_graph": lambda: build_graph(polygon),
@@ -213,7 +228,7 @@ def _readers(polygon) -> dict:
         shear = GlobalShear(slope, offset)
         calls[f"transform_polygon {slope} {offset}"] = lambda shear=shear: transform_polygon(polygon, shear)
     for i, vertex in enumerate(polygon.vertices):
-        for reader in (classify_vertex, outgoing_primitives, isotropy_weights):
+        for reader in (classify_vertex, outgoing_primitives, isotropy_weights, chop_allowance):
             calls[f"{reader.__name__} {i}"] = lambda reader=reader, vertex=vertex: reader(polygon, vertex)
     return calls
 
