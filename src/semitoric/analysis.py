@@ -41,18 +41,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Collection, Literal, Optional, Sequence
 
-from . import cuts
-from .cuts import SignProduct, _counts, _normal_shear, _require_verdict, _unit_marks
+from .cuts import SignProduct, _counts, _flip_cuts, _normal_shear, _require_verdict, _unit_marks
 from .errors import DomainError, SemitoricError
 from .geometry import _exact, describe
 from .polygon import PolygonFacts, SemitoricPolygon, require_valid
-from .vertices import (
-    VertexKind,
-    _class_of,
-    _outgoing,
-    classify_vertex,
-    is_smooth_class,
-)
+from .vertices import VertexKind, _class_of, _outgoing, classify_vertex
 
 
 @dataclass(frozen=True)
@@ -251,13 +244,11 @@ def _delzant_signs(polygon: SemitoricPolygon) -> SignProduct:
       one only where k <= 2, the only columns whose unit signs are listed.
 
     Every member of a valid polygon's family is valid, and no presentation
-    is built, nor the unit-split polygon.
+    is built, nor the unit-split polygon.  Off the mark columns no cut ends,
+    so there a valid polygon's vertices are Delzant, hence smooth, in every
+    member: only the mark columns are searched.
     """
     facts = polygon.facts
-    on_marks = {i for heights in facts.heights.values() for i in heights[2:4]}
-    # no cut ends off the mark columns, so there a valid polygon's vertices are Delzant
-    if not all(is_smooth_class(c) for i, c in enumerate(facts.classes) if i not in on_marks):
-        return SignProduct(((),))  # one factor with no choice: no sign vector
     per_column = []  # per column: the signs of every flip pattern that keeps its vertices smooth
     for column, sides in zip(facts.marks_at.values(), facts.sides):  # in mark order
         k, ups = _counts(column)
@@ -307,8 +298,7 @@ def delzant_presentations(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, 
         return ()
     units = [_unit_marks(column) for column in polygon.facts.marks_at.values()]  # the members' marks
     shear = _normal_shear(polygon)  # a switch moves neither vertex 0 nor edge 0's direction: one shear for all
-    # each swept straight into normal form; called through ``cuts`` so that patching it there counts the builds
-    members = (cuts._flip_cuts(polygon, signs, shear, units) for signs in delzant)
+    members = (_flip_cuts(polygon, signs, shear, units) for signs in delzant)  # each swept straight into normal form
     return tuple(dict.fromkeys(members))  # first-seen order
 
 

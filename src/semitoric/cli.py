@@ -79,28 +79,30 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="semitoric", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_file(name, help_text):
+    def with_file(name, help_text, handler):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("file", help="polygon file path or corpus:NAME")
+        cmd.set_defaults(handler=handler)
         return cmd
 
-    with_file("validate", "check a polygon file against every structural rule")
-    with_file("classify", "per-vertex classification table")
-    graph_cmd = with_file("graph", "emit the labeled directed graph of the circle action")
+    with_file("validate", "check a polygon file against every structural rule", _cmd_validate)
+    with_file("classify", "per-vertex classification table", _cmd_classify)
+    graph_cmd = with_file("graph", "emit the labeled directed graph of the circle action", _cmd_graph)
     graph_cmd.add_argument("--format", choices=("json", "dot"), default="json")
-    with_file("dh", "Duistermaat-Heckman density and slope-jump report")
-    with_file("adaptable", "decide whether the circle action extends to a torus action")
-    switch_cmd = with_file("switch-cut", "flip one cut sign and print the reshaped polygon")
+    with_file("dh", "Duistermaat-Heckman density and slope-jump report", _cmd_dh)
+    with_file("adaptable", "decide whether the circle action extends to a torus action", _cmd_adaptable)
+    switch_cmd = with_file("switch-cut", "flip one cut sign and print the reshaped polygon", _cmd_switch_cut)
     switch_cmd.add_argument("--index", type=int, required=True)
-    pres_cmd = with_file("presentations", "enumerate the cut-sign family")
+    pres_cmd = with_file("presentations", "enumerate the cut-sign family", _cmd_presentations)
     pres_cmd.add_argument("--delzant-only", action="store_true")
-    si_cmd = with_file("self-intersection", "self-intersection of a fixed sphere")
+    si_cmd = with_file("self-intersection", "self-intersection of a fixed sphere", _cmd_self_intersection)
     si_cmd.add_argument("--side", choices=("left", "right"), required=True)
-    chop_cmd = with_file("chop", "blow up a Delzant vertex")
+    chop_cmd = with_file("chop", "blow up a Delzant vertex", _cmd_chop)
     chop_cmd.add_argument("--vertex", required=True, metavar="X,Y")
     chop_cmd.add_argument("--size", required=True, metavar="P/Q")
 
     corpus_cmd = sub.add_parser("corpus", help="bundled example polygons")
+    corpus_cmd.set_defaults(handler=_cmd_corpus)
     corpus_sub = corpus_cmd.add_subparsers(dest="corpus_command", required=True)
     corpus_sub.add_parser("list")
     get_cmd = corpus_sub.add_parser("get")
@@ -218,20 +220,6 @@ def _cmd_corpus(args, out) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "classify": _cmd_classify,
-    "graph": _cmd_graph,
-    "dh": _cmd_dh,
-    "adaptable": _cmd_adaptable,
-    "switch-cut": _cmd_switch_cut,
-    "presentations": _cmd_presentations,
-    "self-intersection": _cmd_self_intersection,
-    "chop": _cmd_chop,
-    "corpus": _cmd_corpus,
-}
-
-
 # built once per process: parsing keeps no state in the parser, and _Parser
 # raises instead of exiting, so one instance serves every call
 _PARSER = _build_parser()
@@ -250,7 +238,7 @@ def run_cli(argv, out=None, err=None) -> int:
         out.write(str(exc))
         return EXIT_OK
     try:
-        return _HANDLERS[args.command](args, out)
+        return args.handler(args, out)
     except (ParseError, ValidationFailure) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INVALID

@@ -469,12 +469,19 @@ def validate(polygon: SemitoricPolygon) -> ValidationReport:
     * marks strictly interior;
     * each mark's cut endpoint (top boundary point at the mark's column for
       cut +1, bottom for -1) is a vertex;
-    * cuts ending at one vertex share a sign;
     * every vertex classifies as exactly one of Delzant / hidden Delzant /
-      fake;
-    * vertices on the extreme columns J_min, J_max classify as Delzant
-      (which also forces the edge next to a vertical edge to have primitive
-      first component 1).
+      fake.
+
+    Two more rules hold on every polygon that passes the mark rules, so
+    they are not checked again:
+
+    * cuts ending at one vertex share a sign (implied: a strictly interior
+      mark's column has distinct bottom and top points, so a cut up and a
+      cut down never end at one vertex);
+    * vertices on the extreme columns J_min, J_max classify as Delzant,
+      which also forces the edge next to a vertical edge to have primitive
+      first component 1 (implied: no cut ends on an extreme column, and a
+      vertex where no cut ends is Delzant or unclassifiable).
 
     The report is kept on the polygon's facts, so a polygon is checked once
     however often it is validated.
@@ -484,8 +491,6 @@ def validate(polygon: SemitoricPolygon) -> ValidationReport:
 
 def _validation_report(facts: PolygonFacts) -> ValidationReport:
     """The rule checks of :func:`validate`, run on one polygon's facts."""
-    from .vertices import VertexKind  # deferred: the lattice rules live there
-
     if facts.structure:
         return ValidationReport({}, facts.structure)
 
@@ -505,20 +510,9 @@ def _validation_report(facts: PolygonFacts) -> ValidationReport:
         violations.append(Violation(rule, f"marks[{idx}] at {describe(mark.position)}", message))
     if violations:
         return ValidationReport({}, tuple(violations))
-    try:
-        facts._degrees  # raises when cuts of both signs end at one vertex
-    except ClassificationError as exc:
-        return ValidationReport({}, (Violation("conflicting-cut-signs", "marks", str(exc)),))
-
-    bottom, top = facts._positions
-    extreme = {bottom[0], bottom[-1], top[0], top[-1]}  # the chains' ends: the vertices on J_min and J_max
-    for i, (vertex, result) in enumerate(zip(facts.vertices, facts.classes)):
+    for vertex, result in zip(facts.vertices, facts.classes):
         if isinstance(result, SemitoricError):
             violations.append(Violation("unclassifiable-vertex", describe(vertex), str(result)))
-        elif result.kind is not VertexKind.DELZANT and i in extreme:
-            violations.append(
-                Violation("extreme-not-delzant", describe(vertex), f"extreme vertex classifies as {result.kind.value}")
-            )
     return ValidationReport(_Classifications(facts.vertices, facts.classes), tuple(violations))
 
 

@@ -91,8 +91,9 @@ def cut_endpoint(polygon: SemitoricPolygon, mark: MarkedPoint) -> Point:
 def cut_degrees(polygon: SemitoricPolygon) -> dict[Point, tuple[int, int]]:
     """Aggregate cut endpoints: vertex -> (total multiplicity, common sign).
 
-    Raises ClassificationError when cuts of both signs end at one point,
-    which cannot happen for a polygon with strictly interior marks.
+    Raises ClassificationError when cuts of both signs end at one vertex.
+    No polygon that passes validation's mark rules has such a vertex: a
+    strictly interior mark's column has distinct bottom and top points.
     """
     return dict(polygon.facts.cut_degrees)
 

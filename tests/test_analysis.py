@@ -80,6 +80,20 @@ class TestDhFunction:
         assert density.value_at(Fraction(1, 2)) == Fraction(1, 4)
         assert density.value_at(Fraction(3, 2)) == Fraction(1, 4)
 
+    def test_value_at_breakpoints_and_outside(self, corpus):
+        density = dh_function(corpus["FF1"])
+        assert [density.value_at(x) for x in density.breakpoints] == list(density.values)
+        for x, message in ((Fraction(-1, 2), "-1/2 outside [0, 2]"), (Fraction(3), "3 outside [0, 2]")):
+            with pytest.raises(DomainError) as exc:
+                density.value_at(x)
+            assert str(exc.value) == message
+
+    def test_mark_off_the_moment_interval(self, corpus):
+        polygon = SemitoricPolygon(corpus["FF1"].vertices, (MarkedPoint(Point(Fraction(3), Fraction(0))),))
+        with pytest.raises(DomainError) as exc:
+            dh_function(polygon)
+        assert str(exc.value) == "x = 3 is outside the moment interval [0, 2]"
+
 
 class TestDhFromGraph:
     """The DH function rebuilt from Karshon's graph alone equals the polygon's."""
@@ -336,11 +350,13 @@ class TestPerColumnSearch:
                 function(doubled_tip)
 
     def test_builds_per_column(self, monkeypatch):
+        import semitoric.analysis as analysis
         import semitoric.cuts as cuts
 
         built = []
         flip_cuts = cuts._flip_cuts
-        monkeypatch.setattr(cuts, "_flip_cuts", lambda *args: built.append(1) or flip_cuts(*args))
+        for module in (analysis, cuts):  # one counter for every build, wherever it is called from
+            monkeypatch.setattr(module, "_flip_cuts", lambda *args: built.append(1) or flip_cuts(*args))
         for polygon in multi_column_polygons(50, seed=11):
             built.clear()
             verdict = adaptability(polygon)

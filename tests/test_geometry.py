@@ -103,6 +103,10 @@ class TestGlobalShear:
         assert GlobalShear(0, Fraction(0)).apply(p) == p
         assert GlobalShear(0, Fraction(1, 2)).apply(Point(1, Fraction(1, 4))) == Point(1, Fraction(3, 4))
 
+    def test_slope_must_be_an_integer(self):
+        with pytest.raises(GeometryError, match="^global shear slope must be an integer$"):
+            GlobalShear(Fraction(1, 2), 0)
+
     @given(small_ints, small_ints, small_ints, small_ints, small_ints, small_ints)
     def test_composition_adds(self, j1, t1, j2, t2, x, y):
         p = Point(Fraction(x, 3), Fraction(y, 2))

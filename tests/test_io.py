@@ -60,6 +60,10 @@ class TestParseSerialize:
         with pytest.raises(ParseError, match="not counter-clockwise"):
             parse_polygon('{"vertices": [["0","0"],["0","1"],["1","0"]]}')
 
+    def test_top_level_array_rejected(self):
+        with pytest.raises(ParseError, match="^top level must be a JSON object$"):
+            parse_polygon("[]")
+
     def test_decimal_rejected(self):
         with pytest.raises(ParseError, match="p/q strings"):
             parse_polygon('{"vertices": [["0","0"],["1","0"],["0.5","1"]]}')
@@ -154,6 +158,10 @@ class TestCornerChop:
     def test_allowance_off_the_vertices_is_a_domain_error(self, corpus):
         with pytest.raises(DomainError, match="not a vertex"):
             chop_allowance(corpus["SQUARE"], pt(5, 5))
+
+    def test_chop_size_must_be_positive(self, corpus):
+        with pytest.raises(DomainError, match="^chop size must be positive$"):
+            corner_chop(corpus["SQUARE"], pt(0, 0), 0)
 
     def test_oversized_chop_rejected(self, corpus):
         with pytest.raises(DomainError, match="strictly inside"):
@@ -312,6 +320,22 @@ class TestCli:
             err = process.stderr.read()
             assert process.wait(timeout=60) == 1
         assert err == b"error: cannot write output: [Errno 28] No space left on device\n"
+
+    def test_stdout_is_a_closed_pipe(self):
+        # as `semitoric corpus list | true` once `true` has exited: the flush fails with EPIPE; exit 1, stderr empty
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            with cli_process("corpus", "list", stdout=write_end, stderr=subprocess.PIPE) as process:
+                err = process.stderr.read()
+                assert process.wait(timeout=60) == 1
+        finally:
+            os.close(write_end)
+        assert err == b""
+
+    def test_chop_vertex_needs_two_components(self):
+        code, out, err = self.run("chop", "corpus:SQUARE", "--vertex", "1", "--size", "1/3")
+        assert (code, out, err) == (1, "", "error: expected X,Y with rational components, got '1'\n")
 
     def test_self_intersection(self):
         code, out, _ = self.run("self-intersection", "corpus:CP2STD", "--side", "left")

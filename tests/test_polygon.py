@@ -2,13 +2,18 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import multi_column_polygons, same_answers_tool
 from semitoric import (
     DomainError,
+    GeometryError,
     MarkedPoint,
     Point,
+    SemitoricError,
     SemitoricPolygon,
     ValidationFailure,
+    VertexKind,
     boundary_chains,
+    classify_vertex,
     contains_interior,
     require_valid,
     slice_heights,
@@ -68,6 +73,46 @@ class TestValidate:
         bad = SemitoricPolygon((pt(0, 0), pt(1, 0), pt(2, 2), pt(0, 1)))
         report = validate(bad)
         assert any(v.rule == "unclassifiable-vertex" for v in report.violations)
+
+    def test_no_vertices_rejected(self):
+        with pytest.raises(GeometryError, match="^a polygon needs vertices$"):
+            SemitoricPolygon(())
+
+    def test_cuts_of_both_signs_past_the_tip_are_not_interior(self, corpus):
+        # both cuts would end at the right tip (2, 1): the mark rules refuse each mark first
+        ff1 = corpus["FF1"]
+        bad = SemitoricPolygon(ff1.vertices, (MarkedPoint(pt(2, 5), 1, 1), MarkedPoint(pt(2, 7), 1, -1)))
+        report = validate(bad)
+        assert [(v.rule, v.location) for v in report.violations] == [
+            ("mark-not-interior", "marks[0] at (2, 5)"),
+            ("mark-not-interior", "marks[1] at (2, 7)"),
+        ]
+
+    def test_mark_rules_decide_cut_signs_and_extreme_vertices(self, corpus, derived_polygons):
+        # validate checks neither that the cuts ending at one vertex share a sign nor that the
+        # vertices on J_min and J_max are Delzant: both hold once every mark passes the mark rules
+        seeds = list(corpus.values()) + derived_polygons + multi_column_polygons()
+        extra_marks = same_answers_tool().extra_marks
+        probes = [probe for seed in seeds for probe in extra_marks(seed)]
+        covered, both_signs = [], 0
+        for polygon in seeds + probes:
+            report = validate(polygon)
+            if any(v.rule != "unclassifiable-vertex" for v in report.violations):
+                continue  # a structural or mark violation
+            covered.append(polygon)
+            facts = polygon.facts
+            degrees = facts._degrees  # raises where cuts of both signs end at one vertex
+            bottom, top = facts._positions
+            for i in (bottom[0], bottom[-1], top[0], top[-1]):  # the vertices on J_min and J_max
+                assert degrees[i] == (0, 0), polygon
+                assert isinstance(facts.classes[i], SemitoricError) or facts.classes[i].kind is VertexKind.DELZANT
+            if report.valid:
+                for vertex in polygon.vertices:
+                    if vertex.x not in facts.marks_at:
+                        assert classify_vertex(polygon, vertex).kind is VertexKind.DELZANT, (polygon, vertex)
+            both_signs += any(len({m.cut_sign for m in column}) == 2 for column in facts.marks_at.values())
+        # not vacuous: some probes pass the mark rules, and some covered columns have cuts of both signs
+        assert len(covered) > len(seeds) and both_signs
 
     def test_require_valid_raises(self):
         cw = SemitoricPolygon((pt(0, 0), pt(0, 1), pt(1, 0)))

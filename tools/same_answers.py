@@ -12,7 +12,10 @@ the multiplicity family (one mark of multiplicity k, see
 ``multiplicity_probe``, at k from 1 to 10^4) and the corner-chop family
 (SQUARE, FF1 and NONADAPT3 grown to 256 vertices, see ``chopped``), plus
 invalid probes: each corpus and fuzz polygon with its vertices reversed,
-with every cut sign flipped, and with its first vertex doubled.
+with every cut sign flipped, and with its first vertex doubled; and the
+extra-marks family: each corpus, fuzz and multi-column polygon with a mark
+on J_min, with one on J_max, and with a pair of opposite cut signs at one
+column (see ``extra_marks``), most of them invalid.
 Each is written as a polygon file, and an input file that differs between
 the two trees is a difference.  Each tree then answers its own inputs (or
 the other tree's, when it could not make its own) in its own process:
@@ -127,20 +130,44 @@ def _probes(polygon):
     return probes
 
 
+def extra_marks(polygon):
+    """The polygon with extra unit marks, each form with one of: a mark on J_min (cut down), a mark on
+    J_max (cut up), each at the middle of the vertices on its column, and a pair at one column, cut up
+    and down from the middle of its slice.  The pair's column is the first interior one with a vertex on
+    each chain, else the first interior vertex column, else the middle of [J_min, J_max]."""
+    from semitoric import MarkedPoint, Point, SemitoricPolygon, slice_heights
+
+    ys: dict = {}  # column -> the y of each vertex on it
+    for vertex in polygon.vertices:
+        ys.setdefault(vertex.x, []).append(vertex.y)
+    xs = sorted(ys)
+    inner = xs[1:-1]
+    pair_x = ([x for x in inner if len(ys[x]) == 2] or inner or [(xs[0] + xs[-1]) / 2])[0]
+    pair = Point(pair_x, sum(slice_heights(polygon, pair_x)) / 2)
+    on_j_min, on_j_max = (Point(x, sum(ys[x]) / len(ys[x])) for x in (xs[0], xs[-1]))
+    extras = [
+        (MarkedPoint(on_j_min, 1, -1),),
+        (MarkedPoint(on_j_max, 1, 1),),
+        (MarkedPoint(pair, 1, 1), MarkedPoint(pair, 1, -1)),
+    ]
+    return [SemitoricPolygon(polygon.vertices, polygon.marks + extra) for extra in extras]
+
+
 def write_inputs(tree: str, directory: str) -> list[str]:
     """Write every input polygon, made with the library of ``tree``, to ``directory``; return the file names."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "tests")]
     from conftest import focus_ladder, fuzz_derivatives, multi_column_polygons
     from semitoric import corpus_get, corpus_names, serialize_polygon
 
-    polygons = [corpus_get(name).polygon for name in corpus_names()]
-    polygons += fuzz_derivatives(200)
-    polygons += [probe for polygon in polygons for probe in _probes(polygon)]
-    polygons += multi_column_polygons(120, max_marks=8) + multi_column_polygons(60, seed=3, max_marks=8)
+    seeds = [corpus_get(name).polygon for name in corpus_names()] + fuzz_derivatives(200)
+    polygons = seeds + [probe for polygon in seeds for probe in _probes(polygon)]
+    multi = multi_column_polygons(120, max_marks=8) + multi_column_polygons(60, seed=3, max_marks=8)
+    polygons += multi
     ladders = [focus_ladder(jumps) for jumps in LADDERS]
     polygons += ladders + [_merged(ladder) for ladder in ladders]
     polygons += [multiplicity_probe(k) for k in MULTIPLICITIES]
     polygons += [chopped(corpus_get(name).polygon) for name in CHOPPED]
+    polygons += [probe for polygon in seeds + multi for probe in extra_marks(polygon)]
     names = []
     for polygon in dict.fromkeys(polygons):
         names.append(f"{len(names):04d}.json")
