@@ -123,11 +123,9 @@ class PresentationSet:
 
 def transform_polygon(polygon: SemitoricPolygon, shear: GlobalShear) -> SemitoricPolygon:
     """Apply a global vertical-line-preserving map to vertices and marks."""
-    return SemitoricPolygon(
-        vertices=tuple(shear.apply(v) for v in polygon.vertices),
-        marks=tuple(
-            MarkedPoint(shear.apply(m.position), m.multiplicity, m.cut_sign) for m in polygon.marks
-        ),
+    return SemitoricPolygon._canonical(  # a shear keeps the order of the points: no vertical line moves
+        tuple(shear.apply(v) for v in polygon.vertices),
+        tuple(MarkedPoint(shear.apply(m.position), m.multiplicity, m.cut_sign) for m in polygon.marks),
     )
 
 
@@ -215,6 +213,8 @@ def _flip_cuts(
                 coefficient += mark.cut_sign * mark.multiplicity
             # the shears left and right of the mark's own column agree on it
             moved.append(MarkedPoint(_shear_point(mark.position, slope, offset), mark.multiplicity, sign))
+        if len(column) > 1:  # coincident marks whose signs changed may be out of order; the rest are sorted
+            moved[-len(column) :] = sorted(moved[-len(column) :], key=_mark_key)
         if not coefficient:
             continue  # the shear runs on across the column, and so does each chain
         _require_verdict(sides, *_counts(column), -coefficient)
@@ -234,7 +234,7 @@ def _flip_cuts(
         bottom.pop()
     if facts.chains.left_vertical is None:
         top = top[1:]
-    return SemitoricPolygon(tuple(bottom + top[::-1]), tuple(moved))
+    return SemitoricPolygon._canonical(tuple(bottom + top[::-1]), tuple(moved))  # vertex 0 is still the smallest
 
 
 def switch_cut(polygon: SemitoricPolygon, index: int) -> SemitoricPolygon:
@@ -269,7 +269,7 @@ def split_marks(polygon: SemitoricPolygon) -> SemitoricPolygon:
     """
     if all(mark.multiplicity == 1 for mark in polygon.marks):
         return polygon
-    return SemitoricPolygon(polygon.vertices, _unit_marks(polygon.marks))
+    return SemitoricPolygon._canonical(polygon.vertices, _unit_marks(polygon.marks))
 
 
 def _unit_marks(marks: Iterable[MarkedPoint]) -> tuple[MarkedPoint, ...]:

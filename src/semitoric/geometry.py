@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import GeometryError
 
-_RATIONAL_PATTERN = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")  # ASCII digits only
+_RATIONAL_PATTERN = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")  # ASCII digits only
 
 
 def parse_rational(text: object) -> Fraction:
@@ -33,13 +33,20 @@ def parse_rational(text: object) -> Fraction:
     limited to the interpreter's int-string conversion limit (4300 digits by
     default).
     """
-    if not isinstance(text, str) or _RATIONAL_PATTERN.fullmatch(text) is None:
-        raise GeometryError(f"rationals must be p/q strings, got {text!r}")
-    p, _, q = text.partition("/")
+    return Fraction(*_ratio(text))
+
+
+def _ratio(text: object, where: str = "", *at: int) -> tuple[int, int]:
+    """The integers (p, q) of :func:`parse_rational` as written, q > 0 and not reduced; an error's message
+    starts with ``where.format(*at)``, the name of the field."""
+    match = _RATIONAL_PATTERN.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise GeometryError(f"{where.format(*at)}rationals must be p/q strings, got {text!r}")
     try:
-        return Fraction(int(p), int(q) if q else 1)
+        return int(match[1]), int(match[2] or 1)
     except ValueError:  # longer than sys.get_int_max_str_digits()
-        raise GeometryError(f"p and q are limited to {sys.get_int_max_str_digits()} digits each") from None
+        limit = sys.get_int_max_str_digits()
+        raise GeometryError(f"{where.format(*at)}p and q are limited to {limit} digits each") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -80,16 +87,16 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class Point:
     """Point of the moment plane.  ``x`` is the circle-action moment value."""
 
     x: Fraction
     y: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _exact(self.x))
-        object.__setattr__(self, "y", _exact(self.y))
+    def __init__(self, x: Fraction, y: Fraction):  # each coordinate set once, a Fraction as it is
+        object.__setattr__(self, "x", x if type(x) is Fraction else _exact(x))
+        object.__setattr__(self, "y", y if type(y) is Fraction else _exact(y))
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"

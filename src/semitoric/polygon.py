@@ -8,22 +8,13 @@ the mark; validation requires every endpoint to be a polygon vertex, which is
 where the fake and hidden-Delzant vertex classes live.
 
 Everything the library reads about a polygon is one :class:`PolygonFacts`
-value, kept on the polygon instance outside equality, hashing, repr and
-pickling, so it lives exactly as long as the polygon.  Each of its facts
-(the primitive direction of each edge, the boundary split once into chains
-of vertex positions and the vertical edges' endpoint positions, the slice
-heights at the mark columns and the Duistermaat-Heckman walk over every
-column, the boundary points and tangents on each mark column, all read
-from one walk along each chain, the cut degrees, each vertex's class, the
-k-runs with their poles' positions, the validation report) is computed on
-first read and kept.  A fact whose computation fails
-is not kept: every read raises again, with the same type and message.  Only
-the vertex classes hold errors, one per unclassifiable vertex, so validation
-can report them all.  A reader computes only what it reads: a degenerate
-polygon is rejected without a vertex being classified, validation looks no
-vertex up by its ``Point``, and the report's classifications (vertex ->
-class) are built on first read, so loading a polygon hashes no ``Point``.
-A reader given a vertex's ``Point`` scans its column for its position.
+value, kept on the polygon outside equality, hashing, repr and pickling.  Its
+constructor reads each vertex as integers (p, q, r, s), x = p/q and y = r/s,
+handed over by the parse or read once off the ``Fraction`` values, and walks
+the edges once: primitive directions, structure, the chain split and J_max.
+Every other fact is computed on first read from that walk, and a fact whose
+computation fails is not kept.  A degenerate polygon is rejected without a
+vertex being classified, and loading a polygon hashes no ``Point``.
 """
 
 from __future__ import annotations
@@ -34,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from math import gcd
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -95,14 +85,20 @@ class SemitoricPolygon:
         object.__setattr__(self, "vertices", verts[start:] + verts[:start])
         object.__setattr__(self, "marks", tuple(sorted(self.marks, key=_mark_key)))
 
+    @classmethod
+    def _canonical(cls, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...], ratios=None) -> SemitoricPolygon:
+        """The polygon of vertices already starting at the smallest one and marks already sorted, without
+        the constructor's search and sort; ``ratios`` (``PolygonFacts._ratios``) start its facts."""
+        polygon = object.__new__(cls)
+        vars(polygon).update(vertices=vertices, marks=marks)
+        if ratios is not None:
+            vars(polygon)["_facts"] = PolygonFacts(vertices, marks, ratios)
+        return polygon
+
     @property
     def facts(self) -> PolygonFacts:
         """This polygon's facts, made on first use and kept on the instance."""
-        facts = self.__dict__.get("_facts")
-        if facts is None:
-            facts = PolygonFacts(self.vertices, self.marks)
-            object.__setattr__(self, "_facts", facts)
-        return facts
+        return self.__dict__.get("_facts") or self.__dict__.setdefault("_facts", PolygonFacts(self.vertices, self.marks))
 
     def __getstate__(self):
         # copies and pickles recompute the facts on first use instead of carrying them
@@ -159,12 +155,12 @@ class ValidationReport:
 class _Classifications:
     """Vertex -> class of each classified vertex: a dict built on first read, behind every dict method."""
 
-    def __init__(self, vertices: tuple[Point, ...], classes: tuple[object, ...]):
-        self._pairs = vertices, classes
+    def __init__(self, facts: PolygonFacts):
+        self._facts = facts
 
     @cached_property
     def _dict(self) -> dict[Point, object]:
-        return {v: c for v, c in zip(*self._pairs) if not isinstance(c, SemitoricError)}
+        return {v: c for v, c in zip(self._facts.vertices, self._facts.classes) if not isinstance(c, SemitoricError)}
 
     def __eq__(self, other) -> bool:  # an operator, not dict.__eq__, so that another proxy's mapping is asked too
         return self._dict == other
@@ -186,22 +182,31 @@ class BoundaryChains:
 
 
 class PolygonFacts:
-    """What the library reads about one polygon, each fact computed on first read.
-
-    A fact whose computation raises is not kept, so every read raises again.
-    Only :attr:`classes` holds errors, one per unclassifiable vertex.  Facts of
-    single vertices are indexed by position; :meth:`position` finds it from a
-    Point.  The boundary is split once, into the chains' vertex positions
-    (:attr:`_positions`), and :attr:`_verticals` holds the vertical edges'.
+    """What the library reads about one polygon: :attr:`edges`, :attr:`structure`, ``j_min``, ``j_max`` and,
+    on a well-formed polygon, the chain split :attr:`_positions`, from one walk along the edges in integers
+    (:func:`_walk_boundary`); every other fact on first read.  A fact whose computation raises is not kept, so
+    every read raises again; only :attr:`classes` holds errors, one per unclassifiable vertex.  Facts of single
+    vertices are indexed by position, which :meth:`position` finds from a Point by a scan of its column.
     """
 
-    def __init__(self, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...]):
-        self.vertices, self.marks = vertices, marks
-        self.vertices_at: dict[Fraction, list[int]] = {}  # column -> its vertices' positions, in polygon order
-        for i, v in enumerate(vertices):
-            self.vertices_at.setdefault(v.x, []).append(i)
-        self.j_min, self.j_max = vertices[0].x, max(self.vertices_at)  # the rotation starts bottom left
+    def __init__(self, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...], ratios: Optional[Sequence] = None):
+        self.vertices, self.marks = vertices, marks  # _ratios: each vertex as (p, q, r, s), x = p/q and y = r/s
+        self._ratios = ratios or [v.x.as_integer_ratio() + v.y.as_integer_ratio() for v in vertices]
         self.marks_at = {x: tuple(group) for x, group in groupby(marks, key=lambda m: m.position.x)}
+        self.edges, self.structure, right, self._turns = _walk_boundary(self)
+        # the rotation starts bottom left, and the bottom chain ends on J_max
+        self.j_min, self.j_max = vertices[0].x, max(v.x for v in vertices) if self.structure else vertices[right].x
+        if not self.structure:  # the top runs back from the last vertex, after vertex 0 where no edge descends
+            top = range(len(vertices) - 1, right + (self.edges[right].a == 0) - 1, -1)
+            self._positions = range(right + 1), [0, *top] if self.edges[-1].a else top
+
+    @cached_property
+    def vertices_at(self) -> dict[Fraction, list[int]]:
+        """Column -> its vertices' positions, in polygon order."""
+        out: dict[Fraction, list[int]] = {}
+        for i, v in enumerate(self.vertices):
+            out.setdefault(v.x, []).append(i)
+        return out
 
     def position(self, vertex: Point) -> int:
         """The vertex's first position in ``vertices``, found in its column; DomainError off the vertices."""
@@ -213,33 +218,15 @@ class PolygonFacts:
 
     @cached_property
     def columns(self) -> tuple[Fraction, ...]:
-        """Every vertex and mark x, left to right."""
-        return tuple(sorted({**self.vertices_at, **self.marks_at}))
-
-    @cached_property
-    def edges(self) -> tuple[Optional[LatticeVector], ...]:
-        """The primitive direction from vertex i to vertex i + 1, None where the two coincide."""
-        verts = self.vertices
-        return tuple(map(_direction, verts, verts[1:] + verts[:1]))
-
-    @cached_property
-    def structure(self) -> tuple[Violation, ...]:
-        """Structural rule violations, empty when the polygon is well formed."""
-        return tuple(_structure_violations(self))
+        """Every vertex and mark x, left to right, found by sorting, not hashing."""
+        return tuple(x for x, _ in groupby(sorted([v.x for v in self.vertices] + list(self.marks_at))))
 
     @cached_property
     def _positions(self) -> tuple[Sequence[int], Sequence[int]]:
-        """The position in ``vertices`` of each point of the bottom and of the top chain, both left to right:
-        the one split of the boundary.  The bottom runs rightward from vertex 0, the bottom left; a vertical
-        edge climbs the right and descends the left, and the top runs against polygon order."""
-        if self.structure:
-            raise GeometryError(f"degenerate polygon: {self.structure[0].message}")
-        edges = self.edges
-        bottom_right = next(i for i, e in enumerate(edges) if e.a <= 0)
-        top_right = bottom_right + (edges[bottom_right].a == 0)
-        # the top runs back from the last vertex, after vertex 0 where no vertical edge descends the left
-        top = range(len(edges) - 1, top_right - 1, -1)
-        return range(bottom_right + 1), [0, *top] if edges[-1].a else top
+        """The positions of the bottom and of the top chain's points, left to right, set by the constructor on a
+        well-formed polygon: the bottom runs from vertex 0 up to the walk's first edge that does not run
+        rightward, a vertical edge climbs the right and descends the left, and the top runs against polygon order."""
+        raise GeometryError(f"degenerate polygon: {self.structure[0].message}")
 
     @cached_property
     def _verticals(self) -> tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]:
@@ -263,21 +250,24 @@ class PolygonFacts:
 
     def _along(self, side: int, columns: Sequence[Fraction]) -> list[tuple[Fraction, Optional[int], int]]:
         """The bottom (side 0) or top (side 1) chain's y at each column, its vertex's position there (None
-        between vertices) and the index of its first point at or right of the column, from a bisection."""
-        path, at = (self.chains.bottom, self.chains.top)[side], self._positions[side]
-        out, k = [], bisect_left(path, columns[0], key=attrgetter("x")) if columns else 0
+        between vertices) and the index of its first point at or right of the column: a bisection to the
+        first column, then a walk, comparing the integers of the chain's points with each column's."""
+        at, ratios, verts = self._positions[side], self._ratios, self.vertices
+        out, k = [], bisect_left(at, columns[0], key=lambda i: verts[i].x) if columns else 0
         for x in columns:
-            while path[k].x < x:
+            xn, xd = x.as_integer_ratio()
+            p, q, r, s = ratios[at[k]]
+            while p * xd < xn * q:
                 k += 1
-            b = path[k]
-            if b.x == x:
-                out.append((b.y, at[k], k))
+                p, q, r, s = ratios[at[k]]
+            if p * xd == xn * q:
+                out.append((verts[at[k]].y, at[k], k))
                 continue
-            # y = a.y + (x - a.x) * q / p, normalised once; the top runs against polygon order
-            a, (p, q) = path[k - 1], self.edges[at[k - 1 + side]]
-            (xn, xd), (an, ad), (yn, yd) = x.as_integer_ratio(), a.x.as_integer_ratio(), a.y.as_integer_ratio()
-            scale = xd * ad * p
-            out.append((Fraction(yn * scale + (xn * ad - an * xd) * q * yd, yd * scale), None, k))
+            # y = r/s + (x - p/q) * dy / dx from the chain's point k - 1, normalised once; the top runs
+            # against polygon order
+            (p, q, r, s), (dx, dy) = ratios[at[k - 1]], self.edges[at[k - 1 + side]]
+            scale = xd * q * dx
+            out.append((Fraction(r * scale + (xn * q - p * xd) * dy * s, s * scale), None, k))
         return out
 
     @cached_property
@@ -353,27 +343,10 @@ class PolygonFacts:
 
     @cached_property
     def classes(self) -> tuple[object, ...]:
-        """Each vertex's VertexClassification, or the SemitoricError classifying it raised.
+        """Each vertex's VertexClassification, or the SemitoricError classifying it raised (read: a fresh copy)."""
+        from .vertices import classify_corners  # deferred: the lattice rules live there
 
-        Errors are kept here so that validation can report every
-        unclassifiable vertex; a reader raises a fresh copy of the error.
-        """
-        from .vertices import classify_corner  # deferred: the lattice rules live there
-
-        if not self.structure:
-            # every tangent frame of a well-formed polygon is sound, so a failed
-            # tally is each vertex's error: tally once, not once per vertex
-            try:
-                self._degrees
-            except SemitoricError as exc:
-                return (exc.with_traceback(None),) * len(self.vertices)
-        classes = []
-        for i in range(len(self.vertices)):
-            try:
-                classes.append(classify_corner(self, i))
-            except SemitoricError as exc:
-                classes.append(exc.with_traceback(None))
-        return tuple(classes)
+        return classify_corners(self)
 
     @cached_property
     def report(self) -> ValidationReport:
@@ -396,40 +369,46 @@ class PolygonFacts:
         return tuple(run for run, _, _ in self._poles)
 
 
-def _direction(a: Point, b: Point) -> Optional[LatticeVector]:
-    """The primitive direction from a to b, in integers from numerators and denominators; None where a == b."""
-    q, s, t, u = a.x.denominator, b.x.denominator, a.y.denominator, b.y.denominator
-    dx, dy = (b.x.numerator * q - a.x.numerator * s) * t * u, (b.y.numerator * t - a.y.numerator * u) * q * s
-    if not dx and not dy:
-        return None
-    g = gcd(dx, dy)
-    return LatticeVector(dx // g, dy // g)
+def _walk_boundary(facts: PolygonFacts) -> tuple[tuple, tuple[Violation, ...], Optional[int], Optional[list]]:
+    """One walk along the edges, in integers: each edge's primitive direction (None where its ends coincide), the
+    structural violations, the first edge not running rightward and, where well formed, each vertex's turn.  Where
+    all turns are left and no later edge runs rightward the boundary winds once: the polygon is strictly convex."""
+    ratios = facts._ratios
+    edges, right, rewound = [None] * len(ratios), None, False  # rewound: rightward after the first that is not
+    p, q, r, s = ratios[0]
+    for i, (a, b, c, d) in enumerate(ratios[1:] + ratios[:1]):  # edge i, from vertex i to vertex i + 1
+        dx, dy = (a * q - p * b) * s * d, (c * s - r * d) * q * b
+        if dx > 0:
+            rewound = rewound or right is not None
+        elif right is None:
+            right = i
+        g = gcd(dx, dy)
+        if g:
+            edges[i] = LatticeVector(dx // g, dy // g)
+        p, q, r, s = a, b, c, d
+    edges = tuple(edges)
+    if len(edges) >= 3 and None not in edges and not rewound:
+        turns = [u.a * w.b - u.b * w.a for u, w in zip(edges[-1:] + edges[:-1], edges)]  # at each vertex
+        if min(turns) > 0:  # left turns only
+            return edges, (), right, turns
+    return edges, tuple(_structure_violations(facts, edges)), right, None
 
 
-def _structure_violations(facts: PolygonFacts) -> list[Violation]:
+def _structure_violations(facts: PolygonFacts, edges: tuple[Optional[LatticeVector], ...]) -> list[Violation]:
+    """The structural rules one by one, in their order, for a polygon that is not strictly convex."""
     verts = facts.vertices
     if len(verts) < 3:
         return [Violation("too-few-vertices", "polygon", f"{len(verts)} vertices, need at least 3")]
     if any(len({verts[i].y for i in col}) < len(col) for col in facts.vertices_at.values() if len(col) > 1):
         return [Violation("duplicate-vertex", "polygon", "vertices are not pairwise distinct")]
     # each edge is a positive multiple of its primitive direction, so these are the turns' signs
-    edges = facts.edges
     turns = [det2(edges[i - 1], edges[i]) for i in range(len(verts))]
     if all(t < 0 for t in turns):
         return [Violation("not-counter-clockwise", "polygon", "vertices are listed in clockwise order")]
-    if all(t > 0 for t in turns):
-        # left turns only: each full turn of the edge direction flips the sign of dx twice
-        dxs = [e.a for e in edges if e.a]
-        if sum((a > 0) != (b > 0) for a, b in zip(dxs, dxs[1:] + dxs[:1])) > 2:
-            return [Violation("not-strictly-convex", "polygon", "the boundary winds around more than once")]
-        return []
-    out = []
-    for i, t in enumerate(turns):
-        if t == 0:
-            out.append(Violation("not-strictly-convex", describe(verts[i]), "collinear consecutive edges"))
-        elif t < 0:
-            out.append(Violation("not-strictly-convex", describe(verts[i]), "reflex turn"))
-    return out
+    if all(t > 0 for t in turns):  # left turns only, yet not strictly convex (see _walk_boundary)
+        return [Violation("not-strictly-convex", "polygon", "the boundary winds around more than once")]
+    return [Violation("not-strictly-convex", describe(verts[i]), "reflex turn" if t else "collinear consecutive edges")
+            for i, t in enumerate(turns) if t <= 0]
 
 
 def boundary_chains(polygon: SemitoricPolygon) -> BoundaryChains:
@@ -510,10 +489,15 @@ def _validation_report(facts: PolygonFacts) -> ValidationReport:
         violations.append(Violation(rule, f"marks[{idx}] at {describe(mark.position)}", message))
     if violations:
         return ValidationReport({}, tuple(violations))
-    for vertex, result in zip(facts.vertices, facts.classes):
-        if isinstance(result, SemitoricError):
-            violations.append(Violation("unclassifiable-vertex", describe(vertex), str(result)))
-    return ValidationReport(_Classifications(facts.vertices, facts.classes), tuple(violations))
+    from .vertices import _tangent_frame, lattice_class  # deferred: the lattice rules live there
+
+    for i, (vertex, turn, degree) in enumerate(zip(facts.vertices, facts._turns, facts._degrees)):
+        if degree[0] or turn != 1:  # else Delzant: no cut ends there, and its frame is its two edges up to sign
+            try:
+                lattice_class(vertex, *_tangent_frame(facts, i), *degree)
+            except ClassificationError as exc:
+                violations.append(Violation("unclassifiable-vertex", describe(vertex), str(exc)))
+    return ValidationReport(_Classifications(facts), tuple(violations))
 
 
 def require_valid(polygon: SemitoricPolygon) -> SemitoricPolygon:

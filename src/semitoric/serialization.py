@@ -13,18 +13,12 @@ smallest vertex, marks are sorted, and parse(serialize(p)) == p.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .errors import GeometryError, ParseError, ValidationFailure
-from .geometry import Point, format_rational, parse_rational
+from .geometry import Point, _ratio, format_rational
 from .graph import FAT, KarshonGraph, canonical_form
-from .polygon import MarkedPoint, SemitoricPolygon, require_valid
-
-
-def _rational_field(raw, where: str):
-    try:
-        return parse_rational(raw)
-    except GeometryError as exc:
-        raise ParseError(f"{where}: {exc}") from None
+from .polygon import MarkedPoint, SemitoricPolygon, _mark_key, require_valid
 
 
 def parse_polygon(text: str | bytes) -> SemitoricPolygon:
@@ -32,7 +26,8 @@ def parse_polygon(text: str | bytes) -> SemitoricPolygon:
 
     Malformed syntax raises ParseError naming the offending field; a
     well-formed but invalid polygon raises ValidationFailure with the full
-    report.
+    report.  Each coordinate is read once, as integers that find the smallest
+    vertex and start the polygon's facts; each Fraction and Point is built once.
     """
     if isinstance(text, bytes):
         try:
@@ -50,41 +45,46 @@ def parse_polygon(text: str | bytes) -> SemitoricPolygon:
     raw_vertices = data.get("vertices")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise ParseError("\"vertices\" must be a non-empty array")
-    vertices = []
-    for i, pair in enumerate(raw_vertices):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"vertices[{i}] must be a [x, y] pair")
-        vertices.append(
-            Point(
-                _rational_field(pair[0], f"vertices[{i}][0]"),
-                _rational_field(pair[1], f"vertices[{i}][1]"),
-            )
-        )
-    raw_marks = data.get("marked_points", [])
-    if not isinstance(raw_marks, list):
-        raise ParseError("\"marked_points\" must be an array")
-    marks = []
-    for i, raw in enumerate(raw_marks):
-        if not isinstance(raw, dict):
-            raise ParseError(f"marked_points[{i}] must be an object")
-        for key in ("x", "y", "multiplicity", "cut"):
-            if key not in raw:
-                raise ParseError(f"marked_points[{i}] is missing \"{key}\"")
-        position = Point(
-            _rational_field(raw["x"], f"marked_points[{i}].x"),
-            _rational_field(raw["y"], f"marked_points[{i}].y"),
-        )
-        try:
-            marks.append(MarkedPoint(position, raw["multiplicity"], raw["cut"]))
-        except GeometryError as exc:
-            raise ParseError(f"marked_points[{i}]: {exc}") from None
-
+    ratios, marks, raw_marks = [], [], data.get("marked_points", [])
+    try:  # a rational field's GeometryError names the field
+        for i, pair in enumerate(raw_vertices):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ParseError(f"vertices[{i}] must be a [x, y] pair")
+            ratios.append(_ratio(pair[0], "vertices[{}][0]: ", i) + _ratio(pair[1], "vertices[{}][1]: ", i))
+        if not isinstance(raw_marks, list):
+            raise ParseError("\"marked_points\" must be an array")
+        for i, raw in enumerate(raw_marks):
+            if not isinstance(raw, dict):
+                raise ParseError(f"marked_points[{i}] must be an object")
+            for key in ("x", "y", "multiplicity", "cut"):
+                if key not in raw:
+                    raise ParseError(f"marked_points[{i}] is missing \"{key}\"")
+            x, y = _ratio(raw["x"], "marked_points[{}].x: ", i), _ratio(raw["y"], "marked_points[{}].y: ", i)
+            try:
+                marks.append(MarkedPoint(Point(Fraction(*x), Fraction(*y)), raw["multiplicity"], raw["cut"]))
+            except GeometryError as exc:
+                raise ParseError(f"marked_points[{i}]: {exc}") from None
+    except GeometryError as exc:
+        raise ParseError(str(exc)) from None
+    start = _smallest(ratios)
+    ratios = ratios[start:] + ratios[:start]
+    vertices = tuple([Point(Fraction(p, q), Fraction(r, s)) for p, q, r, s in ratios])
     try:
-        return require_valid(SemitoricPolygon(tuple(vertices), tuple(marks)))
+        return require_valid(SemitoricPolygon._canonical(vertices, tuple(sorted(marks, key=_mark_key)), ratios))
     except ValidationFailure as exc:
         if any(violation.rule == "not-counter-clockwise" for violation in exc.report.violations):
             raise ParseError("not counter-clockwise: vertices must be listed CCW") from None
         raise
+
+
+def _smallest(ratios: list[tuple[int, int, int, int]]) -> int:
+    """The position of the first lexicographically smallest vertex (p/q, r/s), compared in integers."""
+    best = 0
+    for i, (a, b, c, d) in enumerate(ratios):
+        p, q, r, s = ratios[best]  # x = a/b against the best p/q, both denominators positive
+        if a * q < p * b or (a * q == p * b and c * s < r * d):
+            best = i
+    return best
 
 
 def polygon_data(polygon: SemitoricPolygon) -> dict:

@@ -15,14 +15,11 @@ Everything else is invalid data.  For a hidden Delzant vertex the sign of
 det(u Aw) is pinned to -s: the cut-switched presentation must again be
 convex, and that presentation has the masked corner as a real corner.
 
-The rules here (:func:`classify_corner`, :func:`extract_k_runs`) run at
-most once per polygon, when its :class:`~semitoric.polygon.PolygonFacts`
-first reads the vertex classes or the k-runs; the public functions read
-those facts, so none of them scans the polygon.  A vertex that fits no class
-keeps its error in the facts, and each reader raises a fresh copy of it.
-The class of one corner given its frame and cuts (:func:`lattice_class`)
-and the smoothness of a class (:func:`is_smooth_class`) are also read by the
-adaptability search, for corners of presentations it does not build.
+:func:`classify_corners` and :func:`extract_k_runs` run once per polygon,
+when its ``PolygonFacts`` first reads the classes or the k-runs, and a vertex
+that fits no class keeps its error there.  The class of one corner given its
+frame and cuts (:func:`lattice_class`) is also read by validation, for the
+vertices whose class is in doubt, and by the adaptability search.
 """
 
 from __future__ import annotations
@@ -115,13 +112,8 @@ def outgoing_primitives(polygon: SemitoricPolygon, vertex: Point) -> tuple[Latti
 
 
 def _tangent_frame(facts: PolygonFacts, i: int) -> tuple[LatticeVector, LatticeVector]:
-    """The classification frame (u, w) at vertex i.
-
-    Interior vertex: u, w are the left/right edge tangents with positive
-    first component.  Vertical edge endpoint: the vertical edge contributes
-    its outgoing direction on its own side.  Single extreme vertex: u is the
-    bottom-side tangent, w the top-side one (both normalised rightward).
-    """
+    """The classification frame (u, w) at vertex i: the left and right edge tangents, rightward; at a vertical
+    edge's end that edge's direction out of it on its own side; at a single extreme vertex, bottom side first."""
     d_prev, d_next = _outgoing(facts, i)
     if d_prev.a * d_next.a < 0:  # one edge leaves leftward and one rightward: a chain's inner vertex
         left, right = (d_prev, d_next) if d_prev.a < 0 else (d_next, d_prev)
@@ -150,15 +142,28 @@ def _tangent_frame(facts: PolygonFacts, i: int) -> tuple[LatticeVector, LatticeV
     return first, second  # bottom side has the larger slope at the right tip
 
 
-def classify_corner(facts: PolygonFacts, i: int) -> VertexClassification:
-    """The class of vertex i of the polygon these facts describe.
-
-    Raises ClassificationError when no class matches, and the error of the
-    cut degrees when they cannot be tallied.
-    """
-    vertex = facts.vertices[i]
-    u, w = _tangent_frame(facts, i)
-    return lattice_class(vertex, u, w, *facts._degrees[i])
+def classify_corners(facts: PolygonFacts) -> tuple[object, ...]:
+    """Each vertex's class, or the SemitoricError classifying it raised, in one pass.  On a well-formed polygon a
+    failed tally is every vertex's error, and an inner vertex of a chain takes its frame straight from the chain's
+    rightward edges; its ends, and each vertex of a degenerate polygon, take theirs from :func:`_tangent_frame`."""
+    verts = facts.vertices
+    frames, degrees, classes = [None] * len(verts), None, [None] * len(verts)
+    if not facts.structure:
+        try:
+            degrees = facts._degrees
+        except SemitoricError as exc:
+            return (exc.with_traceback(None),) * len(verts)
+        edges, (bottom, top) = facts.edges, facts._positions
+        for at, run in ((bottom, edges), (top, [LatticeVector(-edges[i].a, -edges[i].b) for i in top[1:]])):
+            for i, u, w in zip(at[1:-1], run, run[1:]):
+                frames[i] = u, w
+    for i, (vertex, frame) in enumerate(zip(verts, frames)):
+        try:
+            u, w = frame or _tangent_frame(facts, i)
+            classes[i] = lattice_class(vertex, u, w, *(degrees or facts._degrees)[i])
+        except SemitoricError as exc:
+            classes[i] = exc.with_traceback(None)
+    return tuple(classes)
 
 
 def lattice_class(vertex: Point, u: LatticeVector, w: LatticeVector, degree: int, sign: int) -> VertexClassification:

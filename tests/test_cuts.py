@@ -176,14 +176,18 @@ class TestEnumeratePresentations:
 class TestSweepBuilder:
     """Each member is built in one sweep and checked by the column rule alone."""
 
-    def test_matches_the_reference_builder(self, corpus, derived_polygons):
-        # the reference shears every point once per flipped column and re-validates
+    @staticmethod
+    def families(corpus, derived_polygons) -> list:
         same_answers = same_answers_tool()
         ladders = [focus_ladder(jumps) for jumps in same_answers.LADDERS]
         families = list(corpus.values()) + derived_polygons + ladders + [same_answers._merged(p) for p in ladders]
         families += [multiplicity_probe(k) for k in range(1, 9)]
         families += multi_column_polygons(120, max_marks=8) + multi_column_polygons(60, seed=3, max_marks=8)
-        families = list(dict.fromkeys(q for p in families for q in (p, split_marks(p))))
+        return list(dict.fromkeys(q for p in families for q in (p, split_marks(p))))
+
+    def test_matches_the_reference_builder(self, corpus, derived_polygons):
+        # the reference shears every point once per flipped column and re-validates
+        families = self.families(corpus, derived_polygons)
         built = 0
         for polygon in families:
             members = enumerate_presentations(polygon).members[:256]
@@ -195,6 +199,19 @@ class TestSweepBuilder:
                 require_valid(member)
             built += len(members)
         assert len(families) > 350 and built > 7000
+
+    def test_members_need_no_constructor_sort(self, corpus, derived_polygons):
+        # members, Delzant members, unit splits and normal forms skip the constructor's search and sort:
+        # the public constructor leaves each as it is, coincident marks whose signs changed included
+        built = 0
+        for polygon in self.families(corpus, derived_polygons):
+            members = [member for _, member in enumerate_presentations(polygon).members[:256]]
+            members += [*delzant_presentations(polygon), split_marks(polygon), shear_normal_form(polygon)]
+            for member in members:
+                public = SemitoricPolygon(member.vertices, member.marks)
+                assert (public.vertices, public.marks) == (member.vertices, member.marks) and public == member, member
+            built += len(members)
+        assert built > 8000
 
     def test_no_member_is_revalidated(self, monkeypatch):
         import semitoric.polygon
@@ -214,10 +231,8 @@ class TestSweepBuilder:
         assert len(calls) <= 1
         # nor is any member's structure checked: one normal-form shear serves the family
         checked = []
-        structure_violations = semitoric.polygon._structure_violations
-        monkeypatch.setattr(
-            semitoric.polygon, "_structure_violations", lambda facts: checked.append(1) or structure_violations(facts)
-        )
+        walk = semitoric.polygon._walk_boundary  # the structure check's one walk along the edges
+        monkeypatch.setattr(semitoric.polygon, "_walk_boundary", lambda facts: checked.append(1) or walk(facts))
         assert len(delzant_presentations(focus_ladder([1] * 8))) == 2**8
         assert len(checked) == 1  # the ladder's own
 

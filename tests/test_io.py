@@ -452,6 +452,54 @@ class TestHostileInput:
             parse_polygon(text)
         assert self.run_file(tmp_path, text.encode())[0] == 2
 
+    def test_oversized_denominator(self, tmp_path):
+        digits = sys.get_int_max_str_digits()
+        text = '{"vertices": [["0","0"],["1/%s","0"],["0","1"]]}' % ("1" * (digits + 1))
+        with pytest.raises(ParseError) as info:
+            parse_polygon(text)
+        assert str(info.value) == f"vertices[1][0]: p and q are limited to {digits} digits each"
+        assert self.run_file(tmp_path, text.encode())[0] == 2
+
+    def test_unicode_digit_in_denominator(self, tmp_path):
+        text = '{"vertices": [["0","0"],["1","0"],["0","1/\u0662"]]}'  # ARABIC-INDIC DIGIT TWO
+        with pytest.raises(ParseError) as info:
+            parse_polygon(text)
+        assert str(info.value) == "vertices[2][1]: rationals must be p/q strings, got '1/\u0662'"
+        assert self.run_file(tmp_path, text.encode())[0] == 2
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1.5", "rationals must be p/q strings, got '1.5'"),
+            ("1/0", "rationals must be p/q strings, got '1/0'"),
+            ("+1", "rationals must be p/q strings, got '+1'"),
+            (" 1", "rationals must be p/q strings, got ' 1'"),
+            ("\u0661", "rationals must be p/q strings, got '\u0661'"),
+            (1, "rationals must be p/q strings, got 1"),
+            (None, "rationals must be p/q strings, got None"),
+            (["1"], "rationals must be p/q strings, got ['1']"),
+            ("1" * 5000, "p and q are limited to {digits} digits each"),
+            ("1/" + "1" * 5000, "p and q are limited to {digits} digits each"),
+        ],
+    )
+    def test_hostile_rational_fields(self, value, message):
+        # each field of a vertex and of a mark names itself, with the same message
+        digits = sys.get_int_max_str_digits()
+        message = message.format(digits=digits)
+        for where in ("vertices[0][0]", "vertices[2][1]", "marked_points[0].x", "marked_points[1].y"):
+            data = {
+                "vertices": [["0", "0"], ["2", "0"], ["0", "2"]],
+                "marked_points": [{"x": "1/2", "y": "1/2", "multiplicity": 1, "cut": -1}] * 2,
+            }
+            data["marked_points"] = [dict(mark) for mark in data["marked_points"]]
+            if where.startswith("vertices"):
+                data["vertices"][int(where[9])][int(where[12])] = value
+            else:
+                data["marked_points"][int(where[14])][where[-1]] = value
+            with pytest.raises(ParseError) as info:
+                parse_polygon(json.dumps(data))
+            assert str(info.value) == f"{where}: {message}"
+
     def test_longest_rational_accepted(self):
         digits = sys.get_int_max_str_digits()
         big = "1" + "0" * (digits - 1)

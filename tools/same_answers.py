@@ -17,11 +17,19 @@ extra-marks family: each corpus, fuzz and multi-column polygon with a mark
 on J_min, with one on J_max, and with a pair of opposite cut signs at one
 column (see ``extra_marks``), most of them invalid.
 Each is written as a polygon file, and an input file that differs between
-the two trees is a difference.  Each tree then answers its own inputs (or
+the two trees is a difference.  So are the raw-text family (see
+``raw_texts``), files written verbatim, not by ``serialize_polygon``, so
+that the parse meets non-canonical text: each corpus and fuzz polygon with
+its vertex list rotated to each of its first eight starts and its marks in
+reverse order, and seeded mutations of those files (a coordinate replaced, a
+vertex doubled, dropped or inserted, or a field given a hostile value such
+as ``"1.5"``, ``"1/0"``, ``"+1"``, a Unicode digit, a number, null or a p or
+q past the int-string limit).  Each tree then answers its own inputs (or
 the other tree's, when it could not make its own) in its own process:
 
 * library, on the parsed polygon, or for a file that does not parse on the
-  polygon built from it without validation: ``validate``, ``dh_function``,
+  polygon built from it without validation (where one can be built):
+  ``validate``, ``dh_function``,
   ``dh_jump_report``, ``build_graph``, ``canonical_graph``,
   ``validate`` compared by ``==`` with the report of a deep copy and with
   a ``ValidationReport`` rebuilt from its classifications and violations,
@@ -64,6 +72,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -77,6 +86,9 @@ LADDERS = ([1] * 4, [1] * 8, [2], [2, 1], [1, 2, 1], [3, 1], [2, 2], [1, 1, 3], 
 MULTIPLICITIES = (1, 2, 3, 4, 7, 64, 10**3, 10**4)
 CHOPPED = ("SQUARE", "FF1", "NONADAPT3")  # corpus polygons grown by corner chops
 CHOPPED_SIZE = 256  # vertices of each grown polygon
+RAW_STARTS = 8  # rotations of the vertex list written per polygon of the raw-text family
+RAW_MUTATIONS = 400  # seeded mutations of the raw-text family
+HOSTILE = ("1.5", "1/0", "+1", " 1", "\u0661", "1/\u0662", 7, None, "1" * 5000, "1/" + "1" * 5000)  # field values
 
 
 def multiplicity_probe(k: int):
@@ -153,6 +165,36 @@ def extra_marks(polygon):
     return [SemitoricPolygon(polygon.vertices, polygon.marks + extra) for extra in extras]
 
 
+def raw_texts(seeds) -> list[str]:
+    """Polygon files written verbatim: each seed's vertex list rotated to each of its first ``RAW_STARTS``
+    starts with its marks in reverse order, then ``RAW_MUTATIONS`` seeded mutations of the seeds' files."""
+    from semitoric.serialization import polygon_data
+
+    texts = []
+    for polygon in seeds:
+        verts, marks = polygon_data(polygon).values()
+        for k in range(min(len(verts), RAW_STARTS)):
+            texts.append(json.dumps({"vertices": verts[k:] + verts[:k], "marked_points": marks[::-1]}))
+    rng = random.Random(22)
+    for _ in range(RAW_MUTATIONS):
+        verts, marks = polygon_data(rng.choice(seeds)).values()
+        kind, i = rng.randrange(5), rng.randrange(len(verts))
+        if kind == 0:  # a coordinate replaced
+            verts[i][rng.randrange(2)] = f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}"
+        elif kind == 1:  # a vertex doubled, next to itself or elsewhere
+            verts.insert(rng.randrange(len(verts) + 1), list(verts[i]))
+        elif kind == 2:
+            del verts[i]
+        elif kind == 3:
+            verts.insert(rng.randrange(len(verts) + 1), [str(rng.randint(-2, 4)), str(rng.randint(-2, 4))])
+        elif marks and rng.random() < 0.5:
+            rng.choice(marks)[rng.choice("xy")] = rng.choice(HOSTILE)
+        else:
+            verts[i][rng.randrange(2)] = rng.choice(HOSTILE)
+        texts.append(json.dumps({"vertices": verts, "marked_points": marks}))
+    return texts
+
+
 def write_inputs(tree: str, directory: str) -> list[str]:
     """Write every input polygon, made with the library of ``tree``, to ``directory``; return the file names."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "tests")]
@@ -168,11 +210,12 @@ def write_inputs(tree: str, directory: str) -> list[str]:
     polygons += [multiplicity_probe(k) for k in MULTIPLICITIES]
     polygons += [chopped(corpus_get(name).polygon) for name in CHOPPED]
     polygons += [probe for polygon in seeds + multi for probe in extra_marks(polygon)]
+    texts = [serialize_polygon(polygon) for polygon in dict.fromkeys(polygons)] + raw_texts(seeds)
     names = []
-    for polygon in dict.fromkeys(polygons):
+    for text in dict.fromkeys(texts):
         names.append(f"{len(names):04d}.json")
         with open(os.path.join(directory, names[-1]), "w") as handle:
-            handle.write(serialize_polygon(polygon))
+            handle.write(text)
     return names
 
 
@@ -323,7 +366,11 @@ def answer(tree: str, directory: str, names: list[str]) -> dict[str, str]:
             polygon = parse_polygon(text)
         except Exception as exc:
             out[f"{name} parse_polygon"] = _digest(f"{type(exc).__name__}: {exc}")
-            calls = _readers(_unchecked(text))
+            try:
+                calls = _readers(_unchecked(text))
+            except Exception as exc:  # no polygon can be built from its fields: that is the answer
+                out[f"{name} unchecked"] = _digest(f"{type(exc).__name__}: {exc}")
+                calls = {}
         else:
             calls = _readers(polygon)
             calls.update({
