@@ -10,8 +10,8 @@ where the fake and hidden-Delzant vertex classes live.
 Everything the library reads about a polygon is one :class:`PolygonFacts`
 value, kept on the polygon outside equality, hashing, repr and pickling.  Its
 constructor reads each vertex as integers (p, q, r, s), x = p/q and y = r/s,
-handed over by the parse or read once off the ``Fraction`` values, and walks
-the edges once: primitive directions, structure, the chain split and J_max.
+off the ``Fraction`` values, and walks the edges once: primitive directions,
+structure, the chain split and J_max.
 Every other fact is computed on first read from that walk, and a fact whose
 computation fails is not kept.  A degenerate polygon is rejected without a
 vertex being classified, and loading a polygon hashes no ``Point``.
@@ -86,13 +86,11 @@ class SemitoricPolygon:
         object.__setattr__(self, "marks", tuple(sorted(self.marks, key=_mark_key)))
 
     @classmethod
-    def _canonical(cls, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...], ratios=None) -> SemitoricPolygon:
-        """The polygon of vertices already starting at the smallest one and marks already sorted, without
-        the constructor's search and sort; ``ratios`` (``PolygonFacts._ratios``) start its facts."""
+    def _canonical(cls, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...]) -> SemitoricPolygon:
+        """The polygon of vertices already starting at the smallest one and marks already sorted, without the
+        constructor's search and sort.  A caller must keep vertex 0 the smallest: the structure check relies on it."""
         polygon = object.__new__(cls)
         vars(polygon).update(vertices=vertices, marks=marks)
-        if ratios is not None:
-            vars(polygon)["_facts"] = PolygonFacts(vertices, marks, ratios)
         return polygon
 
     @property
@@ -189,9 +187,9 @@ class PolygonFacts:
     vertices are indexed by position, which :meth:`position` finds from a Point by a scan of its column.
     """
 
-    def __init__(self, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...], ratios: Optional[Sequence] = None):
+    def __init__(self, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...]):
         self.vertices, self.marks = vertices, marks  # _ratios: each vertex as (p, q, r, s), x = p/q and y = r/s
-        self._ratios = ratios or [v.x.as_integer_ratio() + v.y.as_integer_ratio() for v in vertices]
+        self._ratios = [v.x.as_integer_ratio() + v.y.as_integer_ratio() for v in vertices]
         self.marks_at = {x: tuple(group) for x, group in groupby(marks, key=lambda m: m.position.x)}
         self.edges, self.structure, right, self._turns = _walk_boundary(self)
         # the rotation starts bottom left, and the bottom chain ends on J_max
@@ -372,7 +370,10 @@ class PolygonFacts:
 def _walk_boundary(facts: PolygonFacts) -> tuple[tuple, tuple[Violation, ...], Optional[int], Optional[list]]:
     """One walk along the edges, in integers: each edge's primitive direction (None where its ends coincide), the
     structural violations, the first edge not running rightward and, where well formed, each vertex's turn.  Where
-    all turns are left and no later edge runs rightward the boundary winds once: the polygon is strictly convex."""
+    all turns are left and no later edge runs rightward the boundary winds once: the polygon is strictly convex.
+    That test holds only where vertex 0 is the lexicographically smallest vertex, as the constructor rotates it
+    and :meth:`SemitoricPolygon._canonical`'s callers must keep it; from another start a strictly convex polygon
+    would be reported as winding more than once."""
     ratios = facts._ratios
     edges, right, rewound = [None] * len(ratios), None, False  # rewound: rightward after the first that is not
     p, q, r, s = ratios[0]

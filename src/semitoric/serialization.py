@@ -27,7 +27,7 @@ def parse_polygon(text: str | bytes) -> SemitoricPolygon:
     Malformed syntax raises ParseError naming the offending field; a
     well-formed but invalid polygon raises ValidationFailure with the full
     report.  Each coordinate is read once, as integers that find the smallest
-    vertex and start the polygon's facts; each Fraction and Point is built once.
+    vertex; each Fraction and Point is built once.
     """
     if isinstance(text, bytes):
         try:
@@ -70,7 +70,7 @@ def parse_polygon(text: str | bytes) -> SemitoricPolygon:
     ratios = ratios[start:] + ratios[:start]
     vertices = tuple([Point(Fraction(p, q), Fraction(r, s)) for p, q, r, s in ratios])
     try:
-        return require_valid(SemitoricPolygon._canonical(vertices, tuple(sorted(marks, key=_mark_key)), ratios))
+        return require_valid(SemitoricPolygon._canonical(vertices, tuple(sorted(marks, key=_mark_key))))
     except ValidationFailure as exc:
         if any(violation.rule == "not-counter-clockwise" for violation in exc.report.violations):
             raise ParseError("not counter-clockwise: vertices must be listed CCW") from None

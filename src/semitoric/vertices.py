@@ -114,10 +114,11 @@ def outgoing_primitives(polygon: SemitoricPolygon, vertex: Point) -> tuple[Latti
 def _tangent_frame(facts: PolygonFacts, i: int) -> tuple[LatticeVector, LatticeVector]:
     """The classification frame (u, w) at vertex i: the left and right edge tangents, rightward; at a vertical
     edge's end that edge's direction out of it on its own side; at a single extreme vertex, bottom side first."""
+    to_prev, to_next = facts.edges[i - 1], facts.edges[i]
+    if to_prev is not None and to_next is not None and to_prev.a * to_next.a > 0:
+        # both edges run rightward (bottom) or both leftward (top, read against polygon order): a chain's inner vertex
+        return (to_prev, to_next) if to_next.a > 0 else (_flip(to_next), _flip(to_prev))
     d_prev, d_next = _outgoing(facts, i)
-    if d_prev.a * d_next.a < 0:  # one edge leaves leftward and one rightward: a chain's inner vertex
-        left, right = (d_prev, d_next) if d_prev.a < 0 else (d_next, d_prev)
-        return _flip(left), right
     vertex = facts.vertices[i]
     left = [d for d in (d_prev, d_next) if d.a < 0]
     right = [d for d in (d_prev, d_next) if d.a > 0]
@@ -143,26 +144,19 @@ def _tangent_frame(facts: PolygonFacts, i: int) -> tuple[LatticeVector, LatticeV
 
 
 def classify_corners(facts: PolygonFacts) -> tuple[object, ...]:
-    """Each vertex's class, or the SemitoricError classifying it raised, in one pass.  On a well-formed polygon a
-    failed tally is every vertex's error, and an inner vertex of a chain takes its frame straight from the chain's
-    rightward edges; its ends, and each vertex of a degenerate polygon, take theirs from :func:`_tangent_frame`."""
-    verts = facts.vertices
-    frames, degrees, classes = [None] * len(verts), None, [None] * len(verts)
-    if not facts.structure:
+    """Each vertex's class, or the SemitoricError classifying it raised, in one pass with one tally of the cut
+    degrees: a failed tally is the error of each vertex whose frame is sound."""
+    try:
+        degrees = facts._degrees
+    except SemitoricError as exc:
+        degrees = exc.with_traceback(None)
+    classes = []
+    for i, vertex in enumerate(facts.vertices):
         try:
-            degrees = facts._degrees
+            u, w = _tangent_frame(facts, i)
+            classes.append(degrees if isinstance(degrees, SemitoricError) else lattice_class(vertex, u, w, *degrees[i]))
         except SemitoricError as exc:
-            return (exc.with_traceback(None),) * len(verts)
-        edges, (bottom, top) = facts.edges, facts._positions
-        for at, run in ((bottom, edges), (top, [LatticeVector(-edges[i].a, -edges[i].b) for i in top[1:]])):
-            for i, u, w in zip(at[1:-1], run, run[1:]):
-                frames[i] = u, w
-    for i, (vertex, frame) in enumerate(zip(verts, frames)):
-        try:
-            u, w = frame or _tangent_frame(facts, i)
-            classes[i] = lattice_class(vertex, u, w, *(degrees or facts._degrees)[i])
-        except SemitoricError as exc:
-            classes[i] = exc.with_traceback(None)
+            classes.append(exc.with_traceback(None))
     return tuple(classes)
 
 

@@ -359,11 +359,18 @@ def test_a_failed_tally_is_not_redone_per_vertex(monkeypatch, corpus):
     monkeypatch.setattr(PolygonFacts, "cut_endpoint", counted)
     square = corpus["SQUARE"]
     inside = tuple(MarkedPoint(pt(Fraction(k, 4), Fraction(1, 2))) for k in (1, 2, 3))
-    polygon = SemitoricPolygon(square.vertices, inside + (MarkedPoint(pt(2, 0)),))
-    for vertex in polygon.vertices:
-        with pytest.raises(DomainError, match="outside the moment interval"):
-            classify_vertex(polygon, vertex)
-    assert len(calls) == len(polygon.marks)
+    outside = SemitoricPolygon(square.vertices, inside + (MarkedPoint(pt(2, 0)),))
+    # every frame of the clockwise square is sound, and its tally fails at the first mark, on the chains
+    clockwise = SemitoricPolygon(tuple(reversed(square.vertices)), inside)
+    for polygon, error, match, tallied in (
+        (outside, DomainError, "outside the moment interval", len(outside.marks)),
+        (clockwise, GeometryError, "degenerate polygon", 1),
+    ):
+        calls.clear()
+        for vertex in polygon.vertices:
+            with pytest.raises(error, match=match):
+                classify_vertex(polygon, vertex)
+        assert len(calls) == tallied
 
 
 def test_no_module_level_caches():
