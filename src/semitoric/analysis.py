@@ -7,7 +7,12 @@ length of the polygon; its slope jumps at a critical column x satisfy
 
 where e_side = -1/(a*b) if the boundary point of that side at x is an
 elliptic-elliptic vertex with isotropy weights a, b, and 0 otherwise.  The
-jump report recomputes both sides of this identity from independent data.
+jump report recomputes both sides of this identity from independent data,
+in integers from one walk along the chains (``PolygonFacts._slices``, which
+also holds the density's values, each built once per polygon): the slopes
+from the slice lengths alone, the weights from the edges out of each
+non-fake vertex.  On a polygon whose kept report is valid, a vertex where no
+cut ends is Delzant, so only cut endpoints are classified.
 
 Adaptability (the circle action extends to a torus action) is decided twice:
 by orbit counting per column, and by searching the cut-sign family for a
@@ -39,13 +44,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Collection, Literal, Optional, Sequence
+from typing import Collection, Literal, Sequence
 
 from .cuts import SignProduct, _counts, _flip_cuts, _normal_shear, _require_verdict, _unit_marks
 from .errors import DomainError, SemitoricError
 from .geometry import _exact, describe
 from .polygon import PolygonFacts, SemitoricPolygon, require_valid
-from .vertices import VertexKind, _class_of, _outgoing, classify_vertex
+from .vertices import VertexKind, _class_of, _outgoing, _tangent_frame, classify_vertex, lattice_class
 
 
 @dataclass(frozen=True)
@@ -66,15 +71,10 @@ class PiecewiseLinear:
         t = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
         return ys[i - 1] + t * (ys[i] - ys[i - 1])
 
-    def segment_slope(self, index: int) -> Fraction:
-        xs, ys = self.breakpoints, self.values
-        return (ys[index + 1] - ys[index]) / (xs[index + 1] - xs[index])
-
 
 def dh_function(polygon: SemitoricPolygon) -> PiecewiseLinear:
-    """Density of the pushforward of the Liouville measure: slice length per column."""
-    facts = polygon.facts
-    return PiecewiseLinear(facts.columns, tuple(top - bottom for bottom, top, *_ in facts._slices))
+    """Density of the pushforward of the Liouville measure: slice length per column, each built once per polygon."""
+    return PiecewiseLinear(polygon.facts.columns, tuple(length for _, length, *_ in polygon.facts._slices))
 
 
 @dataclass(frozen=True)
@@ -102,42 +102,41 @@ class JumpReport:
         return all(entry.consistent for entry in self.entries)
 
 
-def _weight_term(facts: PolygonFacts, vertex: Optional[int]) -> Fraction:
-    """-1/(a*b) if the vertex at this position (None: no vertex) is elliptic-elliptic, else 0."""
-    if vertex is None or _class_of(facts.classes[vertex]).kind is VertexKind.FAKE:
-        return Fraction(0)
-    # an interior column has no vertex of a vertical edge, so both weights are edge tangents
-    a, b = (d.a for d in _outgoing(facts, vertex))
-    return Fraction(-1, a * b)
+def _fake(facts: PolygonFacts, vertex: int, valid: bool) -> bool:
+    """Whether the vertex at this position is fake.  On a polygon whose kept report is valid, a vertex where no cut
+    ends is Delzant, so only a cut's endpoint is classified; on any other the vertex reads its class, or its error."""
+    if not valid:
+        return _class_of(facts.classes[vertex]).kind is VertexKind.FAKE
+    degree, point = facts._degrees[vertex], facts.vertices[vertex]
+    return degree[0] > 0 and lattice_class(point, *_tangent_frame(facts, vertex), *degree).kind is VertexKind.FAKE
 
 
 def dh_jump_report(polygon: SemitoricPolygon) -> JumpReport:
-    """Check the slope-jump identity at every interior critical column."""
-    density = dh_function(polygon)
-    facts = polygon.facts
-    slopes = [density.segment_slope(i) for i in range(len(density.breakpoints) - 1)]
-    multiplicity = [0] * len(density.breakpoints)  # at each column, found by bisection: no column is hashed
+    """Check the slope-jump identity at every interior critical column; each field's Fraction is built once."""
+    facts, zero = polygon.facts, Fraction(0)
+    slices, report = facts._slices, vars(facts).get("report")  # a report is there only where validation kept it
+    valid = report is not None and report.valid  # see _fake
+    slopes = []  # each segment's slope as its reduced numerator and denominator, and as a Fraction
+    for (x, _, n, d, *_), (x1, _, n1, d1, *_) in zip(slices, slices[1:]):
+        (p, q), (p1, q1) = x.as_integer_ratio(), x1.as_integer_ratio()
+        slope = Fraction((n1 * d - n * d1) * q * q1, d * d1 * (p1 * q - p * q1))
+        slopes.append((*slope.as_integer_ratio(), slope))
+    multiplicity = [0] * len(slices)  # at each column, found by bisection: no column is hashed
     for x, marks in facts.marks_at.items():
-        multiplicity[bisect_left(density.breakpoints, x)] = sum(m.multiplicity for m in marks)
+        multiplicity[bisect_left(facts.columns, x)] = sum(m.multiplicity for m in marks)
     entries = []
-    for i in range(1, len(density.breakpoints) - 1):
-        x = density.breakpoints[i]
-        left, right = slopes[i - 1], slopes[i]
-        bottom, top = facts._slices[i][2:4]
-        e_top, e_bottom = _weight_term(facts, top), _weight_term(facts, bottom)
-        marks_here = multiplicity[i]
-        entries.append(
-            JumpEntry(
-                x=x,
-                left_slope=left,
-                right_slope=right,
-                observed=right - left,
-                predicted=-e_top - e_bottom - marks_here,
-                e_top=e_top,
-                e_bottom=e_bottom,
-                focus_multiplicity=marks_here,
-            )
-        )
+    for i in range(1, len(slices) - 1):
+        (ln, ld, left), (rn, rd, right), marks_here = slopes[i - 1], slopes[i], multiplicity[i]
+        num, den, e = -marks_here, 1, []  # predicted = -e_top - e_bottom - marks_here, with e = -1/(a*b) or 0
+        for vertex in slices[i][5:3:-1]:  # top, then bottom
+            if vertex is None or _fake(facts, vertex, valid):
+                e.append(zero)
+                continue
+            a, b = (d.a for d in _outgoing(facts, vertex))  # an interior column has no vertex of a vertical edge
+            num, den = num * a * b + den, den * a * b
+            e.append(Fraction(-1, a * b))
+        observed = Fraction(rn * ld - ln * rd, rd * ld)  # right - left
+        entries.append(JumpEntry(slices[i][0], left, right, observed, Fraction(num, den), *e, marks_here))
     return JumpReport(tuple(entries))
 
 

@@ -75,7 +75,7 @@ def _parse_point(text: str) -> Point:
     return Point(parse_rational(parts[0].strip()), parse_rational(parts[1].strip()))
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:  # the parser, and each subcommand's by name
     parser = _Parser(prog="semitoric", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -107,7 +107,7 @@ def _build_parser() -> _Parser:
     corpus_sub.add_parser("list")
     get_cmd = corpus_sub.add_parser("get")
     get_cmd.add_argument("name")
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_validate(args, out) -> int:
@@ -140,25 +140,25 @@ def _cmd_graph(args, out) -> int:
 def _cmd_dh(args, out) -> int:
     polygon = _load(args.file)
     density = dh_function(polygon)
-    report = dh_jump_report(polygon)
+    jumps = [
+        {
+            "x": format_rational(e.x),
+            "left_slope": format_rational(e.left_slope),
+            "right_slope": format_rational(e.right_slope),
+            "observed": format_rational(e.observed),
+            "predicted": format_rational(e.predicted),
+            "e_top": format_rational(e.e_top),
+            "e_bottom": format_rational(e.e_bottom),
+            "focus_multiplicity": e.focus_multiplicity,
+            "consistent": e.consistent,
+        }
+        for e in dh_jump_report(polygon).entries
+    ]
     payload = {
         "breakpoints": [format_rational(x) for x in density.breakpoints],
         "values": [format_rational(v) for v in density.values],
-        "jumps": [
-            {
-                "x": format_rational(e.x),
-                "left_slope": format_rational(e.left_slope),
-                "right_slope": format_rational(e.right_slope),
-                "observed": format_rational(e.observed),
-                "predicted": format_rational(e.predicted),
-                "e_top": format_rational(e.e_top),
-                "e_bottom": format_rational(e.e_bottom),
-                "focus_multiplicity": e.focus_multiplicity,
-                "consistent": e.consistent,
-            }
-            for e in report.entries
-        ],
-        "consistent": report.consistent,
+        "jumps": jumps,
+        "consistent": all(jump["consistent"] for jump in jumps),  # the report's verdict, each entry's compared once
     }
     print(json.dumps(payload, separators=(",", ":")), file=out)
     return EXIT_OK
@@ -222,14 +222,25 @@ def _cmd_corpus(args, out) -> int:
 
 # built once per process: parsing keeps no state in the parser, and _Parser
 # raises instead of exiting, so one instance serves every call
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, handing argv whose first token names a subcommand straight to its subparser."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:  # -h, no argument or an unknown first token
+        return _PARSER.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def run_cli(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         _PARSER.print_usage(err)

@@ -19,10 +19,10 @@ vertex being classified, and loading a polygon hashes no ``Point``.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import groupby
 from math import gcd
 from types import MappingProxyType
@@ -184,7 +184,8 @@ class PolygonFacts:
     on a well-formed polygon, the chain split :attr:`_positions`, from one walk along the edges in integers
     (:func:`_walk_boundary`); every other fact on first read.  A fact whose computation raises is not kept, so
     every read raises again; only :attr:`classes` holds errors, one per unclassifiable vertex.  Facts of single
-    vertices are indexed by position, which :meth:`position` finds from a Point by a scan of its column.
+    vertices are indexed by position, which :meth:`position` finds from a Point by a scan of its column.  The DH
+    record :attr:`_slices` keeps each column's slice length as integers, from the walk along each chain.
     """
 
     def __init__(self, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...]):
@@ -216,8 +217,12 @@ class PolygonFacts:
 
     @cached_property
     def columns(self) -> tuple[Fraction, ...]:
-        """Every vertex and mark x, left to right, found by sorting, not hashing."""
-        return tuple(x for x, _ in groupby(sorted([v.x for v in self.vertices] + list(self.marks_at))))
+        """Every vertex and mark x, left to right, sorted on the reduced integers of each x = p/q, so that equal
+        columns have equal integers: no Fraction is compared or hashed, and polygon order gives two sorted runs."""
+        xs = [(p, q, v.x) for (p, q, _, _), v in zip(self._ratios, self.vertices)]
+        xs += [(*x.as_integer_ratio(), x) for x in self.marks_at]
+        xs.sort(key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+        return tuple({(p, q): x for p, q, x in xs}.values())
 
     @cached_property
     def _positions(self) -> tuple[Sequence[int], Sequence[int]]:
@@ -241,14 +246,15 @@ class PolygonFacts:
         return BoundaryChains(verts[: len(bottom)], tuple(map(verts.__getitem__, top)), left, right)
 
     def _walk(self, columns: Sequence[Fraction]) -> list[_Slice]:
-        """(bottom y, top y, bottom vertex, top vertex, bottom index, top index) at each of these
-        sorted columns of [j_min, j_max], from one walk along each chain (see :meth:`_along`)."""
-        bottom, top = self._along(0, columns), self._along(1, columns)
-        return [(by, ty, bv, tv, bk, tk) for (by, bv, bk), (ty, tv, tk) in zip(bottom, top)]
+        """(bottom y, top y, bottom vertex, top vertex, bottom index, top index) at each of these sorted columns of
+        [j_min, j_max], from one walk along each chain (see :meth:`_along`), a vertex keeping its own y."""
+        v, bottom, top = self.vertices, self._along(0, columns), self._along(1, columns)
+        return [(v[bv].y if bv is not None else Fraction(bn, bd), v[tv].y if tv is not None else Fraction(tn, td),
+                 bv, tv, bk, tk) for (bn, bd, bv, bk), (tn, td, tv, tk) in zip(bottom, top)]
 
-    def _along(self, side: int, columns: Sequence[Fraction]) -> list[tuple[Fraction, Optional[int], int]]:
-        """The bottom (side 0) or top (side 1) chain's y at each column, its vertex's position there (None
-        between vertices) and the index of its first point at or right of the column: a bisection to the
+    def _along(self, side: int, columns: Sequence[Fraction]) -> list[tuple[int, int, Optional[int], int]]:
+        """The bottom (side 0) or top (side 1) chain's y = n/d at each column as integers (n, d), its vertex's position
+        there (None between vertices) and the index of its first point at or right of the column: a bisection to the
         first column, then a walk, comparing the integers of the chain's points with each column's."""
         at, ratios, verts = self._positions[side], self._ratios, self.vertices
         out, k = [], bisect_left(at, columns[0], key=lambda i: verts[i].x) if columns else 0
@@ -259,13 +265,13 @@ class PolygonFacts:
                 k += 1
                 p, q, r, s = ratios[at[k]]
             if p * xd == xn * q:
-                out.append((verts[at[k]].y, at[k], k))
+                out.append((r, s, at[k], k))
                 continue
-            # y = r/s + (x - p/q) * dy / dx from the chain's point k - 1, normalised once; the top runs
+            # y = r/s + (x - p/q) * dy / dx from the chain's point k - 1, over one denominator; the top runs
             # against polygon order
             (p, q, r, s), (dx, dy) = ratios[at[k - 1]], self.edges[at[k - 1 + side]]
             scale = xd * q * dx
-            out.append((Fraction(r * scale + (xn * q - p * xd) * dy * s, s * scale), None, k))
+            out.append((r * scale + (xn * q - p * xd) * dy * s, s * scale, None, k))
         return out
 
     @cached_property
@@ -275,12 +281,14 @@ class PolygonFacts:
         return dict(zip(inside, self._walk(inside)))
 
     @cached_property
-    def _slices(self) -> list[_Slice]:
-        """The :meth:`_walk` record at every column, for the DH density."""
+    def _slices(self) -> list[tuple[Fraction, Fraction, int, int, Optional[int], Optional[int]]]:
+        """At every column, for the DH density: (x, slice length, its reduced integers n and d, bottom vertex, top
+        vertex), from one walk along each chain in integers (:meth:`_along`), each length built once."""
+        for x in self.marks_at if len(self.heights) < len(self.marks_at) else ():
+            self.slice_at(x)  # raises at the first mark off the moment interval
         xs = self.columns
-        for x in xs[: bisect_left(xs, self.j_min)] + xs[bisect_right(xs, self.j_max) :]:
-            self.slice_at(x)  # raises: a mark off the moment interval
-        return self._walk(xs)
+        return [(x, length := Fraction(tn * bd - bn * td, td * bd), *length.as_integer_ratio(), bv, tv)
+                for x, (bn, bd, bv, _), (tn, td, tv, _) in zip(xs, self._along(0, xs), self._along(1, xs))]
 
     @cached_property
     def sides(self) -> tuple[tuple[tuple[Point, LatticeVector, LatticeVector], ...], ...]:

@@ -168,3 +168,10 @@ def same_answers_tool():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def chopped_polygons():
+    """SQUARE, FF1 and NONADAPT3 grown to 256 vertices by corner chops (``same_answers.chopped``), made once."""
+    same_answers = same_answers_tool()
+    return [same_answers.chopped(corpus_get(name).polygon) for name in same_answers.CHOPPED]

@@ -17,6 +17,7 @@ from conftest import (
 )
 from karshon_dh_oracle import dh_from_graph
 from semitoric import (
+    ClassificationError,
     DomainError,
     GeometryError,
     MarkedPoint,
@@ -25,8 +26,10 @@ from semitoric import (
     PresentationError,
     SemitoricPolygon,
     ValidationFailure,
+    VertexKind,
     adaptability,
     build_graph,
+    classify_vertex,
     delzant_presentations,
     det2,
     dh_function,
@@ -138,6 +141,107 @@ class TestJumpReport:
             for _, member in enumerate_presentations(polygon).members:
                 report = dh_jump_report(member)
                 assert report.consistent, (polygon, member)
+
+
+def assert_two_sided(polygon):
+    """Each jump entry against data the report does not read: the density's public values, the vertex classes,
+    the outgoing primitives and the marks."""
+    density, report = dh_function(polygon), dh_jump_report(polygon)
+    xs, ys = density.breakpoints, density.values
+    quotients = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+    vertices = set(polygon.vertices)
+    assert [entry.x for entry in report.entries] == list(xs[1:-1])
+    for i, entry in enumerate(report.entries, 1):
+        fields = (entry.x, entry.left_slope, entry.right_slope, entry.observed, entry.predicted, entry.e_top,
+                  entry.e_bottom)
+        assert all(type(value) is Fraction for value in fields) and type(entry.focus_multiplicity) is int
+        assert (entry.left_slope, entry.right_slope) == (quotients[i - 1], quotients[i])
+        assert entry.observed == entry.right_slope - entry.left_slope
+        bottom, top = slice_heights(polygon, entry.x)
+        for y, weight in ((top, entry.e_top), (bottom, entry.e_bottom)):
+            point = Point(entry.x, y)
+            if point in vertices and classify_vertex(polygon, point).kind is not VertexKind.FAKE:
+                u, w = outgoing_primitives(polygon, point)
+                assert weight == Fraction(-1, u.a * w.a), (polygon, point)
+            else:
+                assert weight == 0, (polygon, point)
+        assert entry.focus_multiplicity == sum(m.multiplicity for m in polygon.marks if m.position.x == entry.x)
+        assert entry.predicted == -entry.e_top - entry.e_bottom - entry.focus_multiplicity
+    assert report.consistent, polygon
+    return report
+
+
+class TestJumpReportTwoSided:
+    """The report's integer pass against the public data, on validated polygons (only cut endpoints classified)
+    and on the same polygons unvalidated (every vertex's class read)."""
+
+    def test_corpus_fuzz_multi_column_and_chopped(self, corpus, derived_polygons, chopped_polygons):
+        polygons = list(corpus.values()) + derived_polygons + multi_column_polygons(200) + chopped_polygons
+        entries = 0
+        for polygon in polygons:
+            validated = parse_polygon(serialize_polygon(polygon))
+            report = assert_two_sided(validated)
+            unvalidated = SemitoricPolygon(polygon.vertices, polygon.marks)
+            assert dh_jump_report(unvalidated) == report and "report" not in vars(unvalidated.facts)
+            entries += len(report.entries)
+        assert max(len(p.vertices) for p in polygons) == 256 and entries > 1500
+
+    def test_a_tampered_slice_length_shows(self):
+        # a slice length moves the slopes either side of its column, so the entries of that column and of its two
+        # neighbours turn False, and no other; the public density keeps its values
+        polygon = focus_ladder([1, 2, 1, 1])
+        clean = dh_jump_report(polygon)
+        assert clean.consistent and len(clean.entries) == 4
+        x, length, n, d, *ends = polygon.facts._slices[2]
+        polygon.facts._slices[2] = (x, length, n + d, d, *ends)
+        tampered = dh_jump_report(polygon)
+        assert [entry.consistent for entry in tampered.entries] == [False, False, False, True]
+        assert not tampered.consistent and dh_function(polygon).values[2] == length
+        assert [e.predicted for e in tampered.entries] == [e.predicted for e in clean.entries]
+
+
+# (polygon, error of dh_function, error of dh_jump_report, message), as the Fraction-arithmetic DH raised them
+_HOUSE = (pt(0, 0), pt(2, 0), pt(2, 1), pt(1, 2), pt(0, 1))  # the top corner (1, 2) has |det(u w)| = 2
+_NOTCHED = (pt(0, 0), pt(2, 0), pt(3, 1), pt(2, 2), pt(0, 2))  # Delzant at x = 2, not at the right tip
+_CLOCKWISE = "degenerate polygon: vertices are listed in clockwise order"
+_DH_ERRORS = {
+    "clockwise": (SemitoricPolygon((pt(0, 0), pt(0, 1), pt(1, 1), pt(1, 0))), GeometryError, GeometryError, _CLOCKWISE),
+    "clockwise-with-mark": (SemitoricPolygon((pt(0, 0), pt(0, 2), pt(2, 2), pt(2, 0)), (MarkedPoint(pt(1, 1)),)),
+                            GeometryError, GeometryError, _CLOCKWISE),
+    "duplicate-vertex": (SemitoricPolygon((pt(0, 0), pt(1, 0), pt(1, 0), pt(0, 1))), GeometryError, GeometryError,
+                         "degenerate polygon: vertices are not pairwise distinct"),
+    "mark-off-the-interval": (SemitoricPolygon((pt(0, 0), pt(1, 0), pt(2, 1)), (MarkedPoint(pt(3, 0)),)), DomainError,
+                              DomainError, "x = 3 is outside the moment interval [0, 2]"),
+    "det-2-corner": (SemitoricPolygon((pt(0, 0), pt(1, 0), pt(2, 2), pt(0, 1))), None, ClassificationError,
+                     "(1, 0): no cuts end here and |det(u w)| = 2, not 1"),
+    "det-2-corner-and-cut-off-a-vertex": (SemitoricPolygon(_HOUSE, (MarkedPoint(pt(Fraction(1, 2), 1)),)), None,
+                                          ClassificationError, "(1, 2): no cuts end here and |det(u w)| = 2, not 1"),
+    "cut-off-a-vertex": (SemitoricPolygon(_NOTCHED, (MarkedPoint(pt(1, 1)),)), None, None, None),
+}
+
+
+@pytest.mark.parametrize("polygon, density_error, report_error, message", _DH_ERRORS.values(), ids=_DH_ERRORS)
+def test_dh_errors_on_unvalidated_polygons(polygon, density_error, report_error, message):
+    # each invalid polygon unvalidated, then with its invalid report kept: the density and the report raise as the
+    # Fraction-arithmetic DH did, and the notched polygon's report shows its cut off a vertex without an error
+    for validated in (False, True):
+        fresh = SemitoricPolygon(polygon.vertices, polygon.marks)
+        assert not validated or not validate(fresh).valid
+        if density_error:
+            with pytest.raises(density_error) as exc:
+                dh_function(fresh)
+            assert str(exc.value) == message
+        else:
+            assert dh_function(fresh).breakpoints == tuple(sorted({v.x for v in polygon.vertices}
+                                                                  | {m.position.x for m in polygon.marks}))
+        if report_error:
+            with pytest.raises(report_error) as exc:
+                dh_jump_report(fresh)
+            assert str(exc.value) == message
+        else:
+            report = dh_jump_report(fresh)
+            assert [(e.x, e.observed, e.predicted) for e in report.entries] == [(1, 0, -1), (2, -2, -2)]
+        assert ("report" in vars(fresh.facts)) == validated
 
 
 def column_families(corpus, derived_polygons):

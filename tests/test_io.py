@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from semitoric import (
     parse_polygon,
     serialize_polygon,
 )
+import semitoric.cli as cli
 from semitoric.cli import run_cli
 from semitoric.serialization import polygon_data
 
@@ -638,3 +640,37 @@ def test_serialize_parse_round_trip(polygon):
     text = serialize_polygon(polygon)
     assert parse_polygon(text) == polygon
     assert serialize_polygon(parse_polygon(text)) == text
+
+
+# tokens of the command-line grammar, valid and not: subcommands, their options and values, help flags, abbreviated
+# and unknown options, "--" and the empty string
+_ARGV_TOKENS = (
+    "validate", "classify", "graph", "dh", "adaptable", "switch-cut", "presentations", "self-intersection", "chop",
+    "corpus", "list", "get", "FF1", "bogus", "valid", "-h", "--help", "--he", "--format", "--format=dot", "--form",
+    "json", "dot", "xml", "--index", "--index=2", "0", "-1", "x", "--delzant-only", "--delz", "--side", "--side=left",
+    "left", "right", "--vertex", "1,0", "--size", "1/4", "corpus:FF1", "polygon.json", "--", "--unknown", "-x", "",
+)
+
+
+def _parse_outcome(parse, argv):
+    """What a parse of argv gives: its namespace's items in order, or its usage error or help text."""
+    try:
+        return "args", list(vars(parse(argv)).items())
+    except (cli._UsageError, cli._HelpRequested) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_subcommand_dispatch_matches_the_full_parse():
+    # a first token that names a subcommand goes straight to its subparser: the same namespace, usage error or help
+    rng = random.Random(20261019)
+    commands = list(cli._COMMANDS)
+    argvs = [[command, *extra] for command in commands for extra in ([], ["-h"], ["polygon.json"])]
+    while len(argvs) < 3000:
+        first = rng.choice(commands) if rng.random() < 0.8 else rng.choice(_ARGV_TOKENS)
+        argvs.append([first] + [rng.choice(_ARGV_TOKENS) for _ in range(rng.randrange(4))])
+    kinds = set()
+    for argv in argvs + [[]]:
+        expected = _parse_outcome(cli._PARSER.parse_args, argv)
+        assert _parse_outcome(cli._parse_args, argv) == expected, argv
+        kinds.add(expected[0])
+    assert kinds == {"args", "_UsageError", "_HelpRequested"}

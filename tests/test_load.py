@@ -67,14 +67,14 @@ def _parabola():
 
 
 @pytest.fixture(scope="module")
-def inputs():
+def inputs(chopped_polygons):
     """(vertices, marks) of every input, valid or not, each listed from a start other than its smallest vertex."""
     same_answers = same_answers_tool()
     corpus = [corpus_get(name).polygon for name in ("SQUARE", "CP2STD", "TRI121", "FF1", "FF1UP", "HD1",
                                                     "HD1DOWN", "NONADAPT3")]
     seeds = corpus + fuzz_derivatives(200)
     polygons = seeds + multi_column_polygons(120, max_marks=8)
-    polygons += [same_answers.chopped(corpus_get(name).polygon) for name in same_answers.CHOPPED]
+    polygons += chopped_polygons
     out = [(p.vertices, p.marks) for p in polygons]
     out += [(probe.vertices, probe.marks) for p in seeds for probe in same_answers._probes(p)]
     out += [_star(p) for p in seeds if len(p.vertices) % 2 and len(p.vertices) >= 5] + [_parabola()]
