@@ -10,9 +10,8 @@ elliptic-elliptic vertex with isotropy weights a, b, and 0 otherwise.  The
 jump report recomputes both sides of this identity from independent data,
 in integers from one walk along the chains (``PolygonFacts._slices``, which
 also holds the density's values, each built once per polygon): the slopes
-from the slice lengths alone, the weights from the edges out of each
-non-fake vertex.  On a polygon whose kept report is valid, a vertex where no
-cut ends is Delzant, so only cut endpoints are classified.
+from the slice lengths alone, the weights from the edges out of each vertex
+that is not fake (``PolygonFacts._kinds``).
 
 Adaptability (the circle action extends to a torus action) is decided twice:
 by orbit counting per column, and by searching the cut-sign family for a
@@ -34,7 +33,7 @@ exists only for a valid polygon, so ``adaptability`` and
 the polygon's own facts with each column's unit marks (no unit-split
 polygon is made), started at the family's normal-form shear (one global
 shear, found from the polygon), so each member lands in shear normal form
-as it is built.  A polygon's validation report is kept on its facts, so
+as it is built.  A polygon's validation report is kept on the polygon, so
 neither entry point validates a polygon twice.
 """
 
@@ -50,7 +49,7 @@ from .cuts import SignProduct, _counts, _flip_cuts, _normal_shear, _require_verd
 from .errors import DomainError, SemitoricError
 from .geometry import _exact, describe
 from .polygon import PolygonFacts, SemitoricPolygon, require_valid
-from .vertices import VertexKind, _class_of, _outgoing, _tangent_frame, classify_vertex, lattice_class
+from .vertices import VertexKind, _class_of, _outgoing, classify_vertex
 
 
 @dataclass(frozen=True)
@@ -102,20 +101,10 @@ class JumpReport:
         return all(entry.consistent for entry in self.entries)
 
 
-def _fake(facts: PolygonFacts, vertex: int, valid: bool) -> bool:
-    """Whether the vertex at this position is fake.  On a polygon whose kept report is valid, a vertex where no cut
-    ends is Delzant, so only a cut's endpoint is classified; on any other the vertex reads its class, or its error."""
-    if not valid:
-        return _class_of(facts.classes[vertex]).kind is VertexKind.FAKE
-    degree, point = facts._degrees[vertex], facts.vertices[vertex]
-    return degree[0] > 0 and lattice_class(point, *_tangent_frame(facts, vertex), *degree).kind is VertexKind.FAKE
-
-
 def dh_jump_report(polygon: SemitoricPolygon) -> JumpReport:
     """Check the slope-jump identity at every interior critical column; each field's Fraction is built once."""
     facts, zero = polygon.facts, Fraction(0)
-    slices, report = facts._slices, vars(facts).get("report")  # a report is there only where validation kept it
-    valid = report is not None and report.valid  # see _fake
+    slices, kinds = facts._slices, facts._kinds
     slopes = []  # each segment's slope as its reduced numerator and denominator, and as a Fraction
     for (x, _, n, d, *_), (x1, _, n1, d1, *_) in zip(slices, slices[1:]):
         (p, q), (p1, q1) = x.as_integer_ratio(), x1.as_integer_ratio()
@@ -129,7 +118,7 @@ def dh_jump_report(polygon: SemitoricPolygon) -> JumpReport:
         (ln, ld, left), (rn, rd, right), marks_here = slopes[i - 1], slopes[i], multiplicity[i]
         num, den, e = -marks_here, 1, []  # predicted = -e_top - e_bottom - marks_here, with e = -1/(a*b) or 0
         for vertex in slices[i][5:3:-1]:  # top, then bottom
-            if vertex is None or _fake(facts, vertex, valid):
+            if vertex is None or _class_of(kinds[vertex]) is VertexKind.FAKE:
                 e.append(zero)
                 continue
             a, b = (d.a for d in _outgoing(facts, vertex))  # an interior column has no vertex of a vertical edge
@@ -189,7 +178,7 @@ def _mark_column_orbits(facts: PolygonFacts) -> list[tuple[Fraction, int, int, i
     """
     out = []
     for (x, marks), slice_, sides in zip(facts.marks_at.items(), facts.heights.values(), facts.sides):
-        ee = [v is not None and facts.classes[v].kind is not VertexKind.FAKE for v in slice_[2:4]]
+        ee = [v is not None and facts._kinds[v] is not VertexKind.FAKE for v in slice_[2:4]]
         zk = sum(abs(u.a) >= 2 for elliptic, (_, u, _) in zip(ee, sides) if not elliptic)
         out.append((x, sum(ee), sum(m.multiplicity for m in marks), zk))
     return out

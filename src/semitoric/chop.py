@@ -39,7 +39,7 @@ def corner_chop(polygon: SemitoricPolygon, vertex: Point, delta: Fraction) -> Se
     if delta <= 0:
         raise DomainError("chop size must be positive")
     i = polygon.facts.position(vertex)
-    if _class_of(polygon.facts.classes[i]).kind is not VertexKind.DELZANT:
+    if _class_of(polygon.facts._kinds[i]) is not VertexKind.DELZANT:
         raise DomainError(f"vertex is not Delzant: {describe(vertex)}")
     edges = _edges(polygon, i)
     for other, _, length in edges:

@@ -139,12 +139,13 @@ def _cmd_graph(args, out) -> int:
 
 def _cmd_dh(args, out) -> int:
     polygon = _load(args.file)
-    density = dh_function(polygon)
+    density, entries = dh_function(polygon), dh_jump_report(polygon).entries
+    slopes = [format_rational(e.left_slope) for e in entries[:1]] + [format_rational(e.right_slope) for e in entries]
     jumps = [
         {
             "x": format_rational(e.x),
-            "left_slope": format_rational(e.left_slope),
-            "right_slope": format_rational(e.right_slope),
+            "left_slope": slopes[i],  # entry i - 1's right slope, formatted once
+            "right_slope": slopes[i + 1],
             "observed": format_rational(e.observed),
             "predicted": format_rational(e.predicted),
             "e_top": format_rational(e.e_top),
@@ -152,7 +153,7 @@ def _cmd_dh(args, out) -> int:
             "focus_multiplicity": e.focus_multiplicity,
             "consistent": e.consistent,
         }
-        for e in dh_jump_report(polygon).entries
+        for i, e in enumerate(entries)
     ]
     payload = {
         "breakpoints": [format_rational(x) for x in density.breakpoints],

@@ -22,7 +22,7 @@ rule (:func:`_local_verdict`, an O(1) look at the column's bottom and top
 point, read from the base polygon's ``PolygonFacts.sides``) decides
 validity and smoothness.  So ``enumerate_presentations`` and ``switch_cut``
 refuse an invalid polygon with ValidationFailure (the base polygon's report
-is kept on its facts, so a polygon is validated once), and each member is
+is kept on the polygon, so a polygon is validated once), and each member is
 checked by the column rule at its flipped columns, not re-validated.
 
 The shear normal form reads only vertex 0 and the direction of edge 0,

@@ -65,9 +65,8 @@ def build_graph(polygon: SemitoricPolygon) -> KarshonGraph:
     vertices: list[GraphVertex] = []
     ids: list[Optional[int]] = [None] * len(polygon.vertices)  # vertex position -> its graph id
 
-    for i, (v, found) in enumerate(zip(polygon.vertices, facts.classes)):
-        c = _class_of(found)
-        if c.kind is VertexKind.FAKE or i in fixed:
+    for i, (v, kind) in enumerate(zip(polygon.vertices, facts._kinds)):
+        if _class_of(kind) is VertexKind.FAKE or i in fixed:
             continue
         ids[i] = len(vertices)
         vertices.append(GraphVertex(ISOLATED, v.x, provenance="elliptic-elliptic"))

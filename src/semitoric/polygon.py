@@ -8,13 +8,15 @@ the mark; validation requires every endpoint to be a polygon vertex, which is
 where the fake and hidden-Delzant vertex classes live.
 
 Everything the library reads about a polygon is one :class:`PolygonFacts`
-value, kept on the polygon outside equality, hashing, repr and pickling.  Its
-constructor reads each vertex as integers (p, q, r, s), x = p/q and y = r/s,
-off the ``Fraction`` values, and walks the edges once: primitive directions,
-structure, the chain split and J_max.
-Every other fact is computed on first read from that walk, and a fact whose
-computation fails is not kept.  A degenerate polygon is rejected without a
-vertex being classified, and loading a polygon hashes no ``Point``.
+value, kept on the polygon outside equality, hashing, repr and pickling, as
+is its validation report.  The facts' constructor reads each vertex as
+integers (p, q, r, s), x = p/q and y = r/s, off the ``Fraction`` values, and
+walks the edges once: primitive directions, structure, the chain split and
+J_max.  Every other fact is computed on first read from that walk, and a fact
+whose computation fails is not kept.  Each vertex's kind is decided once, in
+``PolygonFacts._kinds``.  A degenerate polygon is rejected without a vertex
+being classified, loading a polygon hashes no ``Point``, and no fact refers
+back to its facts or polygon, so a polygon is freed with its last reference.
 """
 
 from __future__ import annotations
@@ -99,8 +101,8 @@ class SemitoricPolygon:
         return self.__dict__.get("_facts") or self.__dict__.setdefault("_facts", PolygonFacts(self.vertices, self.marks))
 
     def __getstate__(self):
-        # copies and pickles recompute the facts on first use instead of carrying them
-        return {name: value for name, value in self.__dict__.items() if name != "_facts"}
+        # copies and pickles recompute the facts and the report on first use instead of carrying them
+        return {name: value for name, value in self.__dict__.items() if name not in ("_facts", "_report")}
 
     @property
     def j_min(self) -> Fraction:
@@ -131,8 +133,8 @@ class Violation:
 class ValidationReport:
     """Outcome of :func:`validate`: per-vertex classes plus rule violations.
 
-    The report is kept on the polygon's facts and shared by every later
-    check, so its classifications are a read-only view.  :func:`validate`
+    The report is kept on the polygon and shared by every later check, so
+    its classifications are a read-only view.  :func:`validate`
     builds them on first read, so a query that never reads them hashes no
     vertex; they read, compare and print as the dict they wrap.
     """
@@ -183,9 +185,9 @@ class PolygonFacts:
     """What the library reads about one polygon: :attr:`edges`, :attr:`structure`, ``j_min``, ``j_max`` and,
     on a well-formed polygon, the chain split :attr:`_positions`, from one walk along the edges in integers
     (:func:`_walk_boundary`); every other fact on first read.  A fact whose computation raises is not kept, so
-    every read raises again; only :attr:`classes` holds errors, one per unclassifiable vertex.  Facts of single
-    vertices are indexed by position, which :meth:`position` finds from a Point by a scan of its column.  The DH
-    record :attr:`_slices` keeps each column's slice length as integers, from the walk along each chain.
+    every read raises again; only :attr:`_kinds` and :attr:`classes` hold errors, one per unclassifiable vertex.
+    Facts of single vertices are indexed by position, found from a Point by :meth:`position`.  The DH record
+    :attr:`_slices` keeps each column's slice length as integers, from the walk along each chain.
     """
 
     def __init__(self, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...]):
@@ -348,15 +350,23 @@ class PolygonFacts:
         return out
 
     @cached_property
-    def classes(self) -> tuple[object, ...]:
-        """Each vertex's VertexClassification, or the SemitoricError classifying it raised (read: a fresh copy)."""
+    def _kinds(self) -> tuple[object, ...]:
+        """Each vertex's VertexKind, or the SemitoricError classifying it raised (read: a fresh copy)."""
         from .vertices import classify_corners  # deferred: the lattice rules live there
 
         return classify_corners(self)
 
     @cached_property
+    def classes(self) -> tuple[object, ...]:
+        """Each vertex's VertexClassification, or the error of its kind (read: a fresh copy)."""
+        from .vertices import _tangent_frame, lattice_class  # deferred: the lattice rules live there
+
+        return tuple(k if isinstance(k, SemitoricError) else lattice_class(v, *_tangent_frame(self, i), *self._degrees[i])
+                     for i, (v, k) in enumerate(zip(self.vertices, self._kinds)))
+
+    @property
     def report(self) -> ValidationReport:
-        """The outcome of :func:`validate`, kept so that each polygon is checked once."""
+        """The outcome of :func:`validate`, built on each read; :func:`validate` keeps it on the polygon."""
         return _validation_report(self)
 
     def multiplicity_at(self, x: Fraction) -> int:
@@ -471,10 +481,10 @@ def validate(polygon: SemitoricPolygon) -> ValidationReport:
       first component 1 (implied: no cut ends on an extreme column, and a
       vertex where no cut ends is Delzant or unclassifiable).
 
-    The report is kept on the polygon's facts, so a polygon is checked once
-    however often it is validated.
+    The report is kept on the polygon beside its facts, so a polygon is
+    checked once however often it is validated.
     """
-    return polygon.facts.report
+    return polygon.__dict__.get("_report") or polygon.__dict__.setdefault("_report", polygon.facts.report)
 
 
 def _validation_report(facts: PolygonFacts) -> ValidationReport:
@@ -498,14 +508,8 @@ def _validation_report(facts: PolygonFacts) -> ValidationReport:
         violations.append(Violation(rule, f"marks[{idx}] at {describe(mark.position)}", message))
     if violations:
         return ValidationReport({}, tuple(violations))
-    from .vertices import _tangent_frame, lattice_class  # deferred: the lattice rules live there
-
-    for i, (vertex, turn, degree) in enumerate(zip(facts.vertices, facts._turns, facts._degrees)):
-        if degree[0] or turn != 1:  # else Delzant: no cut ends there, and its frame is its two edges up to sign
-            try:
-                lattice_class(vertex, *_tangent_frame(facts, i), *degree)
-            except ClassificationError as exc:
-                violations.append(Violation("unclassifiable-vertex", describe(vertex), str(exc)))
+    violations = [Violation("unclassifiable-vertex", describe(vertex), str(kind))
+                  for vertex, kind in zip(facts.vertices, facts._kinds) if isinstance(kind, SemitoricError)]
     return ValidationReport(_Classifications(facts), tuple(violations))
 
 

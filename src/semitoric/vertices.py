@@ -16,10 +16,11 @@ det(u Aw) is pinned to -s: the cut-switched presentation must again be
 convex, and that presentation has the masked corner as a real corner.
 
 :func:`classify_corners` and :func:`extract_k_runs` run once per polygon,
-when its ``PolygonFacts`` first reads the classes or the k-runs, and a vertex
-that fits no class keeps its error there.  The class of one corner given its
-frame and cuts (:func:`lattice_class`) is also read by validation, for the
-vertices whose class is in doubt, and by the adaptability search.
+when its ``PolygonFacts`` first reads the kinds or the k-runs, and a vertex
+that fits no class keeps its error there; every reader of a vertex's kind
+reads that record.  The class of one corner given its frame and cuts
+(:func:`lattice_class`) is also read by ``PolygonFacts.classes`` and by the
+adaptability search.
 """
 
 from __future__ import annotations
@@ -144,20 +145,27 @@ def _tangent_frame(facts: PolygonFacts, i: int) -> tuple[LatticeVector, LatticeV
 
 
 def classify_corners(facts: PolygonFacts) -> tuple[object, ...]:
-    """Each vertex's class, or the SemitoricError classifying it raised, in one pass with one tally of the cut
-    degrees: a failed tally is the error of each vertex whose frame is sound."""
+    """Each vertex's kind, or the SemitoricError classifying it raised, in one pass with one tally of the cut
+    degrees: a failed tally is the error of each vertex whose frame is sound.  On a strictly convex polygon every
+    frame is sound and |det(u w)| is the walk's turn at the vertex, so a vertex where no cut ends is Delzant
+    exactly when its turn is 1; only cut endpoints and the other vertices are classified by :func:`lattice_class`."""
     try:
         degrees = facts._degrees
     except SemitoricError as exc:
         degrees = exc.with_traceback(None)
-    classes = []
-    for i, vertex in enumerate(facts.vertices):
+    turns = facts._turns or [0] * len(facts.vertices)  # none kept off a strictly convex polygon: classify all
+    kinds = []
+    for i, (vertex, turn) in enumerate(zip(facts.vertices, turns)):
+        degree = degrees if isinstance(degrees, SemitoricError) else degrees[i]
+        if turn == 1 and degree == (0, 0):
+            kinds.append(VertexKind.DELZANT)
+            continue
         try:
             u, w = _tangent_frame(facts, i)
-            classes.append(degrees if isinstance(degrees, SemitoricError) else lattice_class(vertex, u, w, *degrees[i]))
+            kinds.append(degree if isinstance(degree, SemitoricError) else lattice_class(vertex, u, w, *degree).kind)
         except SemitoricError as exc:
-            classes.append(exc.with_traceback(None))
-    return tuple(classes)
+            kinds.append(exc.with_traceback(None))
+    return tuple(kinds)
 
 
 def lattice_class(vertex: Point, u: LatticeVector, w: LatticeVector, degree: int, sign: int) -> VertexClassification:
@@ -194,8 +202,8 @@ def classify_vertex(polygon: SemitoricPolygon, vertex: Point) -> VertexClassific
     return _class_of(polygon.facts.classes[polygon.facts.position(vertex)])
 
 
-def _class_of(found: object) -> VertexClassification:
-    """A stored class, or a fresh copy of a stored error, raised."""
+def _class_of(found):
+    """A stored class or kind, or a fresh copy of a stored error, raised."""
     if isinstance(found, SemitoricError):
         raise type(found)(*found.args)
     return found
@@ -236,7 +244,7 @@ def isotropy_weights(polygon: SemitoricPolygon, vertex: Point) -> tuple[int, int
     """
     facts = polygon.facts
     i = facts.position(vertex)
-    if _class_of(facts.classes[i]).kind is VertexKind.FAKE:
+    if _class_of(facts._kinds[i]) is VertexKind.FAKE:
         raise DomainError(f"{describe(vertex)} is a fake vertex; no isolated fixed point lies over it")
     if any(edge and i in edge for edge in facts._verticals):
         raise DomainError(f"{describe(vertex)} lies on a vertical edge; its preimage is part of a fixed surface")
@@ -252,7 +260,7 @@ def zk_chains(polygon: SemitoricPolygon) -> tuple[ZkChain, ...]:
 
 def extract_k_runs(facts: PolygonFacts) -> tuple[tuple[ZkChain, int, int], ...]:
     """The k-runs of both chains of the polygon these facts describe, each with its poles' positions."""
-    bc, classes = facts.chains, facts.classes
+    bc, kinds = facts.chains, facts._kinds
     chains: list[tuple[ZkChain, int, int]] = []
     for side, path, at in zip(("bottom", "top"), (bc.bottom, bc.top), facts._positions):
         edges = list(zip(path, path[1:]))
@@ -266,8 +274,7 @@ def extract_k_runs(facts: PolygonFacts) -> tuple[tuple[ZkChain, int, int], ...]:
                 continue
             j = i
             while j + 1 < len(edges):
-                joint = _class_of(classes[at[j + 1]])
-                if joint.kind is not VertexKind.FAKE:
+                if _class_of(kinds[at[j + 1]]) is not VertexKind.FAKE:
                     break
                 if ks[j + 1] != k:
                     # a fake vertex forces equal first components on both sides
@@ -284,7 +291,7 @@ def extract_k_runs(facts: PolygonFacts) -> tuple[tuple[ZkChain, int, int], ...]:
                 edges=tuple(edges[i : j + 1]),
             )
             for pole, end in ((chain.start_vertex, at[i]), (chain.end_vertex, at[j + 1])):
-                if _class_of(classes[end]).kind is VertexKind.FAKE:
+                if _class_of(kinds[end]) is VertexKind.FAKE:
                     raise ClassificationError(f"chain pole {describe(pole)} classifies as fake")
             chains.append((chain, at[i], at[j + 1]))
             i = j + 1

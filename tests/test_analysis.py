@@ -172,8 +172,8 @@ def assert_two_sided(polygon):
 
 
 class TestJumpReportTwoSided:
-    """The report's integer pass against the public data, on validated polygons (only cut endpoints classified)
-    and on the same polygons unvalidated (every vertex's class read)."""
+    """The report's integer pass against the public data, on validated polygons and on the same polygons
+    unvalidated (no report kept)."""
 
     def test_corpus_fuzz_multi_column_and_chopped(self, corpus, derived_polygons, chopped_polygons):
         polygons = list(corpus.values()) + derived_polygons + multi_column_polygons(200) + chopped_polygons
@@ -182,7 +182,7 @@ class TestJumpReportTwoSided:
             validated = parse_polygon(serialize_polygon(polygon))
             report = assert_two_sided(validated)
             unvalidated = SemitoricPolygon(polygon.vertices, polygon.marks)
-            assert dh_jump_report(unvalidated) == report and "report" not in vars(unvalidated.facts)
+            assert dh_jump_report(unvalidated) == report and "_report" not in vars(unvalidated)
             entries += len(report.entries)
         assert max(len(p.vertices) for p in polygons) == 256 and entries > 1500
 
@@ -241,7 +241,7 @@ def test_dh_errors_on_unvalidated_polygons(polygon, density_error, report_error,
         else:
             report = dh_jump_report(fresh)
             assert [(e.x, e.observed, e.predicted) for e in report.entries] == [(1, 0, -1), (2, -2, -2)]
-        assert ("report" in vars(fresh.facts)) == validated
+        assert ("_report" in vars(fresh)) == validated
 
 
 def column_families(corpus, derived_polygons):

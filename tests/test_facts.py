@@ -26,9 +26,12 @@ from semitoric import (
     PolygonFacts,
     SemitoricPolygon,
     ValidationReport,
+    adaptability,
     boundary_chains,
+    build_graph,
     chop_allowance,
     classify_vertex,
+    dh_jump_report,
     isotropy_weights,
     outgoing_primitives,
     parse_polygon,
@@ -70,9 +73,46 @@ def test_polygon_dies_after_cli_query(corpus, tmp_path, monkeypatch, argv):
         return polygon
 
     monkeypatch.setattr(cli, "parse_polygon", parse_and_watch)
-    assert cli.run_cli([argv[0], str(path), *argv[1:]], io.StringIO(), io.StringIO()) == 0
+    assert run_without_collector([argv[0], str(path), *argv[1:]]) == 0
+    assert len(refs) == 1 and refs[0]() is None  # freed by reference counting alone
+
+
+def run_without_collector(argv) -> int:
+    """``run_cli(argv)`` with the cyclic collector off, asserting that the call left no cyclic garbage."""
     gc.collect()
-    assert len(refs) == 1 and refs[0]() is None
+    gc.disable()
+    try:
+        code = cli.run_cli(argv, io.StringIO(), io.StringIO())
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
+    return code
+
+
+@pytest.mark.parametrize("command", ["validate", "dh", "graph", "classify"])
+def test_a_refused_query_leaves_no_cyclic_garbage(tmp_path, command):
+    path = tmp_path / "unclassifiable.json"
+    path.write_text(serialize_polygon(SemitoricPolygon((pt(0, 0), pt(1, 0), pt(2, 2), pt(0, 1)))))
+    assert run_without_collector([command, str(path)]) == 2
+
+
+def test_each_vertex_is_classified_once(chopped_polygons, monkeypatch):
+    from conftest import focus_ladder
+
+    calls, classified = [], 0
+    classify = vertices.lattice_class
+    monkeypatch.setattr(vertices, "lattice_class", lambda v, *args: calls.append(v) or classify(v, *args))
+    for polygon in chopped_polygons + [focus_ladder([1] * 8)]:
+        calls.clear()
+        fresh = parse_polygon(serialize_polygon(polygon))
+        for query in (validate, dh_jump_report, build_graph, adaptability, zk_chains):
+            query(fresh)
+        # a vertex where no cut ends and the walk turns by 1 is Delzant without a lattice_class call
+        turns, degrees = fresh.facts._turns, fresh.facts._degrees
+        doubtful = [v for v, turn, (degree, _) in zip(fresh.vertices, turns, degrees) if turn != 1 or degree]
+        assert calls == doubtful and len(doubtful) < len(fresh.vertices)
+        classified += len(calls)
+    assert classified > 8  # every cut endpoint of FF1, NONADAPT3 and the ladder
 
 
 @pytest.mark.parametrize(
@@ -300,9 +340,10 @@ def test_star_polygon_is_degenerate(tmp_path):
 
 def test_copies_and_pickles_leave_the_facts_behind(corpus):
     polygon = corpus["FF1"]
-    expected = zk_chains(polygon)
+    expected, report = zk_chains(polygon), validate(polygon)
     for copied in (pickle.loads(pickle.dumps(polygon)), copy.deepcopy(polygon)):
-        assert copied == polygon and "_facts" not in copied.__dict__
+        assert copied == polygon and "_facts" not in copied.__dict__ and "_report" not in copied.__dict__
+        assert validate(copied) == report
         assert zk_chains(copied) == expected
 
 

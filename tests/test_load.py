@@ -92,6 +92,15 @@ def test_the_walk_reads_what_the_earlier_load_read(inputs):
     assert len(inputs) > 900 and stars > 20, (len(inputs), stars)
 
 
+def test_the_kinds_are_the_earlier_classes_kinds(inputs):
+    # unvalidated, valid or not: each vertex's kind, or its error by type and message
+    for vertices, marks in inputs:
+        old = load_oracle.Facts(*load_oracle.canonical(vertices, marks))
+        kinds = SemitoricPolygon(vertices, marks).facts._kinds
+        assert [(type(c), str(c)) if isinstance(c, SemitoricError) else c.kind for c in old.classes] == [
+            (type(k), str(k)) if isinstance(k, SemitoricError) else k for k in kinds]
+
+
 def test_the_parse_reads_what_the_earlier_load_read(inputs):
     for vertices, marks in inputs:
         old = load_oracle.Facts(*load_oracle.canonical(vertices, marks))
