@@ -13,21 +13,22 @@ also holds the density's values, each built once per polygon): the slopes
 from the slice lengths alone, the weights from the edges out of each vertex
 that is not fake (``PolygonFacts._kinds``).
 
-Adaptability (the circle action extends to a torus action) is decided twice:
-by orbit counting per column, and by searching the cut-sign family for a
-presentation that is a Delzant polygon.  The two verdicts must agree; a
-disagreement raises instead of guessing.  Both read the valid polygon's own
-facts by position, once, and neither reads the other.  The orbit count
-reads each mark column's two points where one walk along the chains found
-them (``PolygonFacts.heights`` and ``sides``).  The search decides each
-column of k points from its counts (k and the current up-count): a cut
-switch changes the polygon only on and right of its column, and right of
-it by a unimodular shear, so the column rule (an O(1) look at the
-column's ``PolygonFacts.sides``; no presentation is built) at the
-up-counts 0, 1, k - 1 and k decides validity and smoothness for the
-whole range, whatever k is.  Only columns of one or two points can be
-Delzant, because a smooth corner ends at most one cut.  The cut family
-exists only for a valid polygon, so ``adaptability`` and
+Adaptability (the circle action extends to a torus action) is decided
+twice: by orbit counting per column, and by searching the cut-sign family
+for a presentation that is a Delzant polygon.  The two verdicts must
+agree; a disagreement raises instead of guessing.  Both read the valid
+polygon's own facts by position, once, and neither reads the other.  The
+orbit count reads each mark column's two points where one walk along the
+chains found them (``PolygonFacts.heights`` and ``sides``);
+``orbit_counts`` at one column reads its vertices' kinds and the k-runs'
+pole positions.  The search decides each column of k points from its
+counts (k and the current up-count): a cut switch changes the polygon only
+on and right of its column, and right of it by a unimodular shear, so the
+column rule (an O(1) look at the column's ``PolygonFacts.sides``; no
+presentation is built) at the up-counts 0, 1, k - 1 and k decides validity
+and smoothness for the whole range, whatever k is.  Only columns of one or
+two points can be Delzant, because a smooth corner ends at most one cut.
+The cut family exists only for a valid polygon, so ``adaptability`` and
 ``delzant_presentations`` refuse an invalid one with ValidationFailure.
 ``delzant_presentations`` builds each Delzant member once, in one sweep of
 the polygon's own facts with each column's unit marks (no unit-split
@@ -45,11 +46,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Collection, Literal, Sequence
 
-from .cuts import SignProduct, _counts, _flip_cuts, _normal_shear, _require_verdict, _unit_marks
+from .cuts import SignProduct, _counts, _flip_cuts, _local_verdict, _normal_shear, _unit_marks
 from .errors import DomainError, SemitoricError
 from .geometry import _exact, describe
 from .polygon import PolygonFacts, SemitoricPolygon, require_valid
-from .vertices import VertexKind, _class_of, _outgoing, classify_vertex
+from .vertices import VertexKind, _class_of, _outgoing
 
 
 @dataclass(frozen=True)
@@ -159,10 +160,11 @@ def orbit_counts(polygon: SemitoricPolygon, x: Fraction) -> OrbitCounts:
     facts = polygon.facts
     if not facts.j_min < x < facts.j_max:
         raise DomainError(f"orbit counts are defined for interior columns only, got x = {describe(x)}")
-    column = facts.vertices_at.get(x, ())
-    ee = sum(classify_vertex(polygon, facts.vertices[i]).kind is not VertexKind.FAKE for i in column)
-    zk = sum(run.start_vertex.x < x < run.end_vertex.x for run in facts.k_runs)
-    return OrbitCounts(ee=ee, ff=facts.multiplicity_at(x), zk=zk)
+    verts, kinds = facts.vertices, facts._kinds
+    # a doubled vertex reads its first copy's kind, as classify_vertex does
+    ee = sum(_class_of(kinds[facts.position(verts[i])]) is not VertexKind.FAKE for i in facts.vertices_at.get(x, ()))
+    zk = sum(verts[start].x < x < verts[end].x for _, start, end in facts._poles)
+    return OrbitCounts(ee=ee, ff=sum(m.multiplicity for m in facts.marks_at.get(x, ())), zk=zk)
 
 
 def _mark_column_orbits(facts: PolygonFacts) -> list[tuple[Fraction, int, int, int]]:
@@ -240,7 +242,7 @@ def _delzant_signs(polygon: SemitoricPolygon) -> SignProduct:
     per_column = []  # per column: the signs of every flip pattern that keeps its vertices smooth
     for column, sides in zip(facts.marks_at.values(), facts.sides):  # in mark order
         k, ups = _counts(column)
-        smooth = [u for u in sorted({0, 1, k - 1, k}) if _require_verdict(sides, k, ups, u - ups)]
+        smooth = [u for u in sorted({0, 1, k - 1, k}) if _local_verdict(sides, k, ups, u - ups)]
         signs = tuple(m.cut_sign for m in _unit_marks(column)) if smooth else ()  # so k <= 2 where any is smooth
         per_column.append(_column_blocks(signs, smooth))
     # the first column's bits are the lowest, so it varies fastest

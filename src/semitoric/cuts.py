@@ -10,9 +10,9 @@ every point moves by the sum of the shears pivoting left of it, and only a
 point on a flipped column can become or stop being a vertex.  That point
 stays one exactly where its integer tangents still turn, det2(u, w sheared
 by the column's coefficient) != 0.  At each flipped column the pass takes
-each boundary chain's points up to the index that the heights walk
-recorded there (``PolygonFacts.heights``), so no subdivided copy of a
-chain is kept, and it moves each point by its running (slope, offset)
+each boundary chain's vertices, by position (``PolygonFacts._positions``),
+up to the index that the heights walk recorded there, so no copy of a
+chain is made, and it moves each point by its running (slope, offset)
 with ``GlobalShear``'s one point-shear formula.  A ``SignProduct`` lists
 the family, building each member when it is read.
 
@@ -20,10 +20,11 @@ The family exists only for a valid polygon, and every member of it is
 valid: a switch changes the polygon near its column only, where the column
 rule (:func:`_local_verdict`, an O(1) look at the column's bottom and top
 point, read from the base polygon's ``PolygonFacts.sides``) decides
-validity and smoothness.  So ``enumerate_presentations`` and ``switch_cut``
-refuse an invalid polygon with ValidationFailure (the base polygon's report
-is kept on the polygon, so a polygon is validated once), and each member is
-checked by the column rule at its flipped columns, not re-validated.
+smoothness and raises PresentationError where the presentation is invalid.
+So ``enumerate_presentations`` and ``switch_cut`` refuse an invalid polygon
+with ValidationFailure (the base polygon's report is kept on the polygon, so
+a polygon is validated once), and each member is checked by the column rule
+at its flipped columns, not re-validated.
 
 The shear normal form reads only vertex 0 and the direction of edge 0,
 which no switch moves, and a global shear commutes with every switch, so
@@ -49,7 +50,7 @@ from .geometry import (
     det2,
     shear_vector,
 )
-from .polygon import MarkedPoint, SemitoricPolygon, _mark_key, boundary_chains, require_valid
+from .polygon import MarkedPoint, SemitoricPolygon, _mark_key, require_valid
 from .vertices import is_smooth_class, lattice_class
 
 
@@ -129,11 +130,9 @@ def transform_polygon(polygon: SemitoricPolygon, shear: GlobalShear) -> Semitori
     )
 
 
-def _local_verdict(
-    sides: Sequence[tuple[Point, LatticeVector, LatticeVector]], k: int, ups: int, shift: int
-) -> Optional[bool]:
+def _local_verdict(sides: Sequence[tuple[Point, LatticeVector, LatticeVector]], k: int, ups: int, shift: int) -> bool:
     """Whether the presentation that moves this column's up-count by ``shift``
-    is smooth on the column, or None when that presentation is invalid.
+    is smooth on the column; PresentationError where that presentation is invalid.
 
     ``sides`` is the ``PolygonFacts.sides`` entry of a valid polygon at a column of
     ``k`` focus-focus points, ``ups`` of them cut upward.  The switch shears
@@ -150,29 +149,21 @@ def _local_verdict(
         w = shear_vector(w, -shift)
         turn = inward * det2(u, w)  # > 0: a convex corner
         if turn < 0 or (turn == 0 and degree):
-            return None
+            break
         if turn:
             try:
                 corner = lattice_class(point, u, w, degree, sign)
             except ClassificationError:
-                return None
+                break
             smooth = is_smooth_class(corner) and smooth
-    return smooth
+    else:
+        return smooth
+    raise PresentationError(f"up-count shift {shift} at x = {describe(sides[0][0].x)}: invalid presentation")
 
 
 def _counts(column: Sequence[MarkedPoint]) -> tuple[int, int]:
     """(k, ups) of a mark column: its number of focus-focus points, and how many of them are cut upward."""
     return sum(m.multiplicity for m in column), sum(m.multiplicity for m in column if m.cut_sign > 0)
-
-
-def _require_verdict(
-    sides: Sequence[tuple[Point, LatticeVector, LatticeVector]], k: int, ups: int, shift: int
-) -> bool:
-    """:func:`_local_verdict`, raising PresentationError where it is None."""
-    smooth = _local_verdict(sides, k, ups, shift)
-    if smooth is None:  # a switch of a valid presentation is valid
-        raise PresentationError(f"up-count shift {shift} at x = {describe(sides[0][0].x)}: invalid presentation")
-    return smooth
 
 
 def _flip_cuts(
@@ -201,7 +192,7 @@ def _flip_cuts(
         if start is None and all(mark.cut_sign == sign for mark, sign in zip(polygon.marks, signs)):
             return polygon
         columns = facts.marks_at.values()
-    chains = (facts.chains.bottom, facts.chains.top)
+    verts, positions = facts.vertices, facts._positions  # each chain's vertex positions, left to right
     # (slope, offset) of GlobalShear: ``start``, plus c * (x - x_c) for each flipped column x_c left of the point
     slope, offset = (start.slope, start.offset) if start is not None else (0, 0)
     images, taken, moved = ([], []), [0, 0], []  # each chain's image and how many of its points it has; the marks
@@ -217,22 +208,22 @@ def _flip_cuts(
             moved[-len(column) :] = sorted(moved[-len(column) :], key=_mark_key)
         if not coefficient:
             continue  # the shear runs on across the column, and so does each chain
-        _require_verdict(sides, *_counts(column), -coefficient)
-        for side, (image, path, (point, u, w)) in enumerate(zip(images, chains, sides)):
+        _local_verdict(sides, *_counts(column), -coefficient)
+        for side, (image, at, (point, u, w)) in enumerate(zip(images, positions, sides)):
             # the chain's points since the last flipped column, then its point on this one where it still turns
             k = slice_[4 + side]
-            image += [_shear_point(p, slope, offset) for p in path[taken[side] : k]]
+            image += [_shear_point(verts[i], slope, offset) for i in at[taken[side] : k]]
             if det2(u, shear_vector(w, coefficient)):
                 image.append(_shear_point(point, slope, offset))
             taken[side] = k + (slice_[2 + side] is not None)
         slope, offset = slope + coefficient, offset - coefficient * x
-    for image, path, k in zip(images, chains, taken):  # the points right of the last flipped column
-        image += [_shear_point(p, slope, offset) for p in path[k:]]
-    bottom, top = images
+    for image, at, k in zip(images, positions, taken):  # the points right of the last flipped column
+        image += [_shear_point(verts[i], slope, offset) for i in at[k:]]
+    (bottom, top), (left, right) = images, facts._verticals
     # the chains share their end points where no vertical edge joins them
-    if facts.chains.right_vertical is None:
+    if right is None:
         bottom.pop()
-    if facts.chains.left_vertical is None:
+    if left is None:
         top = top[1:]
     return SemitoricPolygon._canonical(tuple(bottom + top[::-1]), tuple(moved))  # vertex 0 is still the smallest
 
@@ -285,8 +276,9 @@ def _normal_shear(polygon: SemitoricPolygon) -> GlobalShear:
     moves (vertex 0 is on the J_min column, left of every mark), so one
     shear serves every member of a cut family.
     """
-    first = boundary_chains(polygon).bottom[0]
-    tangent = polygon.facts.edges[0]  # the bottom chain starts with the edge from vertex 0
+    facts = polygon.facts
+    first = facts.vertices[facts._positions[0][0]]  # raises GeometryError on a degenerate polygon
+    tangent = facts.edges[0]  # the bottom chain starts with the edge from vertex 0
     slope = -(tangent.b // tangent.a)
     return GlobalShear(slope, -(slope * first.x + first.y))
 

@@ -243,6 +243,7 @@ class PolygonFacts:
 
     @cached_property
     def chains(self) -> BoundaryChains:
+        """The chains as ``Point`` paths, made for :func:`boundary_chains` alone: the library reads positions."""
         verts, (bottom, top) = self.vertices, self._positions
         left, right = (edge and (verts[edge[0]], verts[edge[1]]) for edge in self._verticals)
         return BoundaryChains(verts[: len(bottom)], tuple(map(verts.__getitem__, top)), left, right)
@@ -364,25 +365,12 @@ class PolygonFacts:
         return tuple(k if isinstance(k, SemitoricError) else lattice_class(v, *_tangent_frame(self, i), *self._degrees[i])
                      for i, (v, k) in enumerate(zip(self.vertices, self._kinds)))
 
-    @property
-    def report(self) -> ValidationReport:
-        """The outcome of :func:`validate`, built on each read; :func:`validate` keeps it on the polygon."""
-        return _validation_report(self)
-
-    def multiplicity_at(self, x: Fraction) -> int:
-        return sum(m.multiplicity for m in self.marks_at.get(x, ()))
-
     @cached_property
     def _poles(self) -> tuple[tuple[object, int, int], ...]:
         """Each ZkChain run of both chains with the positions of its start and its end vertex."""
         from .vertices import extract_k_runs  # deferred: the lattice rules live there
 
         return extract_k_runs(self)
-
-    @cached_property
-    def k_runs(self) -> tuple:
-        """The ZkChain runs of both chains."""
-        return tuple(run for run, _, _ in self._poles)
 
 
 def _walk_boundary(facts: PolygonFacts) -> tuple[tuple, tuple[Violation, ...], Optional[int], Optional[list]]:
@@ -484,7 +472,7 @@ def validate(polygon: SemitoricPolygon) -> ValidationReport:
     The report is kept on the polygon beside its facts, so a polygon is
     checked once however often it is validated.
     """
-    return polygon.__dict__.get("_report") or polygon.__dict__.setdefault("_report", polygon.facts.report)
+    return polygon.__dict__.get("_report") or polygon.__dict__.setdefault("_report", _validation_report(polygon.facts))
 
 
 def _validation_report(facts: PolygonFacts) -> ValidationReport:

@@ -17,10 +17,11 @@ convex, and that presentation has the masked corner as a real corner.
 
 :func:`classify_corners` and :func:`extract_k_runs` run once per polygon,
 when its ``PolygonFacts`` first reads the kinds or the k-runs, and a vertex
-that fits no class keeps its error there; every reader of a vertex's kind
-reads that record.  The class of one corner given its frame and cuts
+that fits no class keeps its error there; every reader of a vertex's kind,
+``orbit_counts`` too, reads that record by position, and the k-runs walk the
+chains' vertex positions.  The class of one corner given its frame and cuts
 (:func:`lattice_class`) is also read by ``PolygonFacts.classes`` and by the
-adaptability search.
+column rule of the cut family.
 """
 
 from __future__ import annotations
@@ -255,44 +256,39 @@ def isotropy_weights(polygon: SemitoricPolygon, vertex: Point) -> tuple[int, int
 
 def zk_chains(polygon: SemitoricPolygon) -> tuple[ZkChain, ...]:
     """Extract every maximal k >= 2 run on the top and bottom boundaries."""
-    return polygon.facts.k_runs
+    return tuple(run for run, _, _ in polygon.facts._poles)
 
 
 def extract_k_runs(facts: PolygonFacts) -> tuple[tuple[ZkChain, int, int], ...]:
-    """The k-runs of both chains of the polygon these facts describe, each with its poles' positions."""
-    bc, kinds = facts.chains, facts._kinds
+    """The k-runs of both chains of the polygon these facts describe, each with its poles' positions, read off the
+    chains' vertex positions."""
+    verts, kinds = facts.vertices, facts._kinds
     chains: list[tuple[ZkChain, int, int]] = []
-    for side, path, at in zip(("bottom", "top"), (bc.bottom, bc.top), facts._positions):
-        edges = list(zip(path, path[1:]))
+    for side, at in zip(("bottom", "top"), facts._positions):
         # the bottom runs in polygon order, so edge k leaves point k; the top runs against it
-        ks = [abs(facts.edges[at[k + (side == "top")]].a) for k in range(len(edges))]
+        ks = [abs(facts.edges[at[k + (side == "top")]].a) for k in range(len(at) - 1)]
         i = 0
-        while i < len(edges):
+        while i < len(ks):
             k = ks[i]
             if k < 2:
                 i += 1
                 continue
             j = i
-            while j + 1 < len(edges):
+            while j + 1 < len(ks):
                 if _class_of(kinds[at[j + 1]]) is not VertexKind.FAKE:
                     break
                 if ks[j + 1] != k:
                     # a fake vertex forces equal first components on both sides
                     raise ClassificationError(
-                        f"fake vertex {describe(edges[j][1])} joins edges of first components "
+                        f"fake vertex {describe(verts[at[j + 1]])} joins edges of first components "
                         f"{describe(k)} and {describe(ks[j + 1])}"
                     )
                 j += 1
-            chain = ZkChain(
-                k=k,
-                side=side,  # type: ignore[arg-type]
-                start_vertex=edges[i][0],
-                end_vertex=edges[j][1],
-                edges=tuple(edges[i : j + 1]),
-            )
-            for pole, end in ((chain.start_vertex, at[i]), (chain.end_vertex, at[j + 1])):
+            for end in (at[i], at[j + 1]):
                 if _class_of(kinds[end]) is VertexKind.FAKE:
-                    raise ClassificationError(f"chain pole {describe(pole)} classifies as fake")
-            chains.append((chain, at[i], at[j + 1]))
+                    raise ClassificationError(f"chain pole {describe(verts[end])} classifies as fake")
+            edges = tuple((verts[at[e]], verts[at[e + 1]]) for e in range(i, j + 1))
+            run = ZkChain(k, side, verts[at[i]], verts[at[j + 1]], edges)  # type: ignore[arg-type]
+            chains.append((run, at[i], at[j + 1]))
             i = j + 1
     return tuple(chains)

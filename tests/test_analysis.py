@@ -272,6 +272,16 @@ def reference_sides(facts):
     return tuple(tuple(side(path, x, y) for path, y in zip(paths, facts.heights[x])) for x in facts.marks_at)
 
 
+def column_verdict(sides, k, ups, shift):
+    """The column rule's verdict, None where it raises PresentationError: that presentation is invalid."""
+    from semitoric.cuts import _local_verdict
+
+    try:
+        return _local_verdict(sides, k, ups, shift)
+    except PresentationError:
+        return None
+
+
 class TestMarkColumnRecord:
     """The heights walk's chain indices give the same tangents as searching each chain."""
 
@@ -301,6 +311,11 @@ class TestOrbitCounts:
     def test_extremal_rejected(self, corpus):
         with pytest.raises(DomainError):
             orbit_counts(corpus["FF1"], Fraction(0))
+        # a doubled vertex reads its first copy, as classify_vertex does: a Delzant corner here, whose
+        # second copy's frame does not classify, so the degenerate chains raise
+        doubled = SemitoricPolygon((pt(4, -1), pt(3, -1), pt(4, 1), pt(0, 0), pt(3, -1)))
+        with pytest.raises(GeometryError, match="degenerate polygon"):
+            orbit_counts(doubled, Fraction(3))
 
     def test_floats_rejected(self, corpus):
         # as for Point: 0.1 is not 1/10, so no column is read from a float
@@ -475,7 +490,6 @@ class TestPerColumnSearch:
         # decided locally and read off the presentation the reference builder
         # makes for the smallest code
         from presentation_oracle import flip_cuts
-        from semitoric.cuts import _local_verdict
 
         def verdicts(unit, x):
             first = unit.marks.index(unit.facts.marks_at[x][0])
@@ -491,7 +505,7 @@ class TestPerColumnSearch:
                 else:
                     column = shape.facts.vertices_at.get(x, ())  # vertex positions
                     built = all(is_smooth_vertex(shape, shape.vertices[i]) for i in column)
-                assert _local_verdict(sides, len(signs), signs.count(1), shift) == built, (unit, x, shift)
+                assert column_verdict(sides, len(signs), signs.count(1), shift) == built, (unit, x, shift)
                 yield built
 
         seen = []
@@ -511,19 +525,41 @@ class TestPerColumnSearch:
         # the up-counts 0, 1, k - 1 and k find the same smooth up-counts as all k + 1 do, and
         # an invalid one exactly where one exists, on every mark column of the families of
         # tools/same_answers.py, each also with every cut sign flipped, and of the probe up to k = 64
-        from semitoric.cuts import _counts, _local_verdict
+        from semitoric.cuts import _counts
 
         columns, invalid = 0, 0
         for polygon in column_families(corpus, derived_polygons):
             for column, side in zip(polygon.facts.marks_at.values(), polygon.facts.sides):
                 k, ups = _counts(column)
-                every = {u: _local_verdict(side, k, ups, u - ups) for u in range(k + 1)}
+                every = {u: column_verdict(side, k, ups, u - ups) for u in range(k + 1)}
                 four = {u: every[u] for u in {0, 1, k - 1, k}}
                 assert [u for u in every if every[u]] == [u for u in sorted(four) if four[u]], (polygon, k)
                 assert (None in every.values()) == (None in four.values()), (polygon, k)
                 columns += 1
                 invalid += None in every.values()
         assert columns > 1000 and invalid > 0
+
+    def test_the_column_rule_raises_on_an_invalid_column(self):
+        # a sign flipped without reshaping breaks only its column, so the column rule at shift 0
+        # raises exactly where the polygon itself is invalid
+        from semitoric.cuts import _counts, _local_verdict
+        from semitoric.geometry import describe
+
+        raised = 0
+        for polygon in multi_column_polygons(100, seed=7, max_marks=8):
+            marks = list(polygon.marks)
+            marks[-1] = MarkedPoint(marks[-1].position, 1, -marks[-1].cut_sign)
+            flipped = SemitoricPolygon(polygon.vertices, tuple(marks))
+            x, facts = marks[-1].position.x, flipped.facts
+            sides = dict(zip(facts.heights, facts.sides))[x]
+            if validate(flipped).valid:
+                assert _local_verdict(sides, *_counts(facts.marks_at[x]), 0) in (True, False)
+                continue
+            with pytest.raises(PresentationError) as info:
+                _local_verdict(sides, *_counts(facts.marks_at[x]), 0)
+            assert str(info.value) == f"up-count shift 0 at x = {describe(x)}: invalid presentation"
+            raised += 1
+        assert raised == 75
 
     def test_adaptability_reads_facts_by_position(self, corpus, derived_polygons, monkeypatch):
         # on a parsed polygon: no unit-split polygon, no vertex looked up by Point, no Point hashed

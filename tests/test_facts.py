@@ -33,6 +33,7 @@ from semitoric import (
     classify_vertex,
     dh_jump_report,
     isotropy_weights,
+    orbit_counts,
     outgoing_primitives,
     parse_polygon,
     serialize_polygon,
@@ -107,6 +108,8 @@ def test_each_vertex_is_classified_once(chopped_polygons, monkeypatch):
         fresh = parse_polygon(serialize_polygon(polygon))
         for query in (validate, dh_jump_report, build_graph, adaptability, zk_chains):
             query(fresh)
+        for x in fresh.facts.marks_at:
+            orbit_counts(fresh, x)
         # a vertex where no cut ends and the walk turns by 1 is Delzant without a lattice_class call
         turns, degrees = fresh.facts._turns, fresh.facts._degrees
         doubtful = [v for v, turn, (degree, _) in zip(fresh.vertices, turns, degrees) if turn != 1 or degree]
@@ -117,22 +120,28 @@ def test_each_vertex_is_classified_once(chopped_polygons, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [["presentations"], ["presentations", "--delzant-only"], ["adaptable"], ["switch-cut", "--index", "0"]],
+    [["presentations"], ["presentations", "--delzant-only"], ["adaptable"], ["switch-cut", "--index", "0"], ["graph"],
+     ["dh"], ["classify"]],
 )
 def test_each_cli_query_validates_once(corpus, tmp_path, monkeypatch, argv):
+    # and builds no Point chains: only boundary_chains reads them, the library reads vertex positions
     from conftest import focus_ladder
 
-    checked = []
+    checked, loaded = [], []
     report = semitoric.polygon._validation_report
     monkeypatch.setattr(semitoric.polygon, "_validation_report", lambda facts: checked.append(1) or report(facts))
+    load = cli._load
+    monkeypatch.setattr(cli, "_load", lambda source: loaded.append(load(source)) or loaded[-1])
     merged = focus_ladder([2, 1])  # its first column as one mark of multiplicity 2, which the Delzant search splits
     merged = SemitoricPolygon(merged.vertices, (MarkedPoint(merged.marks[0].position, 2, -1),) + merged.marks[2:])
-    for polygon in (corpus["FF1"], corpus["NONADAPT3"], corpus["HD1"], focus_ladder([1] * 4), merged):
+    for polygon in (corpus["FF1"], corpus["NONADAPT3"], corpus["HD1"], corpus["SQUARE"], focus_ladder([1] * 4), merged):
         path = tmp_path / "polygon.json"
         path.write_text(serialize_polygon(polygon))
         checked.clear()
-        assert cli.run_cli([argv[0], str(path), *argv[1:]], io.StringIO(), io.StringIO()) == 0
+        code = cli.EXIT_DOMAIN if argv[0] == "switch-cut" and not polygon.marks else 0  # SQUARE has no mark 0
+        assert cli.run_cli([argv[0], str(path), *argv[1:]], io.StringIO(), io.StringIO()) == code
         assert len(checked) == 1, polygon
+        assert "chains" not in vars(loaded.pop().facts), polygon
 
 
 def test_a_kept_report_is_read_only(corpus):
@@ -377,14 +386,14 @@ def test_failed_facts_are_not_kept(corpus):
         (clockwise, "heights", GeometryError),
         (conflicting, "cut_degrees", ClassificationError),
         (outside, "cut_degrees", DomainError),
-        (unclassifiable, "k_runs", ClassificationError),
+        (unclassifiable, "_poles", ClassificationError),
     ]
     for polygon, name, error in cases:
         facts = polygon.facts
         first, second = _raised_twice(getattr, facts, name)
         assert type(first) is type(second) is error and str(first) == str(second)
         assert name not in vars(facts)
-    for name in ("chains", "heights", "cut_degrees", "k_runs"):
+    for name in ("chains", "heights", "cut_degrees", "_poles"):
         getattr(square.facts, name)
         assert name in vars(square.facts)
 

@@ -65,10 +65,13 @@ class TestPrimitive:
         assert primitive((4, 2)) == LatticeVector(2, 1)
         assert primitive((0, -3)) == LatticeVector(0, -1)
         assert primitive((-2, -1)) == LatticeVector(-2, -1)
+        assert str(LatticeVector(2, -1)) == "(2, -1)"
 
     def test_zero_vector_rejected(self):
         with pytest.raises(GeometryError):
             primitive((0, 0))
+        with pytest.raises(GeometryError, match="zero vector has no direction"):
+            primitive_direction(0, 0)
 
     @given(nonzero_vectors)
     def test_idempotent_and_parallel(self, v):
@@ -81,6 +84,8 @@ class TestPrimitive:
     def test_rational_directions(self):
         assert primitive_direction(Fraction(1), Fraction(1, 2)) == LatticeVector(2, 1)
         assert primitive_direction(Fraction(-1, 3), Fraction(0)) == LatticeVector(-1, 0)
+        with pytest.raises(GeometryError, match="lattice vectors need integer entries"):
+            primitive((Fraction(1, 2), 1))
 
 
 class TestDet2:

@@ -343,6 +343,7 @@ class TestBetti:
         assert betti_b2(build_graph(corpus["FF1"])) == 1
         assert betti_b2(build_graph(corpus["SQUARE"])) == 2
         assert betti_b2(build_graph(corpus["NONADAPT3"])) == 5
+        assert betti_b2(KarshonGraph((), ())) == 0
 
     def test_kirwan_examples(self, corpus):
         assert kirwan_check(build_graph(corpus["FF1"]), 1)

@@ -17,6 +17,7 @@ from semitoric import (
     format_rational,
     parse_polygon,
 )
+from semitoric.polygon import _validation_report
 from semitoric.serialization import _smallest
 
 
@@ -29,6 +30,7 @@ def _answer(read):
 
 def _facts(facts) -> dict:
     """What loading reads off a polygon's facts, errors as their type and message."""
+    report = facts.report if isinstance(facts, load_oracle.Facts) else _validation_report(facts)
     return {
         "j_min, j_max": (facts.j_min, facts.j_max),
         "edges": facts.edges,
@@ -36,8 +38,8 @@ def _facts(facts) -> dict:
         "chains": _answer(lambda: facts.chains),
         "_verticals": _answer(lambda: facts._verticals),
         "classes": [(type(c), str(c)) if isinstance(c, SemitoricError) else c for c in facts.classes],
-        "violations": facts.report.violations,
-        "classifications": dict(facts.report.classifications),
+        "violations": report.violations,
+        "classifications": dict(report.classifications),
     }
 
 

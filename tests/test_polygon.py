@@ -136,6 +136,7 @@ class TestValidate:
 class TestBoundaryChains:
     def test_ff1(self, corpus):
         chains = boundary_chains(corpus["FF1"])
+        assert str(corpus["FF1"]) == "SemitoricPolygon[(0, 0) (1, 0) (2, 1); 1 marks]"
         assert chains.bottom == (pt(0, 0), pt(1, 0), pt(2, 1))
         assert chains.top == (pt(0, 0), pt(2, 1))
         assert chains.left_vertical is None and chains.right_vertical is None
