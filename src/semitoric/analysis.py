@@ -18,24 +18,18 @@ twice: by orbit counting per column, and by searching the cut-sign family
 for a presentation that is a Delzant polygon.  The two verdicts must
 agree; a disagreement raises instead of guessing.  Both read the valid
 polygon's own facts by position, once, and neither reads the other.  The
-orbit count reads each mark column's two points where one walk along the
-chains found them (``PolygonFacts.heights`` and ``sides``);
-``orbit_counts`` at one column reads its vertices' kinds and the k-runs'
-pole positions.  The search decides each column of k points from its
-counts (k and the current up-count): a cut switch changes the polygon only
-on and right of its column, and right of it by a unimodular shear, so the
-column rule (an O(1) look at the column's ``PolygonFacts.sides``; no
-presentation is built) at the up-counts 0, 1, k - 1 and k decides validity
-and smoothness for the whole range, whatever k is.  Only columns of one or
-two points can be Delzant, because a smooth corner ends at most one cut.
-The cut family exists only for a valid polygon, so ``adaptability`` and
-``delzant_presentations`` refuse an invalid one with ValidationFailure.
-``delzant_presentations`` builds each Delzant member once, in one sweep of
-the polygon's own facts with each column's unit marks (no unit-split
-polygon is made), started at the family's normal-form shear (one global
-shear, found from the polygon), so each member lands in shear normal form
-as it is built.  A polygon's validation report is kept on the polygon, so
-neither entry point validates a polygon twice.
+orbit count reads each mark column's two points (``PolygonFacts.heights``
+and ``sides``) and the k-runs' pole positions.  The search decides each
+column of k points from its counts (k and the current up-count): a switch
+changes the polygon only on and right of its column, and right of it by a
+unimodular shear, so the column rule (an O(1) look at ``sides``) at the
+up-counts 0, 1, k - 1 and k decides the whole range, and builds nothing.
+Only columns of one or two points can be Delzant, because a smooth corner
+ends at most one cut.  ``delzant_presentations`` builds each distinct
+Delzant member once from those verdicts, in one sweep started at the
+family's one normal-form shear.  The cut family exists only for a valid
+polygon, so ``adaptability`` and ``delzant_presentations`` refuse an
+invalid one with ValidationFailure, from the report kept on it.
 """
 
 from __future__ import annotations
@@ -44,9 +38,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Collection, Literal, Sequence
+from typing import Collection, Iterator, Literal, Sequence
 
-from .cuts import SignProduct, _counts, _flip_cuts, _local_verdict, _normal_shear, _unit_marks
+from .cuts import SignProduct, _counts, _flip_cuts, _local_verdict, _normal_shear, _turns, _unit_marks
 from .errors import DomainError, SemitoricError
 from .geometry import _exact, describe
 from .polygon import PolygonFacts, SemitoricPolygon, require_valid
@@ -163,7 +157,7 @@ def orbit_counts(polygon: SemitoricPolygon, x: Fraction) -> OrbitCounts:
     verts, kinds = facts.vertices, facts._kinds
     # a doubled vertex reads its first copy's kind, as classify_vertex does
     ee = sum(_class_of(kinds[facts.position(verts[i])]) is not VertexKind.FAKE for i in facts.vertices_at.get(x, ()))
-    zk = sum(verts[start].x < x < verts[end].x for _, start, end in facts._poles)
+    zk = sum(verts[start].x < x < verts[end].x for _, _, start, end in facts._poles)
     return OrbitCounts(ee=ee, ff=sum(m.multiplicity for m in facts.marks_at.get(x, ())), zk=zk)
 
 
@@ -221,8 +215,8 @@ def _delzant_signs(polygon: SemitoricPolygon) -> SignProduct:
     no boundary point off column x changes class, smoothness or validity,
     and near x the presentation depends only on the column's up-count u, one
     of 0..k for k points (the column rule :func:`cuts._local_verdict`, an
-    O(1) look at the column's bottom and top point, which also checks each
-    member built).  The up-counts 0, 1, k - 1 and k decide the whole range:
+    O(1) look at the column's bottom and top point, whose verdicts the
+    Delzant listing reuses).  The up-counts 0, 1, k - 1 and k decide the whole range:
 
     * each side's turn is linear in u, and while cuts still end at a corner
       its class does not depend on u (in every presentation the bottom
@@ -279,17 +273,34 @@ def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
 
 
 def delzant_presentations(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, ...]:
-    """All Delzant members of the cut family, in shear normal form, deduplicated.
+    """All Delzant members of the cut family, in shear normal form, deduplicated, in first-seen order.
 
-    Raises ValidationFailure when the polygon is invalid.
+    Each member is built once, in one sweep, from the search's verdicts (the
+    column rule runs once per column, in the search), and none is hashed:
+    two sign vectors give equal members exactly when they give each column
+    the same marks, so each column keeps its first sign pattern per marks.
+    The CLI streams the same members.  Raises ValidationFailure when the
+    polygon is invalid.
     """
+    return tuple(_distinct_delzant(polygon))
+
+
+def _distinct_delzant(polygon: SemitoricPolygon) -> Iterator[SemitoricPolygon]:
+    """The members of :func:`delzant_presentations`, each built when read; ValidationFailure at the call."""
     delzant = _delzant_signs(require_valid(polygon))
-    if not delzant:
-        return ()
-    units = [_unit_marks(column) for column in polygon.facts.marks_at.values()]  # the members' marks
+    if not delzant:  # then a column may hold any number of points: split none into unit marks
+        return iter(())
+    facts = polygon.facts
+    units, factors, turns = [], [], {}  # the members' marks; each column's distinct patterns; see _flip_cuts
+    for i, (column, sides, patterns) in enumerate(zip(facts.marks_at.values(), facts.sides, delzant.factors)):
+        units.append(unit := _unit_marks(column))
+        ys, ups, firsts = [m.position.y for m in unit], _counts(unit)[1], {}
+        for pattern in patterns:  # a pattern's marks are its (y, sign) pairs, in any order
+            firsts.setdefault(tuple(sorted(zip(ys, pattern))), pattern)
+            turns[i, ups - pattern.count(1)] = _turns(sides, ups - pattern.count(1))  # found smooth by the search
+        factors.append(tuple(firsts.values()))  # an index rises with each column's digit: each member first seen
     shear = _normal_shear(polygon)  # a switch moves neither vertex 0 nor edge 0's direction: one shear for all
-    members = (_flip_cuts(polygon, signs, shear, units) for signs in delzant)  # each swept straight into normal form
-    return tuple(dict.fromkeys(members))  # first-seen order
+    return (_flip_cuts(polygon, signs, shear, units, turns) for signs in SignProduct(tuple(factors)))
 
 
 def self_intersection(polygon: SemitoricPolygon, side: Literal["left", "right"]) -> int:

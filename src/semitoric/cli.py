@@ -13,8 +13,8 @@ import os
 import sys
 
 from .analysis import (
+    _distinct_delzant,
     adaptability,
-    delzant_presentations,
     dh_function,
     dh_jump_report,
     self_intersection,
@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INVALID = 2
 EXIT_USAGE = 64
+_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps(row, separators=...) builds one for every row
 
 
 class _UsageError(Exception):
@@ -186,15 +187,15 @@ def _cmd_switch_cut(args, out) -> int:
 
 def _cmd_presentations(args, out) -> int:
     polygon = _load(args.file)
-    if args.delzant_only:
-        rows = ({"polygon": polygon_data(p)} for p in delzant_presentations(polygon))
+    if args.delzant_only:  # each member is built as its row is written, and none is kept
+        rows = ({"polygon": polygon_data(p)} for p in _distinct_delzant(polygon))
     else:
         members = enumerate_presentations(polygon).members
         rows = ({"signs": list(signs), "polygon": polygon_data(member)} for signs, member in members)
-    # the bytes of json.dumps(list(rows)), written as each row is built
+    # the bytes of json.dumps(list(rows), separators=(",", ":")), written as each row is built
     out.write("[")
     for i, row in enumerate(rows):
-        out.write("," * (i > 0) + json.dumps(row, separators=(",", ":")))
+        out.write("," * (i > 0) + _ROW_ENCODER.encode(row))
     out.write("]\n")
     return EXIT_OK
 

@@ -2,29 +2,25 @@
 
 Flipping the cut of mark i applies the piecewise vertical shear with pivot
 at the mark's column and coefficient (old sign) * (multiplicity): identity
-left of the column, a unipotent shear right of it.  Boundary vertices are
-inserted where the kink bends an edge and removed where it straightens one.
-Switches at distinct marks commute, so each of the 2^m presentations of the
-family is built from its sign vector in one pass over the mark columns:
-every point moves by the sum of the shears pivoting left of it, and only a
-point on a flipped column can become or stop being a vertex.  That point
-stays one exactly where its integer tangents still turn, det2(u, w sheared
-by the column's coefficient) != 0.  At each flipped column the pass takes
-each boundary chain's vertices, by position (``PolygonFacts._positions``),
-up to the index that the heights walk recorded there, so no copy of a
-chain is made, and it moves each point by its running (slope, offset)
-with ``GlobalShear``'s one point-shear formula.  A ``SignProduct`` lists
-the family, building each member when it is read.
+left of the column, a unipotent shear right of it.  Switches at distinct
+marks commute, so each of the 2^m presentations of the family is built from
+its sign vector in one pass over the mark columns: every point moves by the
+sum of the shears pivoting left of it (a slope and a reduced integer
+offset, applied by ``GlobalShear``'s one point formula), and only a point
+on a flipped column can become or stop being a vertex, where its integer
+tangents still turn.  The pass takes each chain's vertices by position, up
+to the index the heights walk recorded at each flipped column, so no chain
+is copied.  A ``SignProduct`` lists the family, building each member when
+it is read.
 
-The family exists only for a valid polygon, and every member of it is
-valid: a switch changes the polygon near its column only, where the column
-rule (:func:`_local_verdict`, an O(1) look at the column's bottom and top
-point, read from the base polygon's ``PolygonFacts.sides``) decides
-smoothness and raises PresentationError where the presentation is invalid.
-So ``enumerate_presentations`` and ``switch_cut`` refuse an invalid polygon
-with ValidationFailure (the base polygon's report is kept on the polygon, so
-a polygon is validated once), and each member is checked by the column rule
-at its flipped columns, not re-validated.
+The family exists only for a valid polygon (``enumerate_presentations`` and
+``switch_cut`` refuse an invalid one with ValidationFailure, from the
+report kept on it), and every member is valid: a switch changes the polygon
+near its column only, where the column rule (:func:`_local_verdict`, an
+O(1) look at the column's ``PolygonFacts.sides``) decides smoothness and
+raises PresentationError where a presentation is invalid.  That verdict
+and the column's turns depend only on the column and its coefficient, so a
+listing decides each such pair once, and no member is re-validated.
 
 The shear normal form reads only vertex 0 and the direction of edge 0,
 which no switch moves, and a global shear commutes with every switch, so
@@ -37,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, product
-from math import prod
+from math import gcd, prod
 from typing import Iterator, Optional
 
 from .errors import ClassificationError, DomainError, PresentationError
@@ -81,8 +77,8 @@ class SignProduct(Sequence):
     def __bool__(self) -> bool:
         return all(self.factors)
 
-    def _item(self, signs: tuple[int, ...]):
-        return signs if self.base is None else (signs, _flip_cuts(self.base, signs))
+    def _item(self, signs: tuple[int, ...], turns: Optional[dict] = None):
+        return signs if self.base is None else (signs, _flip_cuts(self.base, signs, None, None, turns))
 
     def __getitem__(self, index):
         codes = range(self.size)[index]
@@ -96,8 +92,9 @@ class SignProduct(Sequence):
         return self._item(tuple(chain.from_iterable(blocks)))
 
     def __iter__(self) -> Iterator:
+        turns: dict = {}  # each flipped column's verdict, decided once for this listing (see _flip_cuts)
         for choice in product(*reversed(self.factors)):  # the last factor varies slowest
-            yield self._item(tuple(chain.from_iterable(reversed(choice))))
+            yield self._item(tuple(chain.from_iterable(reversed(choice))), turns)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, SignProduct)):
@@ -166,59 +163,65 @@ def _counts(column: Sequence[MarkedPoint]) -> tuple[int, int]:
     return sum(m.multiplicity for m in column), sum(m.multiplicity for m in column if m.cut_sign > 0)
 
 
+def _turns(sides: Sequence[tuple[Point, LatticeVector, LatticeVector]], coefficient: int) -> tuple[bool, ...]:
+    """Whether a column's bottom and top point still turn, det2(u, w) != 0, once w is sheared by ``coefficient``."""
+    return tuple(bool(det2(u, shear_vector(w, coefficient))) for _, u, w in sides)
+
+
 def _flip_cuts(
     polygon: SemitoricPolygon, signs: Sequence[int], start: Optional[GlobalShear] = None,
-    columns: Optional[Iterable[Sequence[MarkedPoint]]] = None,
+    columns: Optional[Iterable[Sequence[MarkedPoint]]] = None, turns: Optional[dict] = None,
 ) -> SemitoricPolygon:
     """The presentation of a valid polygon with these cut signs, moved by the global
     shear ``start`` when one is given; the polygon itself when neither changes it.
 
     ``columns`` holds each mark column's marks, one sign each: the polygon's
     own (``PolygonFacts.marks_at``) by default, or each column's
-    :func:`_unit_marks`, for a member of the unit-split family.
-
-    Flipping mark i shears the plane right of its column by (old sign) *
-    (multiplicity); the shears of one column add, and may cancel.  One pass
-    over the mark columns moves every point by ``start`` and the sum of the
-    shears left of it: at each column where the shear changes it takes each
-    chain's points up to the index the heights walk recorded there, then
-    the column's own point where its sheared tangents still turn.  Each
-    flipped column is checked by the column rule (:func:`_local_verdict`)
-    and raises PresentationError where it fails.  A switch of a valid
-    polygon is valid, so nothing else is checked.
+    :func:`_unit_marks`, for a member of the unit-split family.  One pass
+    over the columns moves every point by ``start`` and the shears of the
+    flipped columns left of it: at each flipped column it takes each chain's
+    points up to the index the heights walk recorded there, then the
+    column's own point where it still turns.  ``turns`` keeps that per
+    (column index, coefficient) for one listing; the column rule checks a
+    missing pair first and raises PresentationError where it fails.
     """
     facts = polygon.facts
     if columns is None:
         if start is None and all(mark.cut_sign == sign for mark, sign in zip(polygon.marks, signs)):
             return polygon
         columns = facts.marks_at.values()
+    turns = {} if turns is None else turns
     verts, positions = facts.vertices, facts._positions  # each chain's vertex positions, left to right
-    # (slope, offset) of GlobalShear: ``start``, plus c * (x - x_c) for each flipped column x_c left of the point
-    slope, offset = (start.slope, start.offset) if start is not None else (0, 0)
+    # GlobalShear (slope, on / od): ``start``, plus c * (x - x_c) for each flipped column x_c left of the point
+    slope, on, od = (start.slope, *start.offset.as_integer_ratio()) if start is not None else (0, 0, 1)
     images, taken, moved = ([], []), [0, 0], []  # each chain's image and how many of its points it has; the marks
     signs = iter(signs)  # each column's zip(column, signs) takes that column's signs: zip tries ``column`` first
-    for x, column, slice_, sides in zip(facts.marks_at, columns, facts.heights.values(), facts.sides):
+    for i, (x, column, slice_, sides) in enumerate(zip(facts.marks_at, columns, facts.heights.values(), facts.sides)):
         coefficient = 0
         for mark, sign in zip(column, signs):
             if sign != mark.cut_sign:
                 coefficient += mark.cut_sign * mark.multiplicity
             # the shears left and right of the mark's own column agree on it
-            moved.append(MarkedPoint(_shear_point(mark.position, slope, offset), mark.multiplicity, sign))
+            moved.append(MarkedPoint._checked(_shear_point(mark.position, slope, on, od), mark.multiplicity, sign))
         if len(column) > 1:  # coincident marks whose signs changed may be out of order; the rest are sorted
             moved[-len(column) :] = sorted(moved[-len(column) :], key=_mark_key)
         if not coefficient:
             continue  # the shear runs on across the column, and so does each chain
-        _local_verdict(sides, *_counts(column), -coefficient)
-        for side, (image, at, (point, u, w)) in enumerate(zip(images, positions, sides)):
+        if (turning := turns.get((i, coefficient))) is None:
+            _local_verdict(sides, *_counts(column), -coefficient)
+            turning = turns[i, coefficient] = _turns(sides, coefficient)
+        for side, (image, at, (point, _, _), turn) in enumerate(zip(images, positions, sides, turning)):
             # the chain's points since the last flipped column, then its point on this one where it still turns
             k = slice_[4 + side]
-            image += [_shear_point(verts[i], slope, offset) for i in at[taken[side] : k]]
-            if det2(u, shear_vector(w, coefficient)):
-                image.append(_shear_point(point, slope, offset))
+            image += [_shear_point(verts[j], slope, on, od) for j in at[taken[side] : k]]
+            if turn:
+                image.append(_shear_point(point, slope, on, od))
             taken[side] = k + (slice_[2 + side] is not None)
-        slope, offset = slope + coefficient, offset - coefficient * x
+        p, q = x.as_integer_ratio()
+        on, od, slope = on * q - coefficient * p * od, od * q, slope + coefficient
+        on, od = on // (g := gcd(on, od)), od // g
     for image, at, k in zip(images, positions, taken):  # the points right of the last flipped column
-        image += [_shear_point(verts[i], slope, offset) for i in at[k:]]
+        image += [_shear_point(verts[j], slope, on, od) for j in at[k:]]
     (bottom, top), (left, right) = images, facts._verticals
     # the chains share their end points where no vertical edge joins them
     if right is None:

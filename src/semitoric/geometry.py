@@ -175,14 +175,14 @@ class GlobalShear:
         object.__setattr__(self, "offset", _exact(self.offset))
 
     def apply(self, point: Point) -> Point:
-        return _shear_point(point, self.slope, self.offset)
+        return _shear_point(point, self.slope, *self.offset.as_integer_ratio())
 
 
-def _shear_point(point: Point, slope: int, offset: int | Fraction) -> Point:
-    """The point moved to height y + slope * x + offset, normalised once."""
-    if not slope and not offset:
+def _shear_point(point: Point, slope: int, on: int, od: int) -> Point:
+    """The point moved to height y + slope * x + on / od, od > 0, normalised once."""
+    if not slope and not on:
         return point
     x, y = point.x, point.y
-    xd, yd, od = x.denominator, y.denominator, offset.denominator
-    numerator = (y.numerator * xd + slope * x.numerator * yd) * od + offset.numerator * xd * yd
+    xd, yd = x.denominator, y.denominator
+    numerator = (y.numerator * xd + slope * x.numerator * yd) * od + on * xd * yd
     return Point(x, Fraction(numerator, xd * yd * od))

@@ -81,7 +81,7 @@ def build_graph(polygon: SemitoricPolygon) -> KarshonGraph:
             GraphVertex(FAT, bottom_end.x, genus=0, area=top_end.y - bottom_end.y, provenance="fixed-surface")
         )
 
-    edges = tuple(GraphEdge(ids[south], ids[north], run.k) for run, south, north in facts._poles)
+    edges = tuple(GraphEdge(ids[south], ids[north], k) for k, _, south, north in facts._poles)
     return KarshonGraph(tuple(vertices), edges)
 
 

@@ -56,6 +56,12 @@ class MarkedPoint:
         if not _is_int(self.cut_sign) or self.cut_sign not in (-1, 1):
             raise GeometryError(f"cut sign must be +1 or -1, got {self.cut_sign!r}")
 
+    @classmethod
+    def _checked(cls, position: Point, multiplicity: int, cut_sign: int) -> MarkedPoint:
+        """The mark of values a valid polygon's mark already carries, without the constructor's checks."""
+        (mark := object.__new__(cls)).__dict__.update(position=position, multiplicity=multiplicity, cut_sign=cut_sign)
+        return mark
+
 
 def _is_int(value) -> bool:
     # bool is an int subclass, but true/false would serialize back as booleans
@@ -360,14 +366,13 @@ class PolygonFacts:
     @cached_property
     def classes(self) -> tuple[object, ...]:
         """Each vertex's VertexClassification, or the error of its kind (read: a fresh copy)."""
-        from .vertices import _tangent_frame, lattice_class  # deferred: the lattice rules live there
+        from .vertices import _class_at  # deferred: the lattice rules live there
 
-        return tuple(k if isinstance(k, SemitoricError) else lattice_class(v, *_tangent_frame(self, i), *self._degrees[i])
-                     for i, (v, k) in enumerate(zip(self.vertices, self._kinds)))
+        return tuple(_class_at(self, i) for i in range(len(self.vertices)))
 
     @cached_property
-    def _poles(self) -> tuple[tuple[object, int, int], ...]:
-        """Each ZkChain run of both chains with the positions of its start and its end vertex."""
+    def _poles(self) -> tuple[tuple[int, str, int, int], ...]:
+        """Each k-run of both chains as (k, side, the positions of its start and of its end vertex)."""
         from .vertices import extract_k_runs  # deferred: the lattice rules live there
 
         return extract_k_runs(self)

@@ -19,9 +19,9 @@ convex, and that presentation has the masked corner as a real corner.
 when its ``PolygonFacts`` first reads the kinds or the k-runs, and a vertex
 that fits no class keeps its error there; every reader of a vertex's kind,
 ``orbit_counts`` too, reads that record by position, and the k-runs walk the
-chains' vertex positions.  The class of one corner given its frame and cuts
-(:func:`lattice_class`) is also read by ``PolygonFacts.classes`` and by the
-column rule of the cut family.
+chains' vertex positions; :func:`zk_chains` alone builds their records.  The
+class of a corner given its frame and cuts (:func:`lattice_class`) is read
+by ``PolygonFacts.classes``, :func:`classify_vertex` and the column rule.
 """
 
 from __future__ import annotations
@@ -200,7 +200,14 @@ def classify_vertex(polygon: SemitoricPolygon, vertex: Point) -> VertexClassific
     Raises ClassificationError when no class matches; on validated polygons
     exactly one always does.
     """
-    return _class_of(polygon.facts.classes[polygon.facts.position(vertex)])
+    return _class_of(_class_at(polygon.facts, polygon.facts.position(vertex)))  # this vertex's class alone
+
+
+def _class_at(facts: PolygonFacts, i: int):
+    """Vertex i's entry of ``PolygonFacts.classes``: its VertexClassification, or the error of its kind."""
+    if isinstance(kind := facts._kinds[i], SemitoricError):
+        return kind
+    return lattice_class(facts.vertices[i], *_tangent_frame(facts, i), *facts._degrees[i])
 
 
 def _class_of(found):
@@ -256,14 +263,19 @@ def isotropy_weights(polygon: SemitoricPolygon, vertex: Point) -> tuple[int, int
 
 def zk_chains(polygon: SemitoricPolygon) -> tuple[ZkChain, ...]:
     """Extract every maximal k >= 2 run on the top and bottom boundaries."""
-    return tuple(run for run, _, _ in polygon.facts._poles)
+    verts, out = polygon.vertices, []
+    for k, side, start, end in polygon.facts._poles:  # the bottom runs in polygon order, the top against it
+        step = 1 if side == "bottom" else -1
+        path = [verts[(start + step * t) % len(verts)] for t in range(step * (end - start) % len(verts) + 1)]
+        out.append(ZkChain(k, side, path[0], path[-1], tuple(zip(path, path[1:]))))  # type: ignore[arg-type]
+    return tuple(out)
 
 
-def extract_k_runs(facts: PolygonFacts) -> tuple[tuple[ZkChain, int, int], ...]:
-    """The k-runs of both chains of the polygon these facts describe, each with its poles' positions, read off the
-    chains' vertex positions."""
+def extract_k_runs(facts: PolygonFacts) -> tuple[tuple[int, str, int, int], ...]:
+    """The k-runs of both chains of the polygon these facts describe, as (k, side, start and end vertex position),
+    read off the chains' vertex positions; :func:`zk_chains` alone builds their records."""
     verts, kinds = facts.vertices, facts._kinds
-    chains: list[tuple[ZkChain, int, int]] = []
+    chains: list[tuple[int, str, int, int]] = []
     for side, at in zip(("bottom", "top"), facts._positions):
         # the bottom runs in polygon order, so edge k leaves point k; the top runs against it
         ks = [abs(facts.edges[at[k + (side == "top")]].a) for k in range(len(at) - 1)]
@@ -287,8 +299,6 @@ def extract_k_runs(facts: PolygonFacts) -> tuple[tuple[ZkChain, int, int], ...]:
             for end in (at[i], at[j + 1]):
                 if _class_of(kinds[end]) is VertexKind.FAKE:
                     raise ClassificationError(f"chain pole {describe(verts[end])} classifies as fake")
-            edges = tuple((verts[at[e]], verts[at[e + 1]]) for e in range(i, j + 1))
-            run = ZkChain(k, side, verts[at[i]], verts[at[j + 1]], edges)  # type: ignore[arg-type]
-            chains.append((run, at[i], at[j + 1]))
+            chains.append((k, side, at[i], at[j + 1]))
             i = j + 1
     return tuple(chains)

@@ -7,6 +7,11 @@ independent of the library's sweep), drops the points where the image runs
 straight, and re-validates the result in full.  The library builds each
 member in one sweep and checks it with the per-column rule instead; the
 differential tests check that both give the same members.
+
+:func:`delzant_listing` keeps the library's earlier rule for listing the
+distinct Delzant members: build the member of every Delzant sign vector and
+deduplicate them with a dict, in first-seen order.  The library keeps one
+sign pattern per up-count of each group of coincident unit marks instead.
 """
 
 from fractions import Fraction
@@ -88,3 +93,14 @@ def members(polygon: SemitoricPolygon, limit: int | None = None) -> list[tuple[t
         signs = tuple(-s if code >> b & 1 else s for b, s in enumerate(own))
         out.append((signs, with_signs(polygon, signs)))
     return out
+
+
+def delzant_listing(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, ...]:
+    """Every Delzant sign vector's member, swept into shear normal form, deduplicated by a dict in first-seen order."""
+    from semitoric.analysis import _delzant_signs
+    from semitoric.cuts import _flip_cuts, _normal_shear, _unit_marks
+
+    delzant = _delzant_signs(require_valid(polygon))
+    units = [_unit_marks(column) for column in polygon.facts.marks_at.values()]
+    shear = _normal_shear(polygon)
+    return tuple(dict.fromkeys(_flip_cuts(polygon, signs, shear, units) for signs in delzant))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import adaptability_oracle
+import presentation_oracle
 from conftest import (
     corpus_polygons_under_ops,
     focus_ladder,
@@ -433,12 +434,7 @@ class TestPerColumnSearch:
         assert max(len({m.position.x for m in p.marks}) for p in polygons) == 4
         # coincident unit marks are the only source of equal Delzant normal forms: ladders
         # with each column's marks merged into one, plain and split
-        merged = []
-        for jumps in ([2], [2, 1], [1, 2, 1], [3, 1], [2, 2]):
-            ladder = focus_ladder(jumps)
-            columns = ladder.facts.marks_at.values()
-            marks = tuple(MarkedPoint(column[0].position, len(column), column[0].cut_sign) for column in columns)
-            merged.append(SemitoricPolygon(ladder.vertices, marks))
+        merged = merged_ladders()
         assert [len(delzant_presentations(p)) for p in merged] == [1, 2, 4, 0, 1]  # of 2, 4, 8, 0 and 4 sign vectors
         self.agree(oracle, polygons + merged + [split_marks(p) for p in merged])
 
@@ -631,7 +627,63 @@ class TestPerColumnSearch:
                     assert _column_blocks(signs, ups) == expected, (signs, ups)
 
 
+def merged_ladders():
+    """Focus ladders with each column's unit marks joined into one mark: coincident unit marks once split."""
+    merged = []
+    for jumps in ([2], [2, 1], [1, 2, 1], [3, 1], [2, 2]):
+        ladder = focus_ladder(jumps)
+        marks = tuple(MarkedPoint(c[0].position, len(c), c[0].cut_sign) for c in ladder.facts.marks_at.values())
+        merged.append(SemitoricPolygon(ladder.vertices, marks))
+    return merged
+
+
 class TestDelzantPresentations:
+    def test_structure_deduplicates_as_a_dict(self, corpus, derived_polygons):
+        # one pattern per up-count of each group of coincident unit marks gives the members, in the order,
+        # that a dict over every Delzant sign vector's member gives, on every family of at most 2^10 vectors
+        from semitoric.analysis import _delzant_signs
+
+        families = column_families(corpus, derived_polygons) + merged_ladders()
+        families += [multiplicity_probe(k) for k in range(1, 11)]
+        compared, vectors, members = 0, 0, 0
+        for polygon in families:
+            if validate(polygon).valid and _delzant_signs(polygon).size > 2**10:
+                continue
+            listed = outcome(delzant_presentations, polygon)
+            assert listed == outcome(presentation_oracle.delzant_listing, polygon), polygon
+            compared += 1
+            if validate(polygon).valid:
+                vectors, members = vectors + _delzant_signs(polygon).size, members + len(listed)
+        assert compared > 900 and members > 1000 and vectors > members  # coincident unit marks give equal members
+
+    def test_the_listing_decides_each_column_once(self, monkeypatch):
+        # the search decides every column; the listing builds from its verdicts and calls the column rule nowhere,
+        # and a full listing of the family calls it at most once per (column, coefficient)
+        import semitoric.analysis as analysis
+        import semitoric.cuts as cuts
+
+        calls = []
+        rule = cuts._local_verdict
+        for module in (analysis, cuts):
+            monkeypatch.setattr(module, "_local_verdict", lambda *args: calls.append(args) or rule(*args))
+        polygons = multi_column_polygons(50, seed=11, max_marks=8) + merged_ladders() + [focus_ladder([1] * 8)]
+        polygons += [split_marks(p) for p in merged_ladders()] + [multiplicity_probe(k) for k in range(1, 6)]
+        listed = 0
+        for polygon in polygons:
+            calls.clear()
+            analysis._delzant_signs(polygon)
+            searched = len(calls)
+            calls.clear()
+            delzant_presentations(polygon)
+            assert len(calls) == searched, polygon
+            calls.clear()
+            for _ in enumerate_presentations(polygon).members:
+                pass
+            verdicts = [(sides, shift) for sides, _, _, shift in calls]
+            assert len(verdicts) == len(set(verdicts)), polygon
+            listed += len(verdicts)
+        assert listed > 100
+
     def test_examples(self, corpus):
         assert delzant_presentations(corpus["FF1"]) == (corpus["FF1"],)
         assert delzant_presentations(corpus["HD1"]) == (corpus["HD1DOWN"],)

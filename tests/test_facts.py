@@ -31,7 +31,9 @@ from semitoric import (
     build_graph,
     chop_allowance,
     classify_vertex,
+    det2,
     dh_jump_report,
+    is_smooth_vertex,
     isotropy_weights,
     orbit_counts,
     outgoing_primitives,
@@ -116,6 +118,46 @@ def test_each_vertex_is_classified_once(chopped_polygons, monkeypatch):
         assert calls == doubtful and len(doubtful) < len(fresh.vertices)
         classified += len(calls)
     assert classified > 8  # every cut endpoint of FF1, NONADAPT3 and the ladder
+
+
+def test_one_vertex_is_classified_alone(chopped_polygons, monkeypatch):
+    # after a fresh parse and validate, one classify_vertex or is_smooth_vertex call classifies its vertex alone,
+    # with the class the whole-polygon record gives it
+    calls = []
+    classify = vertices.lattice_class
+    monkeypatch.setattr(vertices, "lattice_class", lambda v, *args: calls.append(v) or classify(v, *args))
+    for polygon in chopped_polygons:
+        for i in (0, 37, len(polygon.vertices) - 1):
+            fresh = parse_polygon(serialize_polygon(polygon))
+            validate(fresh)
+            vertex = fresh.vertices[i]
+            calls.clear()
+            found = classify_vertex(fresh, vertex)
+            assert len(calls) <= 1 and "classes" not in vars(fresh.facts)
+            calls.clear()
+            assert is_smooth_vertex(fresh, vertex) == (abs(det2(found.left_primitive, found.right_primitive)) == 1)
+            assert len(calls) <= 1
+            assert found == fresh.facts.classes[i] == classify_vertex(fresh, vertex)
+
+
+def test_the_k_runs_build_no_chain_records(chopped_polygons, monkeypatch):
+    # the graph and the orbit counts read each k-run's k and pole positions; zk_chains alone builds its records
+    from conftest import focus_ladder
+
+    built = []
+    record = vertices.ZkChain
+    monkeypatch.setattr(vertices, "ZkChain", lambda *args: built.append(1) or record(*args))
+    runs = 0
+    for polygon in chopped_polygons + [focus_ladder([1] * 8)]:
+        built.clear()
+        fresh = parse_polygon(serialize_polygon(polygon))
+        build_graph(fresh)
+        for x in fresh.facts.marks_at:
+            orbit_counts(fresh, x)
+        assert built == []
+        assert len(zk_chains(fresh)) == len(built) == len(fresh.facts._poles)
+        runs += len(built)
+    assert runs > 8
 
 
 @pytest.mark.parametrize(

@@ -287,6 +287,27 @@ class TestCli:
             expected = (0, json.dumps(rows, separators=(",", ":")) + "\n", "")
             assert self.run("presentations", str(path), "--delzant-only") == expected
 
+    def test_delzant_listing_memory_is_flat(self, tmp_path):
+        # each row is written as its member is built, and no member outlives its row: the traced peak
+        # at m = 10 (1024 rows) stays within twice the peak at m = 6 (64 rows)
+        import tracemalloc
+
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        peaks = {}
+        for m in (6, 10):
+            path = tmp_path / f"ladder{m}.json"
+            path.write_text(serialize_polygon(focus_ladder([1] * m)))
+            tracemalloc.start()
+            try:
+                assert run_cli(["presentations", str(path), "--delzant-only"], Discard(), io.StringIO()) == 0
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10] <= 2 * peaks[6], peaks
+
     def test_presentations_seventeen_entries_stream(self, tmp_path):
         # 2^17 rows, past the old 16-entry bound: the first arrives before the rest are built
         polygon = focus_ladder([1] * 17)
