@@ -16,7 +16,6 @@ from .analysis import (
     OrbitCounts,
     PiecewiseLinear,
     adaptability,
-    delzant_presentations,
     dh_function,
     dh_jump_report,
     orbit_counts,
@@ -27,6 +26,7 @@ from .corpus import CorpusEntry, corpus_get, corpus_names
 from .cuts import (
     PresentationSet,
     SignProduct,
+    delzant_presentations,
     enumerate_presentations,
     shear_normal_form,
     split_marks,

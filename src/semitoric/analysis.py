@@ -15,21 +15,15 @@ that is not fake (``PolygonFacts._kinds``).
 
 Adaptability (the circle action extends to a torus action) is decided
 twice: by orbit counting per column, and by searching the cut-sign family
-for a presentation that is a Delzant polygon.  The two verdicts must
-agree; a disagreement raises instead of guessing.  Both read the valid
-polygon's own facts by position, once, and neither reads the other.  The
-orbit count reads each mark column's two points (``PolygonFacts.heights``
-and ``sides``) and the k-runs' pole positions.  The search decides each
-column of k points from its counts (k and the current up-count): a switch
-changes the polygon only on and right of its column, and right of it by a
-unimodular shear, so the column rule (an O(1) look at ``sides``) at the
-up-counts 0, 1, k - 1 and k decides the whole range, and builds nothing.
-Only columns of one or two points can be Delzant, because a smooth corner
-ends at most one cut.  ``delzant_presentations`` builds each distinct
-Delzant member once from those verdicts, in one sweep started at the
-family's one normal-form shear.  The cut family exists only for a valid
-polygon, so ``adaptability`` and ``delzant_presentations`` refuse an
-invalid one with ValidationFailure, from the report kept on it.
+for a presentation that is a Delzant polygon (``cuts._delzant_signs``,
+beside the family's builder and column rule, as is the Delzant listing
+``delzant_presentations``).  The two verdicts must agree; a disagreement
+raises instead of guessing.  Both read the valid polygon's own facts by
+position, once, and neither reads the other.  The orbit count reads each
+mark column's two points (``PolygonFacts.heights`` and ``sides``) and the
+k-runs' pole positions.  The cut family exists only for a valid polygon,
+so ``adaptability`` refuses an invalid one with ValidationFailure, from the
+report kept on it.
 """
 
 from __future__ import annotations
@@ -37,10 +31,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Collection, Iterator, Literal, Sequence
+from typing import Literal
 
-from .cuts import SignProduct, _counts, _flip_cuts, _local_verdict, _normal_shear, _turns, _unit_marks
+from .cuts import SignProduct, _delzant_signs
 from .errors import DomainError, SemitoricError
 from .geometry import _exact, describe
 from .polygon import PolygonFacts, SemitoricPolygon, require_valid
@@ -192,57 +185,6 @@ class CriteriaDisagreement(SemitoricError):
     """The orbit-count and Delzant-presentation criteria returned different verdicts."""
 
 
-def _column_blocks(signs: Sequence[int], ups: Collection[int]) -> tuple[tuple[int, ...], ...]:
-    """The column's sign patterns with an up-count in ``ups``, in increasing flip code (bit b: mark b flipped)."""
-    # chosen by which marks point up, so the cost is the number listed, never 2^k: a smooth
-    # corner ends at most one cut, so a column with a smooth up-count lists at most four
-    now_up = sum(1 << b for b, s in enumerate(signs) if s > 0)
-    codes = sorted(sum(1 << b for b in up) ^ now_up for u in ups for up in combinations(range(len(signs)), u))
-    return tuple(tuple(-s if code >> b & 1 else s for b, s in enumerate(signs)) for code in codes)
-
-
-def _delzant_signs(polygon: SemitoricPolygon) -> SignProduct:
-    """The sign vector of each Delzant presentation of a valid polygon.
-
-    The existence criterion quantifies over the unit-split family, where
-    coincident focus-focus points take independent cut signs, so a sign
-    vector has one entry per unit mark, in the mark order of
-    :func:`split_marks`.  Flipping unit mark i is bit i of a code, and sign
-    vectors come in increasing code order, each built when read, so their
-    number may pass 2^64.
-
-    A switch at column x shears the half-plane right of x unimodularly, so
-    no boundary point off column x changes class, smoothness or validity,
-    and near x the presentation depends only on the column's up-count u, one
-    of 0..k for k points (the column rule :func:`cuts._local_verdict`, an
-    O(1) look at the column's bottom and top point, whose verdicts the
-    Delzant listing reuses).  The up-counts 0, 1, k - 1 and k decide the whole range:
-
-    * each side's turn is linear in u, and while cuts still end at a corner
-      its class does not depend on u (in every presentation the bottom
-      corner's cuts shear its frame by ups - k and the top's by ups, ups
-      the current up-count), so 0 and k - 1 decide the bottom's validity
-      for u < k, 1 and k the top's for u > 0;
-    * a smooth corner ends at most one cut, so a smooth up-count has both
-      cut degrees k - u and u at most 1: it is one of the four, and there is
-      one only where k <= 2, the only columns whose unit signs are listed.
-
-    Every member of a valid polygon's family is valid, and no presentation
-    is built, nor the unit-split polygon.  Off the mark columns no cut ends,
-    so there a valid polygon's vertices are Delzant, hence smooth, in every
-    member: only the mark columns are searched.
-    """
-    facts = polygon.facts
-    per_column = []  # per column: the signs of every flip pattern that keeps its vertices smooth
-    for column, sides in zip(facts.marks_at.values(), facts.sides):  # in mark order
-        k, ups = _counts(column)
-        smooth = [u for u in sorted({0, 1, k - 1, k}) if _local_verdict(sides, k, ups, u - ups)]
-        signs = tuple(m.cut_sign for m in _unit_marks(column)) if smooth else ()  # so k <= 2 where any is smooth
-        per_column.append(_column_blocks(signs, smooth))
-    # the first column's bits are the lowest, so it varies fastest
-    return SignProduct(tuple(per_column))
-
-
 def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
     """Decide extendability of the circle action, by both criteria.
 
@@ -270,37 +212,6 @@ def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
         delzant_signs=delzant,
         criteria_agree=True,
     )
-
-
-def delzant_presentations(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, ...]:
-    """All Delzant members of the cut family, in shear normal form, deduplicated, in first-seen order.
-
-    Each member is built once, in one sweep, from the search's verdicts (the
-    column rule runs once per column, in the search), and none is hashed:
-    two sign vectors give equal members exactly when they give each column
-    the same marks, so each column keeps its first sign pattern per marks.
-    The CLI streams the same members.  Raises ValidationFailure when the
-    polygon is invalid.
-    """
-    return tuple(_distinct_delzant(polygon))
-
-
-def _distinct_delzant(polygon: SemitoricPolygon) -> Iterator[SemitoricPolygon]:
-    """The members of :func:`delzant_presentations`, each built when read; ValidationFailure at the call."""
-    delzant = _delzant_signs(require_valid(polygon))
-    if not delzant:  # then a column may hold any number of points: split none into unit marks
-        return iter(())
-    facts = polygon.facts
-    units, factors, turns = [], [], {}  # the members' marks; each column's distinct patterns; see _flip_cuts
-    for i, (column, sides, patterns) in enumerate(zip(facts.marks_at.values(), facts.sides, delzant.factors)):
-        units.append(unit := _unit_marks(column))
-        ys, ups, firsts = [m.position.y for m in unit], _counts(unit)[1], {}
-        for pattern in patterns:  # a pattern's marks are its (y, sign) pairs, in any order
-            firsts.setdefault(tuple(sorted(zip(ys, pattern))), pattern)
-            turns[i, ups - pattern.count(1)] = _turns(sides, ups - pattern.count(1))  # found smooth by the search
-        factors.append(tuple(firsts.values()))  # an index rises with each column's digit: each member first seen
-    shear = _normal_shear(polygon)  # a switch moves neither vertex 0 nor edge 0's direction: one shear for all
-    return (_flip_cuts(polygon, signs, shear, units, turns) for signs in SignProduct(tuple(factors)))
 
 
 def self_intersection(polygon: SemitoricPolygon, side: Literal["left", "right"]) -> int:

@@ -12,16 +12,10 @@ import json
 import os
 import sys
 
-from .analysis import (
-    _distinct_delzant,
-    adaptability,
-    dh_function,
-    dh_jump_report,
-    self_intersection,
-)
+from .analysis import adaptability, dh_function, dh_jump_report, self_intersection
 from .chop import corner_chop
 from .corpus import corpus_get, corpus_names
-from .cuts import enumerate_presentations, switch_cut
+from .cuts import _distinct_delzant, enumerate_presentations, switch_cut
 from .errors import (
     DomainError,
     ParseError,
@@ -32,7 +26,7 @@ from .geometry import Point, format_rational, parse_rational
 from .graph import build_graph, canonical_graph
 from .polygon import SemitoricPolygon, require_valid
 from .serialization import emit_dot, parse_polygon, polygon_data, serialize_polygon
-from .vertices import is_smooth_class
+from .vertices import _class_at, is_smooth_class
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -123,7 +117,9 @@ def _cmd_validate(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
-    for c in _load(args.file).facts.classes:  # by position: a valid polygon's classes hold no error
+    facts = _load(args.file).facts
+    for i in range(len(facts.vertices)):
+        c = _class_at(facts, i)  # by position: a valid polygon's classes hold no error
         smooth = "yes" if is_smooth_class(c) else "no"
         print(f"{c} smooth={smooth}", file=out)
     return EXIT_OK

@@ -22,6 +22,14 @@ raises PresentationError where a presentation is invalid.  That verdict
 and the column's turns depend only on the column and its coefficient, so a
 listing decides each such pair once, and no member is re-validated.
 
+The Delzant search (:func:`_delzant_signs`, read by ``adaptability``) and
+the Delzant listing (:func:`delzant_presentations`) share one pass over the
+mark columns (:func:`_smooth_columns`): the column rule at the up-counts 0,
+1, k - 1 and k of a column of k points decides the whole range and builds
+nothing, and only columns of one or two points can be Delzant, because a
+smooth corner ends at most one cut.  The listing builds each distinct
+Delzant member once from those verdicts, in one sweep.
+
 The shear normal form reads only vertex 0 and the direction of edge 0,
 which no switch moves, and a global shear commutes with every switch, so
 one shear (:func:`_normal_shear`) normalises every member of a family: the
@@ -30,9 +38,9 @@ pass starts at that shear, and each member lands in normal form directly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, combinations, product
 from math import gcd, prod
 from typing import Iterator, Optional
 
@@ -46,7 +54,7 @@ from .geometry import (
     det2,
     shear_vector,
 )
-from .polygon import MarkedPoint, SemitoricPolygon, _mark_key, require_valid
+from .polygon import MarkedPoint, PolygonFacts, SemitoricPolygon, _mark_key, require_valid
 from .vertices import is_smooth_class, lattice_class
 
 
@@ -251,6 +259,93 @@ def enumerate_presentations(polygon: SemitoricPolygon) -> PresentationSet:
     require_valid(polygon)
     factors = tuple(((mark.cut_sign,), (-mark.cut_sign,)) for mark in polygon.marks)
     return PresentationSet(base=polygon, members=SignProduct(factors, polygon))
+
+
+def _column_blocks(signs: Sequence[int], ups: Collection[int]) -> tuple[tuple[int, ...], ...]:
+    """The column's sign patterns with an up-count in ``ups``, in increasing flip code (bit b: mark b flipped)."""
+    # chosen by which marks point up, so the cost is the number listed, never 2^k: a smooth
+    # corner ends at most one cut, so a column with a smooth up-count lists at most four
+    now_up = sum(1 << b for b, s in enumerate(signs) if s > 0)
+    codes = sorted(sum(1 << b for b in up) ^ now_up for u in ups for up in combinations(range(len(signs)), u))
+    return tuple(tuple(-s if code >> b & 1 else s for b, s in enumerate(signs)) for code in codes)
+
+
+def _delzant_signs(polygon: SemitoricPolygon) -> SignProduct:
+    """The sign vector of each Delzant presentation of a valid polygon.
+
+    The existence criterion quantifies over the unit-split family, where
+    coincident focus-focus points take independent cut signs, so a sign
+    vector has one entry per unit mark, in the mark order of
+    :func:`split_marks`.  Flipping unit mark i is bit i of a code, and sign
+    vectors come in increasing code order, each built when read, so their
+    number may pass 2^64.
+
+    A switch at column x shears the half-plane right of x unimodularly, so
+    no boundary point off column x changes class, smoothness or validity,
+    and near x the presentation depends only on the column's up-count u, one
+    of 0..k for k points (the column rule :func:`_local_verdict`, an
+    O(1) look at the column's bottom and top point, whose verdicts the
+    Delzant listing reuses).  The up-counts 0, 1, k - 1 and k decide the whole range:
+
+    * each side's turn is linear in u, and while cuts still end at a corner
+      its class does not depend on u (in every presentation the bottom
+      corner's cuts shear its frame by ups - k and the top's by ups, ups
+      the current up-count), so 0 and k - 1 decide the bottom's validity
+      for u < k, 1 and k the top's for u > 0;
+    * a smooth corner ends at most one cut, so a smooth up-count has both
+      cut degrees k - u and u at most 1: it is one of the four, and there is
+      one only where k <= 2, the only columns whose unit signs are listed.
+
+    Every member of a valid polygon's family is valid, and no presentation
+    is built, nor the unit-split polygon.  Off the mark columns no cut ends,
+    so there a valid polygon's vertices are Delzant, hence smooth, in every
+    member: only the mark columns are searched.
+    """
+    # the first column's bits are the lowest, so it varies fastest
+    return SignProduct(tuple(patterns for _, _, patterns in _smooth_columns(polygon.facts)))
+
+
+def _smooth_columns(facts: PolygonFacts) -> list[tuple[tuple[MarkedPoint, ...], int, tuple[tuple[int, ...], ...]]]:
+    """The one pass of the Delzant search and listing: at each mark column of a valid polygon, in mark order, its
+    unit marks (none where no up-count is smooth), its up-count, and the signs of every flip pattern that keeps its
+    points smooth (:func:`_delzant_signs`), from the column rule at the up-counts 0, 1, k - 1 and k."""
+    out = []
+    for column, sides in zip(facts.marks_at.values(), facts.sides):
+        k, ups = _counts(column)
+        smooth = [u for u in sorted({0, 1, k - 1, k}) if _local_verdict(sides, k, ups, u - ups)]
+        units = _unit_marks(column) if smooth else ()  # so k <= 2 where any is smooth
+        out.append((units, ups, _column_blocks(tuple(m.cut_sign for m in units), smooth)))
+    return out
+
+
+def delzant_presentations(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, ...]:
+    """All Delzant members of the cut family, in shear normal form, deduplicated, in first-seen order.
+
+    Each member is built once, in one sweep, from the search's verdicts (the
+    column rule runs once per column, in the search), and none is hashed:
+    two sign vectors give equal members exactly when they give each column
+    the same marks, so each column keeps its first sign pattern per marks.
+    The CLI streams the same members.  Raises ValidationFailure when the
+    polygon is invalid.
+    """
+    return tuple(_distinct_delzant(polygon))
+
+
+def _distinct_delzant(polygon: SemitoricPolygon) -> Iterator[SemitoricPolygon]:
+    """The members of :func:`delzant_presentations`, each built when read; ValidationFailure at the call."""
+    columns = _smooth_columns(require_valid(polygon).facts)
+    if not all(patterns for _, _, patterns in columns):  # no Delzant member
+        return iter(())
+    factors, turns = [], {}  # each column's distinct patterns; see _flip_cuts
+    for i, ((units, ups, patterns), sides) in enumerate(zip(columns, polygon.facts.sides)):
+        ys, firsts = [m.position.y for m in units], {}
+        for pattern in patterns:  # a pattern's marks are its (y, sign) pairs, in any order
+            firsts.setdefault(tuple(sorted(zip(ys, pattern))), pattern)
+            turns[i, ups - pattern.count(1)] = _turns(sides, ups - pattern.count(1))  # found smooth by the search
+        factors.append(tuple(firsts.values()))  # an index rises with each column's digit: each member first seen
+    shear = _normal_shear(polygon)  # a switch moves neither vertex 0 nor edge 0's direction: one shear for all
+    marks = [units for units, _, _ in columns]
+    return (_flip_cuts(polygon, signs, shear, marks, turns) for signs in SignProduct(tuple(factors)))
 
 
 def split_marks(polygon: SemitoricPolygon) -> SemitoricPolygon:

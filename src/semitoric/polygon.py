@@ -166,7 +166,11 @@ class _Classifications:
 
     @cached_property
     def _dict(self) -> dict[Point, object]:
-        return {v: c for v, c in zip(self._facts.vertices, self._facts.classes) if not isinstance(c, SemitoricError)}
+        from .vertices import _class_at  # deferred: the lattice rules live there
+
+        facts = self._facts
+        classes = (_class_at(facts, i) for i in range(len(facts.vertices)))
+        return {v: c for v, c in zip(facts.vertices, classes) if not isinstance(c, SemitoricError)}
 
     def __eq__(self, other) -> bool:  # an operator, not dict.__eq__, so that another proxy's mapping is asked too
         return self._dict == other
@@ -191,7 +195,7 @@ class PolygonFacts:
     """What the library reads about one polygon: :attr:`edges`, :attr:`structure`, ``j_min``, ``j_max`` and,
     on a well-formed polygon, the chain split :attr:`_positions`, from one walk along the edges in integers
     (:func:`_walk_boundary`); every other fact on first read.  A fact whose computation raises is not kept, so
-    every read raises again; only :attr:`_kinds` and :attr:`classes` hold errors, one per unclassifiable vertex.
+    every read raises again; only :attr:`_kinds` holds errors, one per unclassifiable vertex.
     Facts of single vertices are indexed by position, found from a Point by :meth:`position`.  The DH record
     :attr:`_slices` keeps each column's slice length as integers, from the walk along each chain.
     """
@@ -326,35 +330,20 @@ class PolygonFacts:
             raise DomainError(f"x = {describe(x)} is outside the moment interval {interval}")
         return self._walk([x])[0][:2]
 
-    def cut_endpoint(self, mark: MarkedPoint) -> Point:
-        """Boundary point where the mark's cut lands: top for +1, bottom for -1."""
-        bottom_y, top_y = self.slice_at(mark.position.x)
-        return Point(mark.position.x, top_y if mark.cut_sign > 0 else bottom_y)
-
     @cached_property
     def _degrees(self) -> tuple[tuple[int, int], ...]:
         """(total multiplicity, common sign) of the cuts ending at each vertex, (0, 0) where none does."""
         out = [(0, 0)] * len(self.vertices)
         for mark in self.marks:
-            endpoint = self.cut_endpoint(mark)
-            i = self.heights[endpoint.x][2 if mark.cut_sign < 0 else 3]
+            self.slice_at(x := mark.position.x)  # raises where the mark is off the moment interval
+            i = self.heights[x][2 if mark.cut_sign < 0 else 3]
             if i is None:  # off the vertices a column's bottom and top differ: no cut of the other sign ends here
                 continue
             degree, sign = out[i]
             if degree and sign != mark.cut_sign:
-                raise ClassificationError(f"cuts of both signs end at {describe(endpoint)}")
+                raise ClassificationError(f"cuts of both signs end at {describe(self.vertices[i])}")
             out[i] = (degree + mark.multiplicity, mark.cut_sign)
         return tuple(out)
-
-    @cached_property
-    def cut_degrees(self) -> dict[Point, tuple[int, int]]:
-        """Cut endpoint -> (total multiplicity, common sign), vertex or not."""
-        self._degrees  # raises when the tally fails
-        out: dict[Point, tuple[int, int]] = {}
-        for mark in self.marks:
-            endpoint = self.cut_endpoint(mark)
-            out[endpoint] = (out.get(endpoint, (0, 0))[0] + mark.multiplicity, mark.cut_sign)
-        return out
 
     @cached_property
     def _kinds(self) -> tuple[object, ...]:
@@ -362,13 +351,6 @@ class PolygonFacts:
         from .vertices import classify_corners  # deferred: the lattice rules live there
 
         return classify_corners(self)
-
-    @cached_property
-    def classes(self) -> tuple[object, ...]:
-        """Each vertex's VertexClassification, or the error of its kind (read: a fresh copy)."""
-        from .vertices import _class_at  # deferred: the lattice rules live there
-
-        return tuple(_class_at(self, i) for i in range(len(self.vertices)))
 
     @cached_property
     def _poles(self) -> tuple[tuple[int, str, int, int], ...]:
@@ -494,7 +476,7 @@ def _validation_report(facts: PolygonFacts) -> ValidationReport:
         if not bottom_y < y < top_y:
             rule, message = "mark-not-interior", "marked point is not strictly inside the polygon"
         elif ends[mark.cut_sign > 0] is None:  # no vertex where the cut ends
-            endpoint = describe(facts.cut_endpoint(mark))
+            endpoint = describe((x, top_y if mark.cut_sign > 0 else bottom_y))
             rule, message = "cut-endpoint-not-vertex", f"cut endpoint {endpoint} is not a vertex of the polygon"
         else:
             continue

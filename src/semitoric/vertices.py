@@ -19,9 +19,14 @@ convex, and that presentation has the masked corner as a real corner.
 when its ``PolygonFacts`` first reads the kinds or the k-runs, and a vertex
 that fits no class keeps its error there; every reader of a vertex's kind,
 ``orbit_counts`` too, reads that record by position, and the k-runs walk the
-chains' vertex positions; :func:`zk_chains` alone builds their records.  The
+chains' vertex positions; :func:`zk_chains` alone builds their records.  A
+vertex's whole class is read through :func:`_class_at` alone, by position,
+by :func:`classify_vertex`, CLI ``classify`` and the validation report; the
 class of a corner given its frame and cuts (:func:`lattice_class`) is read
-by ``PolygonFacts.classes``, :func:`classify_vertex` and the column rule.
+there and by the column rule.  The cut endpoints and their tally
+(:func:`cut_endpoint`, :func:`cut_degrees`) are computed on each call;
+``cut_degrees`` reads the facts' tally by position
+(``PolygonFacts._degrees``) first, so it raises that tally's errors.
 """
 
 from __future__ import annotations
@@ -84,7 +89,8 @@ class ZkChain:
 
 def cut_endpoint(polygon: SemitoricPolygon, mark: MarkedPoint) -> Point:
     """Boundary point where the mark's cut lands: top for +1, bottom for -1."""
-    return polygon.facts.cut_endpoint(mark)
+    x = mark.position.x
+    return Point(x, polygon.facts.slice_at(x)[mark.cut_sign > 0])
 
 
 def cut_degrees(polygon: SemitoricPolygon) -> dict[Point, tuple[int, int]]:
@@ -94,7 +100,12 @@ def cut_degrees(polygon: SemitoricPolygon) -> dict[Point, tuple[int, int]]:
     No polygon that passes validation's mark rules has such a vertex: a
     strictly interior mark's column has distinct bottom and top points.
     """
-    return dict(polygon.facts.cut_degrees)
+    facts, out = polygon.facts, {}
+    facts._degrees  # raises where the tally fails, so each mark's column is one of the heights
+    for mark in polygon.marks:
+        endpoint = Point(mark.position.x, facts.heights[mark.position.x][mark.cut_sign > 0])
+        out[endpoint] = (out.get(endpoint, (0, 0))[0] + mark.multiplicity, mark.cut_sign)
+    return out
 
 
 def _flip(v: LatticeVector) -> LatticeVector:
@@ -204,7 +215,7 @@ def classify_vertex(polygon: SemitoricPolygon, vertex: Point) -> VertexClassific
 
 
 def _class_at(facts: PolygonFacts, i: int):
-    """Vertex i's entry of ``PolygonFacts.classes``: its VertexClassification, or the error of its kind."""
+    """Vertex i's VertexClassification, or the error of its kind: the one class path, read by position."""
     if isinstance(kind := facts._kinds[i], SemitoricError):
         return kind
     return lattice_class(facts.vertices[i], *_tangent_frame(facts, i), *facts._degrees[i])
@@ -286,15 +297,8 @@ def extract_k_runs(facts: PolygonFacts) -> tuple[tuple[int, str, int, int], ...]
                 i += 1
                 continue
             j = i
-            while j + 1 < len(ks):
-                if _class_of(kinds[at[j + 1]]) is not VertexKind.FAKE:
-                    break
-                if ks[j + 1] != k:
-                    # a fake vertex forces equal first components on both sides
-                    raise ClassificationError(
-                        f"fake vertex {describe(verts[at[j + 1]])} joins edges of first components "
-                        f"{describe(k)} and {describe(ks[j + 1])}"
-                    )
+            # a fake vertex joins edges of equal first components: det(u Aw) = 0 makes u.a and w.a divide each other
+            while j + 1 < len(ks) and _class_of(kinds[at[j + 1]]) is VertexKind.FAKE:
                 j += 1
             for end in (at[i], at[j + 1]):
                 if _class_of(kinds[end]) is VertexKind.FAKE:

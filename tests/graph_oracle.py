@@ -29,7 +29,7 @@ from semitoric import (
     zk_chains,
 )
 from semitoric.graph import FAT, ISOLATED
-from semitoric.vertices import _class_of
+from semitoric.vertices import _class_at, _class_of
 
 # permutation budget for breaking label ties deterministically
 TIE_BLOCK_LIMIT = 8
@@ -42,8 +42,8 @@ def build_graph(polygon: SemitoricPolygon) -> KarshonGraph:
     vertices: list[GraphVertex] = []
     ids: dict[object, int] = {}
 
-    for v, found in zip(polygon.vertices, polygon.facts.classes):  # chains first: the vertices are distinct
-        c = _class_of(found)
+    for i, v in enumerate(polygon.vertices):  # chains first: the vertices are distinct
+        c = _class_of(_class_at(polygon.facts, i))
         if c.kind is VertexKind.FAKE or v in on_vertical:
             continue
         ids[v] = len(vertices)

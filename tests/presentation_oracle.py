@@ -97,8 +97,7 @@ def members(polygon: SemitoricPolygon, limit: int | None = None) -> list[tuple[t
 
 def delzant_listing(polygon: SemitoricPolygon) -> tuple[SemitoricPolygon, ...]:
     """Every Delzant sign vector's member, swept into shear normal form, deduplicated by a dict in first-seen order."""
-    from semitoric.analysis import _delzant_signs
-    from semitoric.cuts import _flip_cuts, _normal_shear, _unit_marks
+    from semitoric.cuts import _delzant_signs, _flip_cuts, _normal_shear, _unit_marks
 
     delzant = _delzant_signs(require_valid(polygon))
     units = [_unit_marks(column) for column in polygon.facts.marks_at.values()]

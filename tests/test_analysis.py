@@ -465,13 +465,12 @@ class TestPerColumnSearch:
                 function(doubled_tip)
 
     def test_builds_per_column(self, monkeypatch):
-        import semitoric.analysis as analysis
         import semitoric.cuts as cuts
 
         built = []
         flip_cuts = cuts._flip_cuts
-        for module in (analysis, cuts):  # one counter for every build, wherever it is called from
-            monkeypatch.setattr(module, "_flip_cuts", lambda *args: built.append(1) or flip_cuts(*args))
+        # one counter for every build: no module but cuts imports the builder (test_cut_family_privates_stay_in_cuts)
+        monkeypatch.setattr(cuts, "_flip_cuts", lambda *args: built.append(1) or flip_cuts(*args))
         for polygon in multi_column_polygons(50, seed=11):
             built.clear()
             verdict = adaptability(polygon)
@@ -614,7 +613,7 @@ class TestPerColumnSearch:
         # every set of up-counts up to 6 marks, then each single one and all of them
         from itertools import product
 
-        from semitoric.analysis import _column_blocks
+        from semitoric.cuts import _column_blocks
 
         for length in range(9):
             everything = 2 ** (length + 1) - 1
@@ -641,7 +640,7 @@ class TestDelzantPresentations:
     def test_structure_deduplicates_as_a_dict(self, corpus, derived_polygons):
         # one pattern per up-count of each group of coincident unit marks gives the members, in the order,
         # that a dict over every Delzant sign vector's member gives, on every family of at most 2^10 vectors
-        from semitoric.analysis import _delzant_signs
+        from semitoric.cuts import _delzant_signs
 
         families = column_families(corpus, derived_polygons) + merged_ladders()
         families += [multiplicity_probe(k) for k in range(1, 11)]
@@ -659,19 +658,18 @@ class TestDelzantPresentations:
     def test_the_listing_decides_each_column_once(self, monkeypatch):
         # the search decides every column; the listing builds from its verdicts and calls the column rule nowhere,
         # and a full listing of the family calls it at most once per (column, coefficient)
-        import semitoric.analysis as analysis
         import semitoric.cuts as cuts
 
         calls = []
         rule = cuts._local_verdict
-        for module in (analysis, cuts):
-            monkeypatch.setattr(module, "_local_verdict", lambda *args: calls.append(args) or rule(*args))
+        # no module but cuts imports the column rule (test_cut_family_privates_stay_in_cuts)
+        monkeypatch.setattr(cuts, "_local_verdict", lambda *args: calls.append(args) or rule(*args))
         polygons = multi_column_polygons(50, seed=11, max_marks=8) + merged_ladders() + [focus_ladder([1] * 8)]
         polygons += [split_marks(p) for p in merged_ladders()] + [multiplicity_probe(k) for k in range(1, 6)]
         listed = 0
         for polygon in polygons:
             calls.clear()
-            analysis._delzant_signs(polygon)
+            cuts._delzant_signs(polygon)
             searched = len(calls)
             calls.clear()
             delzant_presentations(polygon)

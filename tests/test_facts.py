@@ -133,11 +133,11 @@ def test_one_vertex_is_classified_alone(chopped_polygons, monkeypatch):
             vertex = fresh.vertices[i]
             calls.clear()
             found = classify_vertex(fresh, vertex)
-            assert len(calls) <= 1 and "classes" not in vars(fresh.facts)
+            assert len(calls) <= 1
             calls.clear()
             assert is_smooth_vertex(fresh, vertex) == (abs(det2(found.left_primitive, found.right_primitive)) == 1)
             assert len(calls) <= 1
-            assert found == fresh.facts.classes[i] == classify_vertex(fresh, vertex)
+            assert found == validate(fresh).classifications[vertex] == classify_vertex(fresh, vertex)
 
 
 def test_the_k_runs_build_no_chain_records(chopped_polygons, monkeypatch):
@@ -426,8 +426,8 @@ def test_failed_facts_are_not_kept(corpus):
     cases = [
         (clockwise, "chains", GeometryError),
         (clockwise, "heights", GeometryError),
-        (conflicting, "cut_degrees", ClassificationError),
-        (outside, "cut_degrees", DomainError),
+        (conflicting, "_degrees", ClassificationError),
+        (outside, "_degrees", DomainError),
         (unclassifiable, "_poles", ClassificationError),
     ]
     for polygon, name, error in cases:
@@ -435,34 +435,31 @@ def test_failed_facts_are_not_kept(corpus):
         first, second = _raised_twice(getattr, facts, name)
         assert type(first) is type(second) is error and str(first) == str(second)
         assert name not in vars(facts)
-    for name in ("chains", "heights", "cut_degrees", "_poles"):
+    for name in ("chains", "heights", "_degrees", "_poles"):
         getattr(square.facts, name)
         assert name in vars(square.facts)
 
 
 def test_a_failed_tally_is_not_redone_per_vertex(monkeypatch, corpus):
     calls = []
-    endpoint = PolygonFacts.cut_endpoint
-
-    def counted(facts, mark):
-        calls.append(mark)
-        return endpoint(facts, mark)
-
-    monkeypatch.setattr(PolygonFacts, "cut_endpoint", counted)
+    tally = PolygonFacts._degrees.func
+    counted = functools.cached_property(lambda facts: calls.append(facts) or tally(facts))
+    counted.__set_name__(PolygonFacts, "_degrees")
+    monkeypatch.setattr(PolygonFacts, "_degrees", counted)
     square = corpus["SQUARE"]
     inside = tuple(MarkedPoint(pt(Fraction(k, 4), Fraction(1, 2))) for k in (1, 2, 3))
     outside = SemitoricPolygon(square.vertices, inside + (MarkedPoint(pt(2, 0)),))
     # every frame of the clockwise square is sound, and its tally fails at the first mark, on the chains
     clockwise = SemitoricPolygon(tuple(reversed(square.vertices)), inside)
-    for polygon, error, match, tallied in (
-        (outside, DomainError, "outside the moment interval", len(outside.marks)),
-        (clockwise, GeometryError, "degenerate polygon", 1),
+    for polygon, error, match in (
+        (outside, DomainError, "outside the moment interval"),
+        (clockwise, GeometryError, "degenerate polygon"),
     ):
         calls.clear()
         for vertex in polygon.vertices:
             with pytest.raises(error, match=match):
                 classify_vertex(polygon, vertex)
-        assert len(calls) == tallied
+        assert calls == [polygon.facts]  # one tally per polygon, not one per vertex
 
 
 def test_no_module_level_caches():
@@ -475,6 +472,18 @@ def test_no_module_level_caches():
                 assert not banned & {alias.name for alias in node.names}, path.name
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
                 assert node.attr not in banned, path.name
+
+
+def test_cut_family_privates_stay_in_cuts():
+    # the cut family's builder, column rule and their helpers have one home, beside the Delzant search and
+    # listing that drive them: a test that patches them in cuts alone counts every call
+    private = {"_local_verdict", "_turns", "_flip_cuts", "_counts", "_unit_marks", "_normal_shear"}
+    package = Path(semitoric.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "cuts.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    assert not private & {alias.name for alias in node.names}, path.name
 
 
 def test_no_recursion():

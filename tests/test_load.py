@@ -19,6 +19,7 @@ from semitoric import (
 )
 from semitoric.polygon import _validation_report
 from semitoric.serialization import _smallest
+from semitoric.vertices import _class_at
 
 
 def _answer(read):
@@ -26,6 +27,13 @@ def _answer(read):
         return read()
     except SemitoricError as exc:
         return type(exc), str(exc)
+
+
+def _classes(facts) -> list:
+    """Each vertex's class or the error of its kind: the oracle's record, or the library's, read by position."""
+    if isinstance(facts, load_oracle.Facts):
+        return list(facts.classes)
+    return [_class_at(facts, i) for i in range(len(facts.vertices))]
 
 
 def _facts(facts) -> dict:
@@ -37,7 +45,7 @@ def _facts(facts) -> dict:
         "structure": facts.structure,
         "chains": _answer(lambda: facts.chains),
         "_verticals": _answer(lambda: facts._verticals),
-        "classes": [(type(c), str(c)) if isinstance(c, SemitoricError) else c for c in facts.classes],
+        "classes": [(type(c), str(c)) if isinstance(c, SemitoricError) else c for c in _classes(facts)],
         "violations": report.violations,
         "classifications": dict(report.classifications),
     }

@@ -19,6 +19,7 @@ from semitoric import (
     slice_heights,
     validate,
 )
+from semitoric.vertices import _class_at
 
 
 def pt(x, y):
@@ -105,7 +106,8 @@ class TestValidate:
             bottom, top = facts._positions
             for i in (bottom[0], bottom[-1], top[0], top[-1]):  # the vertices on J_min and J_max
                 assert degrees[i] == (0, 0), polygon
-                assert isinstance(facts.classes[i], SemitoricError) or facts.classes[i].kind is VertexKind.DELZANT
+                found = _class_at(facts, i)
+                assert isinstance(found, SemitoricError) or found.kind is VertexKind.DELZANT
             if report.valid:
                 for vertex in polygon.vertices:
                     if vertex.x not in facts.marks_at:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from semitoric import (
+    ClassificationError,
     DomainError,
     LatticeVector,
     MarkedPoint,
@@ -80,6 +81,33 @@ class TestClassifyVertex:
                 assert u.a == w.a
                 assert det2(u, w) == -c.sign * c.degree * u.a * w.a
 
+    def test_every_fake_kind_joins_equal_first_components(self, corpus, derived_polygons):
+        # det(u Aw) = 0 with u and w primitive and rightward makes u.a and w.a divide each other, so the k-runs
+        # need no check that a fake joint keeps k: every fake kind of every family, valid or not, has u.a == w.a
+        from conftest import multi_column_polygons, multiplicity_probe, same_answers_tool
+        from semitoric.vertices import _tangent_frame
+
+        same_answers = same_answers_tool()
+        seeds = list(corpus.values()) + derived_polygons + multi_column_polygons(120, max_marks=8)
+        polygons = seeds + [multiplicity_probe(k) for k in range(1, 65)]
+        polygons += [probe for seed in seeds for probe in same_answers._probes(seed) + same_answers.extra_marks(seed)]
+        fakes = 0
+        for polygon in polygons:
+            facts = polygon.facts
+            for i, kind in enumerate(facts._kinds):
+                if kind is VertexKind.FAKE:
+                    u, w = _tangent_frame(facts, i)
+                    assert u.a == w.a, (polygon, i)
+                    fakes += 1
+        assert fakes > 1000
+
+    def test_a_vertex_between_two_vertical_edges_is_refused(self):
+        # unvalidated: (1, 0), (1, 1) and (1, 2) are collinear, so (1, 1) has no classification frame
+        polygon = SemitoricPolygon((pt(0, 0), pt(1, 0), pt(1, 1), pt(1, 2), pt(0, 2)))
+        with pytest.raises(ClassificationError) as info:
+            classify_vertex(polygon, pt(1, 1))
+        assert str(info.value) == "(1, 1) lies between two vertical edges"
+
 
 class TestSmoothness:
     def test_examples(self, corpus):
@@ -136,6 +164,13 @@ class TestZkChains:
 
     def test_square_has_no_chains(self, corpus):
         assert zk_chains(corpus["SQUARE"]) == ()
+
+    def test_a_fake_pole_is_refused(self):
+        # unvalidated: a mark on the vertex (0, 0), cut down, makes the pole of the bottom k = 2 run fake
+        polygon = SemitoricPolygon((pt(0, 0), pt(2, -1), pt(2, 1)), (MarkedPoint(pt(0, 0), 1, -1),))
+        with pytest.raises(ClassificationError) as info:
+            zk_chains(polygon)
+        assert str(info.value) == "chain pole (0, 0) classifies as fake"
 
     def test_poles_are_elliptic(self, corpus):
         for polygon in corpus.values():

@@ -35,8 +35,8 @@ the other tree's, when it could not make its own) in its own process:
   a ``ValidationReport`` rebuilt from its classifications and violations,
   ``shear_normal_form``, ``transform_polygon`` under four fixed global
   shears (one with a non-integer offset), ``boundary_chains``,
-  ``vertical_edge_endpoints``, ``cut_degrees``, ``zk_chains``,
-  ``is_delzant_polygon``,
+  ``vertical_edge_endpoints``, ``cut_degrees``, ``cut_endpoint`` at every
+  mark, ``zk_chains``, ``is_delzant_polygon``,
   ``classify_vertex``, ``outgoing_primitives``, ``isotropy_weights`` and
   ``chop_allowance`` at every vertex, ``slice_heights`` at every vertex
   and mark column and at the midpoints between them, and ``orbit_counts``
@@ -262,6 +262,7 @@ def _readers(polygon) -> dict:
         chop_allowance,
         classify_vertex,
         cut_degrees,
+        cut_endpoint,
         dh_function,
         dh_jump_report,
         is_delzant_polygon,
@@ -289,6 +290,7 @@ def _readers(polygon) -> dict:
         "boundary_chains": lambda: boundary_chains(polygon),
         "vertical_edge_endpoints": lambda: sorted(vertical_edge_endpoints(polygon)),
         "cut_degrees": lambda: cut_degrees(polygon),
+        "cut_endpoint": lambda: [_library_answer(lambda: cut_endpoint(polygon, m)) for m in polygon.marks],
         "zk_chains": lambda: zk_chains(polygon),
         "is_delzant_polygon": lambda: is_delzant_polygon(polygon),
         "slice_heights": lambda: [_library_answer(lambda: slice_heights(polygon, x)) for x in columns + midpoints],
