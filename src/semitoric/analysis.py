@@ -29,23 +29,24 @@ report kept on it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
 from .cuts import SignProduct, _delzant_signs
 from .errors import DomainError, SemitoricError
-from .geometry import _exact, describe
+from .geometry import _exact, _Record, describe
 from .polygon import PolygonFacts, SemitoricPolygon, require_valid
 from .vertices import VertexKind, _class_of, _outgoing
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(_Record):
     """Continuous piecewise-linear function: values at increasing breakpoints."""
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
+
+    def __init__(self, breakpoints, values):
+        vars(self).update(breakpoints=breakpoints, values=values)
 
     def value_at(self, x: Fraction) -> Fraction:
         x = _exact(x)
@@ -64,8 +65,9 @@ def dh_function(polygon: SemitoricPolygon) -> PiecewiseLinear:
     return PiecewiseLinear(polygon.facts.columns, tuple(length for _, length, *_ in polygon.facts._slices))
 
 
-@dataclass(frozen=True)
-class JumpEntry:
+class JumpEntry(_Record):
+    """The slope jump of the DH function at one interior column, observed and predicted from its vertices and marks."""
+
     x: Fraction
     left_slope: Fraction
     right_slope: Fraction
@@ -75,14 +77,22 @@ class JumpEntry:
     e_bottom: Fraction
     focus_multiplicity: int
 
+    def __init__(self, x, left_slope, right_slope, observed, predicted, e_top, e_bottom, focus_multiplicity):
+        vars(self).update(x=x, left_slope=left_slope, right_slope=right_slope, observed=observed, predicted=predicted,
+                          e_top=e_top, e_bottom=e_bottom, focus_multiplicity=focus_multiplicity)
+
     @property
     def consistent(self) -> bool:
         return self.observed == self.predicted
 
 
-@dataclass(frozen=True)
-class JumpReport:
+class JumpReport(_Record):
+    """The slope-jump identity checked at every interior critical column, left to right."""
+
     entries: tuple[JumpEntry, ...]
+
+    def __init__(self, entries):
+        vars(self).update(entries=entries)
 
     @property
     def consistent(self) -> bool:
@@ -117,8 +127,7 @@ def dh_jump_report(polygon: SemitoricPolygon) -> JumpReport:
     return JumpReport(tuple(entries))
 
 
-@dataclass(frozen=True)
-class OrbitCounts:
+class OrbitCounts(_Record):
     """Non-free circle orbits over one interior column.
 
     ee: elliptic-elliptic fixed points (Delzant or hidden-Delzant vertices);
@@ -129,6 +138,9 @@ class OrbitCounts:
     ee: int
     ff: int
     zk: int
+
+    def __init__(self, ee, ff, zk):
+        vars(self).update(ee=ee, ff=ff, zk=zk)
 
     @property
     def total(self) -> int:
@@ -173,12 +185,17 @@ def _mark_column_orbits(facts: PolygonFacts) -> list[tuple[Fraction, int, int, i
     return out
 
 
-@dataclass(frozen=True)
-class AdaptabilityVerdict:
+class AdaptabilityVerdict(_Record):
+    """The adaptability verdict, the columns of three or more non-free orbits, and the Delzant sign vectors."""
+
     adaptable: bool
     violating_levels: tuple[tuple[Fraction, OrbitCounts], ...]
     delzant_signs: SignProduct  # built on access, see _delzant_signs
     criteria_agree: bool
+
+    def __init__(self, adaptable, violating_levels, delzant_signs, criteria_agree):
+        vars(self).update(adaptable=adaptable, violating_levels=violating_levels, delzant_signs=delzant_signs,
+                          criteria_agree=criteria_agree)
 
 
 class CriteriaDisagreement(SemitoricError):

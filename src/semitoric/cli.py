@@ -16,12 +16,7 @@ from .analysis import adaptability, dh_function, dh_jump_report, self_intersecti
 from .chop import corner_chop
 from .corpus import corpus_get, corpus_names
 from .cuts import _distinct_delzant, enumerate_presentations, switch_cut
-from .errors import (
-    DomainError,
-    ParseError,
-    SemitoricError,
-    ValidationFailure,
-)
+from .errors import DomainError, ParseError, SemitoricError, ValidationFailure
 from .geometry import Point, format_rational, parse_rational
 from .graph import build_graph, canonical_graph
 from .polygon import SemitoricPolygon, require_valid

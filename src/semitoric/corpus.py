@@ -10,12 +10,11 @@ non-adaptable system with a triple focus-focus fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainError
-from .geometry import Point
+from .geometry import Point, _Record
 from .polygon import MarkedPoint, SemitoricPolygon
 
 
@@ -30,11 +29,15 @@ def _poly(vertices, marks=()) -> SemitoricPolygon:
     )
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(_Record):
+    """A named example polygon with its frozen expected results; ``expected`` defaults to a new empty dict."""
+
     name: str
     polygon: SemitoricPolygon
-    expected: Mapping = field(default_factory=dict)
+    expected: Mapping
+
+    def __init__(self, name, polygon, expected=None):
+        vars(self).update(name=name, polygon=polygon, expected={} if expected is None else expected)
 
 
 _ENTRIES = [

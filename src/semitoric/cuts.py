@@ -39,27 +39,17 @@ pass starts at that shear, and each member lands in normal form directly.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
-from dataclasses import dataclass
 from itertools import chain, combinations, product
 from math import gcd, prod
 from typing import Iterator, Optional
 
 from .errors import ClassificationError, DomainError, PresentationError
-from .geometry import (
-    GlobalShear,
-    LatticeVector,
-    Point,
-    _shear_point,
-    describe,
-    det2,
-    shear_vector,
-)
+from .geometry import GlobalShear, LatticeVector, Point, _Record, _shear_point, describe, det2, shear_vector
 from .polygon import MarkedPoint, PolygonFacts, SemitoricPolygon, _mark_key, require_valid
 from .vertices import is_smooth_class, lattice_class
 
 
-@dataclass(frozen=True, eq=False)
-class SignProduct(Sequence):
+class SignProduct(_Record, Sequence):
     """Every sign vector that takes one block of signs from each factor, built on access.
 
     Item i joins one block per factor, picked by the mixed-radix digits of i
@@ -73,7 +63,10 @@ class SignProduct(Sequence):
     """
 
     factors: tuple[tuple[tuple[int, ...], ...], ...]
-    base: Optional[SemitoricPolygon] = None
+    base: Optional[SemitoricPolygon]
+
+    def __init__(self, factors, base=None):
+        vars(self).update(factors=factors, base=base)
 
     @property
     def size(self) -> int:
@@ -114,8 +107,7 @@ class SignProduct(Sequence):
         return hash(tuple(self))
 
 
-@dataclass(frozen=True)
-class PresentationSet:
+class PresentationSet(_Record):
     """All cut-sign presentations of one polygon.
 
     ``members`` pairs each sign vector (in the base polygon's mark order)
@@ -125,6 +117,9 @@ class PresentationSet:
 
     base: SemitoricPolygon
     members: SignProduct
+
+    def __init__(self, base, members):
+        vars(self).update(base=base, members=members)
 
 
 def transform_polygon(polygon: SemitoricPolygon, shear: GlobalShear) -> SemitoricPolygon:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .errors import GeometryError
@@ -87,16 +88,60 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True, order=True, init=False)
-class Point:
+class _Record:
+    """A frozen record, as a frozen dataclass with no generated code: its fields are its class's own annotations, in
+    order, each written once by its ``__init__`` through ``vars(self)``; ``repr``, ``==`` (within one class), ``hash``,
+    ``__match_args__``, the errors on assignment and deletion, copies and pickles are as for that dataclass."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__annotations__" not in vars(cls):  # no fields of its own: a subclass keeps its base record's
+            return
+        fields = cls.__match_args__ = tuple(cls.__annotations__)
+        one = attrgetter(*fields)  # a field tuple, or the one field's value
+        get = one if len(fields) > 1 else lambda record: (one(record),)
+        cls._values = staticmethod(get)
+
+        def __eq__(self, other) -> bool:  # reads the getter from its closure, not through the class
+            return get(self) == get(other) if other.__class__ is self.__class__ else NotImplemented
+
+        def __hash__(self) -> int:
+            return hash(get(self))
+
+        if "__eq__" not in vars(cls):  # as dataclass(eq=True), which keeps a class's own __eq__ and __hash__
+            cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError  # here alone: importing the package loads no dataclasses
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Point(_Record):
     """Point of the moment plane.  ``x`` is the circle-action moment value."""
 
     x: Fraction
     y: Fraction
 
     def __init__(self, x: Fraction, y: Fraction):  # each coordinate set once, a Fraction as it is
-        object.__setattr__(self, "x", x if type(x) is Fraction else _exact(x))
-        object.__setattr__(self, "y", y if type(y) is Fraction else _exact(y))
+        vars(self).update(x=x if type(x) is Fraction else _exact(x), y=y if type(y) is Fraction else _exact(y))
+
+    def __eq__(self, other) -> bool:  # the base's, written out: the record most compared and hashed calls no getter
+        return (self.x, self.y) == (other.x, other.y) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __lt__(self, other) -> bool:  # ordered on (x, y), within the class
+        return (self.x, self.y) < (other.x, other.y) if other.__class__ is self.__class__ else NotImplemented
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
@@ -153,13 +198,10 @@ def cross(origin: Point, first: Point, second: Point) -> Fraction:
 
     Positive for a counter-clockwise turn origin -> first -> second.
     """
-    return (first.x - origin.x) * (second.y - origin.y) - (first.y - origin.y) * (
-        second.x - origin.x
-    )
+    return (first.x - origin.x) * (second.y - origin.y) - (first.y - origin.y) * (second.x - origin.x)
 
 
-@dataclass(frozen=True)
-class GlobalShear:
+class GlobalShear(_Record):
     """Vertical-line-preserving affine map (x, y) -> (x, slope*x + y + offset).
 
     These maps form a group under composition; slopes and offsets add.  Two
@@ -169,10 +211,10 @@ class GlobalShear:
     slope: int
     offset: Fraction
 
-    def __post_init__(self):
-        if not isinstance(self.slope, int):
+    def __init__(self, slope: int, offset: Fraction):
+        if not isinstance(slope, int):
             raise GeometryError("global shear slope must be an integer")
-        object.__setattr__(self, "offset", _exact(self.offset))
+        vars(self).update(slope=slope, offset=_exact(offset))
 
     def apply(self, point: Point) -> Point:
         return _shear_point(point, self.slope, *self.offset.as_integer_ratio())

@@ -23,38 +23,49 @@ the rest of the key.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterator, Optional
 
-from .geometry import format_rational
+from .geometry import _Record, format_rational
 from .polygon import SemitoricPolygon
 from .vertices import VertexKind, _class_of
 
 ISOLATED = "isolated"
 FAT = "fat"
 
-@dataclass(frozen=True)
-class GraphVertex:
+class GraphVertex(_Record):
+    """A vertex of the graph: isolated at its label, or fat with its genus and area."""
+
     kind: str
     label: Fraction
-    genus: Optional[int] = None
-    area: Optional[Fraction] = None
-    provenance: Optional[str] = None  # diagnostics only: == compares it, canonical_form drops it
+    genus: Optional[int]
+    area: Optional[Fraction]
+    provenance: Optional[str]  # diagnostics only: == compares it, canonical_form drops it
+
+    def __init__(self, kind, label, genus=None, area=None, provenance=None):
+        vars(self).update(kind=kind, label=label, genus=genus, area=area, provenance=provenance)
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(_Record):
+    """An edge of the graph, between the vertices of ids ``source`` and ``target``, of weight ``weight``."""
+
     source: int
     target: int
     weight: int
 
+    def __init__(self, source, target, weight):
+        vars(self).update(source=source, target=target, weight=weight)
 
-@dataclass(frozen=True)
-class KarshonGraph:
+
+class KarshonGraph(_Record):
+    """Karshon's labeled directed graph: its vertices, indexed by id, and its edges."""
+
     vertices: tuple[GraphVertex, ...]
     edges: tuple[GraphEdge, ...]
+
+    def __init__(self, vertices, edges):
+        vars(self).update(vertices=vertices, edges=edges)
 
 
 def build_graph(polygon: SemitoricPolygon) -> KarshonGraph:
@@ -103,11 +114,7 @@ def serialize_graph(graph: KarshonGraph) -> str:
 
 def _rest_key(vertex: GraphVertex):
     """The sort key after the label: every other field a fat vertex serializes."""
-    return (
-        vertex.kind,
-        vertex.area if vertex.area is not None else 0,
-        vertex.genus if vertex.genus is not None else 0,
-    )
+    return (vertex.kind, vertex.area if vertex.area is not None else 0, vertex.genus if vertex.genus is not None else 0)
 
 
 def _blocks(vertices: list[GraphVertex]) -> Iterator[list[int]]:
@@ -219,11 +226,7 @@ def betti_b2(graph: KarshonGraph) -> int:
         return 0
     labels = [v.label for v in graph.vertices]
     lo, hi = min(labels), max(labels)
-    return sum(
-        1
-        for v in graph.vertices
-        if v.kind == FAT or (v.kind == ISOLATED and lo < v.label < hi)
-    )
+    return sum(1 for v in graph.vertices if v.kind == FAT or (v.kind == ISOLATED and lo < v.label < hi))
 
 
 def kirwan_check(graph: KarshonGraph, focus_count: int) -> bool:

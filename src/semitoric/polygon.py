@@ -22,7 +22,6 @@ back to its facts or polygon, so a polygon is freed with its last reference.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import groupby
@@ -30,36 +29,30 @@ from math import gcd
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .errors import (
-    ClassificationError,
-    DomainError,
-    GeometryError,
-    SemitoricError,
-    ValidationFailure,
-)
-from .geometry import LatticeVector, Point, _exact, cross, describe, det2
+from .errors import ClassificationError, DomainError, GeometryError, SemitoricError, ValidationFailure
+from .geometry import LatticeVector, Point, _exact, _Record, cross, describe, det2
 
 _Slice = tuple[Fraction, Fraction, Optional[int], Optional[int], int, int]  # one column, see PolygonFacts._walk
 
 
-@dataclass(frozen=True)
-class MarkedPoint:
+class MarkedPoint(_Record):
     """An interior marked point with its multiplicity and cut direction."""
 
     position: Point
-    multiplicity: int = 1
-    cut_sign: int = -1
+    multiplicity: int
+    cut_sign: int
 
-    def __post_init__(self):
-        if not _is_int(self.multiplicity) or self.multiplicity < 1:
-            raise GeometryError(f"multiplicity must be a positive integer, got {self.multiplicity!r}")
-        if not _is_int(self.cut_sign) or self.cut_sign not in (-1, 1):
-            raise GeometryError(f"cut sign must be +1 or -1, got {self.cut_sign!r}")
+    def __init__(self, position: Point, multiplicity: int = 1, cut_sign: int = -1):
+        if not _is_int(multiplicity) or multiplicity < 1:
+            raise GeometryError(f"multiplicity must be a positive integer, got {multiplicity!r}")
+        if not _is_int(cut_sign) or cut_sign not in (-1, 1):
+            raise GeometryError(f"cut sign must be +1 or -1, got {cut_sign!r}")
+        vars(self).update(position=position, multiplicity=multiplicity, cut_sign=cut_sign)
 
     @classmethod
     def _checked(cls, position: Point, multiplicity: int, cut_sign: int) -> MarkedPoint:
         """The mark of values a valid polygon's mark already carries, without the constructor's checks."""
-        (mark := object.__new__(cls)).__dict__.update(position=position, multiplicity=multiplicity, cut_sign=cut_sign)
+        vars(mark := object.__new__(cls)).update(position=position, multiplicity=multiplicity, cut_sign=cut_sign)
         return mark
 
 
@@ -72,8 +65,7 @@ def _mark_key(mark: MarkedPoint):
     return (mark.position.x, mark.position.y, mark.multiplicity, mark.cut_sign)
 
 
-@dataclass(frozen=True)
-class SemitoricPolygon:
+class SemitoricPolygon(_Record):
     """Counter-clockwise convex polygon plus marked points.
 
     The vertex tuple is rotated so it starts at the lexicographically
@@ -83,15 +75,14 @@ class SemitoricPolygon:
     """
 
     vertices: tuple[Point, ...]
-    marks: tuple[MarkedPoint, ...] = ()
+    marks: tuple[MarkedPoint, ...]
 
-    def __post_init__(self):
-        verts = tuple(self.vertices)
+    def __init__(self, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...] = ()):
+        verts = tuple(vertices)
         if not verts:
             raise GeometryError("a polygon needs vertices")
         start = min(range(len(verts)), key=lambda i: (verts[i].x, verts[i].y))
-        object.__setattr__(self, "vertices", verts[start:] + verts[:start])
-        object.__setattr__(self, "marks", tuple(sorted(self.marks, key=_mark_key)))
+        vars(self).update(vertices=verts[start:] + verts[:start], marks=tuple(sorted(marks, key=_mark_key)))
 
     @classmethod
     def _canonical(cls, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...]) -> SemitoricPolygon:
@@ -128,15 +119,18 @@ class SemitoricPolygon:
         return f"SemitoricPolygon[{verts}; {len(self.marks)} marks]"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
+    """One broken validity rule: the rule's name, where it is broken, and why."""
+
     rule: str
     location: str
     message: str
 
+    def __init__(self, rule, location, message):
+        vars(self).update(rule=rule, location=location, message=message)
 
-@dataclass(frozen=True)
-class ValidationReport:
+
+class ValidationReport(_Record):
     """Outcome of :func:`validate`: per-vertex classes plus rule violations.
 
     The report is kept on the polygon and shared by every later check, so
@@ -148,10 +142,9 @@ class ValidationReport:
     classifications: Mapping[Point, object]
     violations: tuple[Violation, ...]
 
-    def __post_init__(self):
-        classes = self.classifications
-        classes = classes if isinstance(classes, _Classifications) else dict(classes)
-        object.__setattr__(self, "classifications", MappingProxyType(classes))
+    def __init__(self, classifications: Mapping[Point, object], violations: tuple[Violation, ...]):
+        classes = classifications if isinstance(classifications, _Classifications) else dict(classifications)
+        vars(self).update(classifications=MappingProxyType(classes), violations=violations)
 
     @property
     def valid(self) -> bool:
@@ -181,14 +174,16 @@ for _name in ("__getitem__", "__iter__", "__reversed__", "__len__", "__contains_
     setattr(_Classifications, _name, lambda self, *args, _name=_name: getattr(self._dict, _name)(*args))
 
 
-@dataclass(frozen=True)
-class BoundaryChains:
+class BoundaryChains(_Record):
     """Bottom and top boundary paths, both running left to right."""
 
     bottom: tuple[Point, ...]
     top: tuple[Point, ...]
     left_vertical: Optional[tuple[Point, Point]]
     right_vertical: Optional[tuple[Point, Point]]
+
+    def __init__(self, bottom, top, left_vertical, right_vertical):
+        vars(self).update(bottom=bottom, top=top, left_vertical=left_vertical, right_vertical=right_vertical)
 
 
 class PolygonFacts:

@@ -31,12 +31,11 @@ there and by the column rule.  The cut endpoints and their tally
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Literal
 
 from .errors import ClassificationError, DomainError, GeometryError, SemitoricError
-from .geometry import LatticeVector, Point, describe, det2, format_rational, shear_vector
+from .geometry import LatticeVector, Point, _Record, describe, det2, format_rational, shear_vector
 from .polygon import MarkedPoint, PolygonFacts, SemitoricPolygon
 
 
@@ -52,14 +51,19 @@ class VertexKind(Enum):
 FOCUS_FOCUS_WEIGHTS: tuple[int, int] = (-1, 1)
 
 
-@dataclass(frozen=True)
-class VertexClassification:
+class VertexClassification(_Record):
+    """A vertex's class: its kind, the degree and sign of the cuts ending there, and its frame (u, w)."""
+
     vertex: Point
     kind: VertexKind
     degree: int
     sign: int | None
     left_primitive: LatticeVector
     right_primitive: LatticeVector
+
+    def __init__(self, vertex, kind, degree, sign, left_primitive, right_primitive):
+        vars(self).update(vertex=vertex, kind=kind, degree=degree, sign=sign, left_primitive=left_primitive,
+                          right_primitive=right_primitive)
 
     def __str__(self) -> str:
         """The ``classify`` row; a number past the int-string limit raises GeometryError."""
@@ -71,8 +75,7 @@ class VertexClassification:
         return f"{vertex}: {self.kind.value}{extra} u={u} w={w}"
 
 
-@dataclass(frozen=True)
-class ZkChain:
+class ZkChain(_Record):
     """Maximal run of boundary edges of constant primitive first component k >= 2.
 
     Interior vertices of the run are fake; the two poles are Delzant or
@@ -85,6 +88,9 @@ class ZkChain:
     start_vertex: Point
     end_vertex: Point
     edges: tuple[tuple[Point, Point], ...]
+
+    def __init__(self, k, side, start_vertex, end_vertex, edges):
+        vars(self).update(k=k, side=side, start_vertex=start_vertex, end_vertex=end_vertex, edges=edges)
 
 
 def cut_endpoint(polygon: SemitoricPolygon, mark: MarkedPoint) -> Point:
@@ -250,8 +256,10 @@ def is_smooth_class(c: VertexClassification) -> bool:
 
 
 def is_delzant_polygon(polygon: SemitoricPolygon) -> bool:
-    """True when every vertex is smooth."""
-    return all(is_smooth_vertex(polygon, v) for v in polygon.vertices)
+    """True when every vertex is smooth; only the vertices whose recorded kind is not Delzant are classified."""
+    facts = polygon.facts
+    at = range(len(facts.vertices)) if facts._turns else map(facts.position, facts.vertices)
+    return all(facts._kinds[i] is VertexKind.DELZANT or is_smooth_class(_class_of(_class_at(facts, i))) for i in at)
 
 
 def isotropy_weights(polygon: SemitoricPolygon, vertex: Point) -> tuple[int, int]:

@@ -24,6 +24,7 @@ from semitoric import (
     MarkedPoint,
     Point,
     PolygonFacts,
+    SemitoricError,
     SemitoricPolygon,
     ValidationReport,
     adaptability,
@@ -33,6 +34,7 @@ from semitoric import (
     classify_vertex,
     det2,
     dh_jump_report,
+    is_delzant_polygon,
     is_smooth_vertex,
     isotropy_weights,
     orbit_counts,
@@ -138,6 +140,45 @@ def test_one_vertex_is_classified_alone(chopped_polygons, monkeypatch):
             assert is_smooth_vertex(fresh, vertex) == (abs(det2(found.left_primitive, found.right_primitive)) == 1)
             assert len(calls) <= 1
             assert found == validate(fresh).classifications[vertex] == classify_vertex(fresh, vertex)
+
+
+def test_a_delzant_check_classifies_only_where_a_cut_ends_or_the_turn_is_not_1(chopped_polygons, monkeypatch):
+    calls = []
+    classify = vertices.lattice_class
+    monkeypatch.setattr(vertices, "lattice_class", lambda v, *args: calls.append(v) or classify(v, *args))
+    for polygon in chopped_polygons:
+        fresh = parse_polygon(serialize_polygon(polygon))
+        validate(fresh)
+        turns, degrees = fresh.facts._turns, fresh.facts._degrees
+        doubtful = sum(turn != 1 or degree != 0 for turn, (degree, _) in zip(turns, degrees))
+        calls.clear()
+        verdict = is_delzant_polygon(fresh)
+        assert len(calls) <= doubtful
+        assert verdict is all(is_smooth_vertex(fresh, v) for v in fresh.vertices)
+
+
+def test_a_delzant_check_answers_as_the_vertex_by_vertex_rule(corpus, derived_polygons):
+    # the same verdict, or the same first error, over valid polygons and polygons no vertex rule accepts
+    from conftest import multi_column_polygons
+
+    hostile = [
+        SemitoricPolygon((pt(0, 0), pt(1, 0), pt(2, 2), pt(0, 1))),  # a vertex of no class
+        SemitoricPolygon((pt(0, 0), pt(1, 0), pt(1, 1), pt(1, 2), pt(0, 2))),  # between two vertical edges
+        SemitoricPolygon((pt(0, 0), pt(2, 0), pt(2, 0), pt(2, 2), pt(0, 2))),  # a doubled vertex
+        SemitoricPolygon((pt(0, 0), pt(2, 0), pt(3, 1), pt(2, 0), pt(2, 2), pt(0, 2))),  # a vertex visited twice
+        SemitoricPolygon((pt(0, 0), pt(0, 2), pt(2, 2), pt(2, 0))),  # clockwise
+        SemitoricPolygon((pt(0, 0), pt(4, 0), pt(0, 4)), (MarkedPoint(pt(1, 1)),)),  # a cut ending off the vertices
+    ]
+
+    def answer(polygon, rule):
+        try:
+            return rule(copy.deepcopy(polygon))  # without the facts
+        except SemitoricError as exc:
+            return type(exc), str(exc)
+
+    for polygon in list(corpus.values()) + derived_polygons + multi_column_polygons(50) + hostile:
+        by_vertex = answer(polygon, lambda p: all(is_smooth_vertex(p, v) for v in p.vertices))
+        assert answer(polygon, is_delzant_polygon) == by_vertex, polygon
 
 
 def test_the_k_runs_build_no_chain_records(chopped_polygons, monkeypatch):
