@@ -16,7 +16,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from functools import total_ordering
+from functools import cmp_to_key, total_ordering
 from math import gcd
 from operator import attrgetter
 from typing import Iterable, NamedTuple
@@ -24,6 +24,8 @@ from typing import Iterable, NamedTuple
 from .errors import GeometryError
 
 _RATIONAL_PATTERN = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")  # ASCII digits only
+# sort key of sequences (p, q, ...) on p/q, q > 0, cross-multiplied: rationals ordered in integers, no Fraction compared
+_by_ratio = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
 def parse_rational(text: object) -> Fraction:

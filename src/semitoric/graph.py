@@ -15,9 +15,10 @@ the facts' one record of their positions, and each k-run carries its poles'
 positions, so no vertex is looked up by its ``Point``.
 
 Two presentations of one system always produce equal graphs, which is what
-the canonical form below makes checkable byte-for-byte.  It sorts the
-vertices once, on the label, and orders only the runs of equal labels by
-the rest of the key.
+the canonical form below makes checkable byte-for-byte.  One ordering pass
+sorts the vertices once, on each label's integer pair p/q, and orders only
+the runs of equal labels by the rest of the key; the JSON and DOT rows are
+written as text straight from that order, with no copy of the graph.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
-from .geometry import _Record, format_rational
+from .geometry import _by_ratio, _Record, format_rational
 from .polygon import SemitoricPolygon
 from .vertices import VertexKind, _class_of
 
@@ -98,18 +100,24 @@ def build_graph(polygon: SemitoricPolygon) -> KarshonGraph:
 
 def serialize_graph(graph: KarshonGraph) -> str:
     """Deterministic JSON for a graph, rationals as exact strings."""
+    return _text(graph.vertices, sorted((e.source, e.target, e.weight) for e in graph.edges))
+
+
+def _text(vertices: Iterable[GraphVertex], edges: Iterable[tuple]) -> str:
+    """The JSON of vertices in id order and sorted (source, target, weight) edges, each row written as text, byte
+    for byte as ``json.dumps`` with compact separators writes it; a genus, another kind and a non-int edge go through
+    ``json.dumps`` itself."""
     rows = []
-    for i, v in enumerate(graph.vertices):
-        row: dict = {"id": i, "kind": v.kind, "label": format_rational(v.label)}
+    for i, v in enumerate(vertices):
         if v.kind == FAT:
-            row["genus"] = v.genus
-            row["area"] = format_rational(v.area)
-        rows.append(row)
-    edges = [
-        {"from": e.source, "to": e.target, "weight": e.weight}
-        for e in sorted(graph.edges, key=lambda e: (e.source, e.target, e.weight))
-    ]
-    return json.dumps({"vertices": rows, "edges": edges}, separators=(",", ":"))
+            rows.append(f'{{"id":{i},"kind":"fat","label":"{format_rational(v.label)}",'
+                        f'"genus":{json.dumps(v.genus)},"area":"{format_rational(v.area)}"}}')
+        else:
+            kind = '"isolated"' if v.kind == ISOLATED else json.dumps(v.kind)
+            rows.append(f'{{"id":{i},"kind":{kind},"label":"{format_rational(v.label)}"}}')
+    edge_rows = (f'{{"from":{s},"to":{t},"weight":{w}}}' if type(s) is type(t) is type(w) is int
+                 else json.dumps({"from": s, "to": t, "weight": w}, separators=(",", ":")) for s, t, w in edges)
+    return f'{{"vertices":[{",".join(rows)}],"edges":[{",".join(edge_rows)}]}}'
 
 
 def _rest_key(vertex: GraphVertex):
@@ -117,25 +125,30 @@ def _rest_key(vertex: GraphVertex):
     return (vertex.kind, vertex.area if vertex.area is not None else 0, vertex.genus if vertex.genus is not None else 0)
 
 
-def _blocks(vertices: list[GraphVertex]) -> Iterator[list[int]]:
+def _blocks(vertices: Sequence[GraphVertex]) -> list[list[int]]:
     """Vertex indices sorted by (label, kind, area, genus) and grouped where all four agree.
 
-    One sort on the label; only a run of equal labels is sorted again, by the rest of
-    the key.  Both sorts are stable, so each block keeps its vertices' input order.
+    One sort on each label's reduced integers p/q, cross-multiplied, and equal labels grouped on equal pairs, so no
+    Fraction is compared; only a run of equal labels is sorted again, by the rest of the key.  Both sorts are
+    stable, so each block keeps its vertices' input order.
     """
-    order = sorted(range(len(vertices)), key=lambda i: vertices[i].label)
-    for _, run in groupby(order, key=lambda i: vertices[i].label):
-        run = list(run)
-        if len(run) == 1:
-            yield run
-            continue
-        run.sort(key=lambda i: _rest_key(vertices[i]))
-        for _, block in groupby(run, key=lambda i: _rest_key(vertices[i])):
-            yield list(block)
+    labels = [(*v.label.as_integer_ratio(), i) for i, v in enumerate(vertices)]
+    labels.sort(key=_by_ratio if len({q for _, q, _ in labels}) > 1 else itemgetter(0))  # one q: the p order
+    blocks = [[i] for _, _, i in labels[:1]]
+    for (lp, lq, _), (p, q, i) in zip(labels, labels[1:]):  # equal labels have equal pairs
+        if p == lp and q == lq:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    for k in [k for k, run in enumerate(blocks) if len(run) > 1][::-1]:  # from the last, so k stays put
+        run = sorted(blocks[k], key=lambda i: _rest_key(vertices[i]))
+        blocks[k : k + 1] = [list(block) for _, block in groupby(run, key=lambda i: _rest_key(vertices[i]))]
+    return blocks
 
 
-def canonical_form(graph: KarshonGraph) -> KarshonGraph:
-    """Provenance-stripped copy with vertices sorted and ties broken.
+def _order(graph: KarshonGraph) -> tuple[list[int], list[tuple]]:
+    """The graph's vertex ids in canonical order, and its edges as sorted (source, target, weight) in the new ids:
+    the one ordering pass that :func:`canonical_form`, :func:`canonical_graph` and ``emit_dot`` write out.
 
     Vertices sort by (label, kind, area, genus), every field a fat vertex
     serializes: one sort on the label, after which only the runs of equal
@@ -150,19 +163,17 @@ def canonical_form(graph: KarshonGraph) -> KarshonGraph:
     vertices with edges, each with at most one outgoing edge, as the graph of
     every polygon does; other graphs raise ValueError.
     """
-    stripped = [GraphVertex(v.kind, v.label, v.genus, v.area) for v in graph.vertices]
-    touched = {v for e in graph.edges for v in (e.source, e.target)}
-    slot: dict[int, int] = {}  # vertex -> position, where known
+    vertices, blocks = graph.vertices, _blocks(graph.vertices)
+    order = [v for block in blocks for v in block]  # position -> vertex: each block in its place, ties placed below
+    slot = {v: i for i, v in enumerate(order)}  # vertex -> position; a pair's two wait for its bit
+    ties = [block for block in blocks if len(block) > 1]
+    touched = {v for e in graph.edges for v in (e.source, e.target)} if ties else ()
     choice: dict[int, tuple[int, tuple[int, int]]] = {}  # vertex of a pair -> (pair, position per bit)
     bound = {-1: (-1, 0)}  # pair -> (root, parity), its bit being root's xor parity; root -1 has bit 0
-    start = 0
-    for block in _blocks(stripped):
-        if len(block) == 1:
-            slot[block[0]] = start
-            start += 1
-            continue
+    for block in ties:
+        start = slot[block[0]]
         positions = sorted(range(start, start + len(block)), key=str)
-        bearing = [v for v in block if v in touched and stripped[v].kind == ISOLATED]
+        bearing = [v for v in block if v in touched and vertices[v].kind == ISOLATED]
         forked = len(bearing) == 2 and any(sum(e.source == v for e in graph.edges) > 1 for v in bearing)
         if len(bearing) > 2 or forked:
             raise ValueError("a tied block has more than two vertices with edges, or a fork")
@@ -173,7 +184,6 @@ def canonical_form(graph: KarshonGraph) -> KarshonGraph:
         else:
             slot.update(zip(bearing, positions))
         slot.update(zip([v for v in block if v not in bearing], sorted(positions[len(bearing) :])))
-        start += len(block)
 
     runs: dict[tuple[int, int], list[GraphEdge]] = {}  # a pair's outgoing edges; a source's into a pair
     for e in graph.edges:
@@ -189,8 +199,8 @@ def canonical_form(graph: KarshonGraph) -> KarshonGraph:
             guess = {r: code >> i & 1 for i, r in enumerate(free)} | {-1: 0}
             bits = {p: guess[bound[p][0]] ^ bound[p][1] for p in pairs}
             place = slot | {v: options[bits[p]] for v, (p, options) in choice.items() if p in pairs}
-            edges = tuple(GraphEdge(place[e.source], place[e.target], e.weight) for e in runs[key])
-            tried.setdefault(serialize_graph(KarshonGraph((), edges)), []).append(guess)
+            edges = sorted((place[e.source], place[e.target], e.weight) for e in runs[key])
+            tried.setdefault(_text((), edges), []).append(guess)
         winners = tried[min(tried)]
         for i, q in enumerate(free):
             for r in (-1, *free[:i]):
@@ -201,14 +211,23 @@ def canonical_form(graph: KarshonGraph) -> KarshonGraph:
         assert len(winners) == 1 << sum(bound[r][0] == r for r in free)
 
     slot.update((v, options[bound[p][1]]) for v, (p, options) in choice.items())
-    edges = [GraphEdge(slot[e.source], slot[e.target], e.weight) for e in graph.edges]
-    edges.sort(key=lambda e: (e.source, e.target, e.weight))
-    return KarshonGraph(tuple(stripped[v] for v in sorted(slot, key=slot.get)), tuple(edges))
+    for v in (v for block in ties for v in block):
+        order[slot[v]] = v
+    return order, sorted((slot[e.source], slot[e.target], e.weight) for e in graph.edges)
+
+
+def canonical_form(graph: KarshonGraph) -> KarshonGraph:
+    """Provenance-stripped copy with vertices sorted by (label, kind, area, genus) and ties broken so that its
+    :func:`serialize_graph` text is the smallest (see :func:`_order`); a graph no polygon gives may raise ValueError."""
+    order, edges = _order(graph)
+    stripped = (GraphVertex(v.kind, v.label, v.genus, v.area) for v in map(graph.vertices.__getitem__, order))
+    return KarshonGraph(tuple(stripped), tuple(GraphEdge(*e) for e in edges))
 
 
 def canonical_graph(graph: KarshonGraph) -> str:
     """Canonical byte-stable serialization; equal strings mean equal graphs."""
-    return serialize_graph(canonical_form(graph))
+    order, edges = _order(graph)
+    return _text(map(graph.vertices.__getitem__, order), edges)
 
 
 def graphs_equal(first: KarshonGraph, second: KarshonGraph) -> bool:

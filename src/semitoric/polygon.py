@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import groupby
 from math import gcd
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import ClassificationError, DomainError, GeometryError, SemitoricError, ValidationFailure
-from .geometry import LatticeVector, Point, _exact, _Record, cross, describe, det2
+from .geometry import LatticeVector, Point, _by_ratio, _exact, _Record, cross, describe, det2
 
 _Slice = tuple[Fraction, Fraction, Optional[int], Optional[int], int, int]  # one column, see PolygonFacts._walk
 
@@ -228,7 +228,7 @@ class PolygonFacts:
         columns have equal integers: no Fraction is compared or hashed, and polygon order gives two sorted runs."""
         xs = [(p, q, v.x) for (p, q, _, _), v in zip(self._ratios, self.vertices)]
         xs += [(*x.as_integer_ratio(), x) for x in self.marks_at]
-        xs.sort(key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+        xs.sort(key=_by_ratio)
         return tuple({(p, q): x for p, q, x in xs}.values())
 
     @cached_property

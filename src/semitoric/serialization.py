@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import GeometryError, ParseError, ValidationFailure
 from .geometry import Point, _ratio, format_rational
-from .graph import FAT, KarshonGraph, canonical_form
+from .graph import FAT, KarshonGraph, _order
 from .polygon import MarkedPoint, SemitoricPolygon, _mark_key, require_valid
 
 
@@ -109,16 +109,15 @@ def serialize_polygon(polygon: SemitoricPolygon) -> str:
 
 
 def emit_dot(graph: KarshonGraph) -> str:
-    """Render a graph as DOT: circles for isolated vertices, double circles for fat."""
-    g = canonical_form(graph)
+    """Render a graph as DOT: circles for isolated vertices, double circles for fat; written in canonical order."""
+    order, edges = _order(graph)
     lines = ["digraph G {", "  rankdir=LR;"]
-    for i, v in enumerate(g.vertices):
+    for i, v in enumerate(map(graph.vertices.__getitem__, order)):
         if v.kind == FAT:
             label = f"J={format_rational(v.label)}, g={v.genus}, area={format_rational(v.area)}"
             lines.append(f'  n{i} [shape=doublecircle, label="{label}"];')
         else:
             lines.append(f'  n{i} [shape=circle, label="{format_rational(v.label)}"];')
-    for e in g.edges:
-        lines.append(f'  n{e.source} -> n{e.target} [label="{e.weight}"];')
+    lines += [f'  n{s} -> n{t} [label="{w}"];' for s, t, w in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import ceil, factorial, log2, prod
 
@@ -23,6 +24,7 @@ from semitoric import (
     canonical_graph,
     corpus_get,
     corpus_names,
+    emit_dot,
     enumerate_presentations,
     graphs_equal,
     kirwan_check,
@@ -171,16 +173,24 @@ class TestCanonicalGraph:
         one = KarshonGraph((south, spectator, pole), (GraphEdge(0, 2, 2),))
         two = KarshonGraph((south, pole, spectator), (GraphEdge(0, 1, 2),))
         assert canonical_graph(one) == canonical_graph(two)
+        assert_same_text(one)
+        assert_same_text(two)
 
     def test_fat_vertices_differing_only_in_genus(self):
         # genus is part of the sort key, so input order cannot decide the output
         first = GraphVertex("fat", Fraction(0), genus=0, area=Fraction(1))
         second = GraphVertex("fat", Fraction(0), genus=1, area=Fraction(1))
         assert graphs_equal(KarshonGraph((first, second), ()), KarshonGraph((second, first), ()))
+        # genus None sorts as 0 and is written as null; a smaller area goes first
+        unknown = GraphVertex("fat", Fraction(0), genus=None, area=Fraction(1))
+        smaller = GraphVertex("fat", Fraction(0), genus=1, area=Fraction(1, 2))
+        for vertices in ((first, second, unknown, smaller), (unknown, smaller, second, first)):
+            assert_same_text(KarshonGraph(vertices, ()))
 
     def test_nine_tied_vertices(self):
         # one block of nine interchangeable vertices: no order is tried
         vertices = tuple(GraphVertex("isolated", Fraction(1)) for _ in range(9))
+        assert_same_text(KarshonGraph(vertices, ()))
         data = json.loads(canonical_graph(KarshonGraph(vertices, ())))
         assert data["vertices"] == [{"id": i, "kind": "isolated", "label": "1"} for i in range(9)]
         assert data["edges"] == []
@@ -190,6 +200,7 @@ class TestCanonicalGraph:
         vertices = tuple(GraphVertex("isolated", Fraction(0 if i < 9 else 1)) for i in range(11))
         graph = KarshonGraph(vertices, (GraphEdge(0, 9, 2),))
         assert json.loads(canonical_graph(graph))["edges"] == [{"from": 0, "to": 10, "weight": 2}]
+        assert_same_text(graph)
 
     def test_parallel_chains_through_tied_columns(self):
         # bottom and top chains cross two tied columns with equal weights, so
@@ -203,7 +214,9 @@ class TestCanonicalGraph:
         rng = random.Random(3)
         expected = graph_oracle.canonical_graph(graph)
         for _ in range(20):
-            assert canonical_graph(relabel(graph, rng)) == expected
+            image = relabel(graph, rng)
+            assert canonical_graph(image) == expected
+            assert_same_text(image)
 
     def test_outside_polygon_shape_refused(self):
         # three same-label vertices with edges: no polygon's graph has this
@@ -211,6 +224,7 @@ class TestCanonicalGraph:
         edges = tuple(GraphEdge(0, i, 2) for i in (1, 2, 3))
         with pytest.raises(ValueError, match="more than two vertices with edges"):
             canonical_graph(KarshonGraph(vertices, edges))
+        assert_same_text(KarshonGraph(vertices, edges))
 
     def test_graphs_equal(self, corpus):
         assert graphs_equal(build_graph(corpus["FF1"]), build_graph(corpus["FF1UP"]))
@@ -235,6 +249,7 @@ class TestCanonicalGraph:
         assert time.perf_counter() - start < 1
         assert [v.label for v in form.vertices] == sorted(labels)
         assert serialize_graph(form) == graph_oracle.canonical_graph(graph)
+        assert_same_text(graph)
 
     def test_canonical_form_sorted(self, corpus):
         graph = canonical_form(build_graph(corpus["NONADAPT3"]))
@@ -335,7 +350,115 @@ class TestAgainstOracle:
                 continue
             graph = relabel(graph, rng)
             assert canonical_graph(graph) == graph_oracle.canonical_graph(graph)
+            assert_same_text(graph)
             checked += 1
+
+
+def text_or_error(write, graph):
+    """What ``write`` makes of the graph, or the type and message of what it raised."""
+    try:
+        return write(graph)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_text(graph: KarshonGraph) -> None:
+    """The library writes the graph byte for byte as the writers before labels were ordered on integer pairs:
+    canonical JSON, raw JSON, the canonical records' JSON and DOT (or all raise alike)."""
+    pairs = (
+        (canonical_graph, graph_oracle.placed_graph),
+        (serialize_graph, graph_oracle.serialize_graph),
+        (lambda g: serialize_graph(canonical_form(g)),
+         lambda g: graph_oracle.serialize_graph(graph_oracle.placed_form(g))),
+        (emit_dot, graph_oracle.emit_dot),
+    )
+    for library, earlier in pairs:
+        assert text_or_error(library, graph) == text_or_error(earlier, graph), graph
+
+
+# increasing label families put on the columns 0..8 of boundary_graph
+LABEL_FAMILIES = {
+    "shared integer parts": [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(4, 3), Fraction(3, 2),
+                             Fraction(5, 3), Fraction(7, 3), Fraction(5, 2), Fraction(8, 3)],
+    "negative": [Fraction(-5, 2), Fraction(-7, 3), Fraction(-2), Fraction(-3, 2), Fraction(-4, 3), Fraction(-1),
+                 Fraction(-1, 2), Fraction(-1, 3), Fraction(0)],
+    "wide coprime denominators": sorted(Fraction(random.Random(p).getrandbits(600), p**70)
+                                        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29)),
+    "integers": [Fraction(x) for x in (-7, -1, 0, 2, 3, 10, 11, 100, 10**30)],
+}
+
+
+def on_labels(graph: KarshonGraph, labels: list[Fraction], rng: random.Random) -> KarshonGraph:
+    """The graph with column x relabeled ``labels[x]``, and at one random column two more fat vertices, each
+    differing from the other in area or in genus, one genus perhaps None."""
+    vertices = [GraphVertex(v.kind, labels[int(v.label)], v.genus, v.area) for v in graph.vertices]
+    column = labels[rng.randrange(len({v.label for v in graph.vertices}))]
+    area = rng.choice(labels)
+    extra = [GraphVertex("fat", column, genus=rng.choice((0, 1, None)), area=area)]
+    extra.append(rng.choice([GraphVertex("fat", column, genus=extra[0].genus, area=area + 1),
+                             GraphVertex("fat", column, genus=rng.choice((0, 1, None)), area=area)]))
+    return KarshonGraph(tuple(vertices + extra), graph.edges)
+
+
+class TestAgainstEarlierText:
+    """Canonical, raw and DOT text byte-identical to the writers that sorted on Fraction labels."""
+
+    @pytest.mark.parametrize("family", sorted(LABEL_FAMILIES))
+    def test_label_families_on_boundary_graphs(self, family):
+        rng = random.Random(family)
+        crossing = 0
+        for _ in range(150):
+            graph = relabel(on_labels(boundary_graph(rng), LABEL_FAMILIES[family], rng), rng)
+            assert_same_text(graph)
+            crossing += any(9 in block and 10 in block for block in tied_blocks(graph))
+        assert crossing > 10  # tie blocks whose ids cross 9 -> 10
+
+    def test_polygon_graphs(self, corpus, derived_polygons, chopped_polygons):
+        from conftest import focus_ladder, multi_column_polygons, multiplicity_probe, same_answers_tool
+
+        ladders = [focus_ladder(jumps) for jumps in same_answers_tool().LADDERS]
+        polygons = list(corpus.values()) + derived_polygons + chopped_polygons + multi_column_polygons(60) + ladders
+        for polygon in polygons + [multiplicity_probe(k) for k in (1, 7, 64)]:
+            assert_same_text(build_graph(polygon))
+
+    def test_hand_built_values_are_written_as_json_writes_them(self):
+        # values no polygon gives: genus None or a bool, a kind json.dumps escapes, non-int ends and weights
+        vertices = (
+            GraphVertex("fat", Fraction(1), genus=None, area=Fraction(1, 2)),
+            GraphVertex("fat", Fraction(1), genus=True, area=Fraction(1, 2)),
+            GraphVertex("caf\u00e9 \"x\"", Fraction(-1, 2)),
+            GraphVertex("isolated", Fraction(-1, 3)),
+        )
+        edges = (GraphEdge(2, 3, True), GraphEdge(3, 2, 2.5), GraphEdge(2, 3, 2))
+        assert_same_text(KarshonGraph(vertices, edges))
+        assert serialize_graph(KarshonGraph(vertices, (GraphEdge("a", None, 1),))) == graph_oracle.serialize_graph(
+            KarshonGraph(vertices, (GraphEdge("a", None, 1),))
+        )
+
+
+def test_the_canonical_text_compares_no_fraction_and_builds_no_vertex(corpus, derived_polygons, chopped_polygons,
+                                                                      monkeypatch):
+    # labels are ordered and grouped on their integer pairs; canonical_form builds one record per vertex
+    from conftest import focus_ladder, multi_column_polygons, multiplicity_probe
+
+    polygons = chopped_polygons + list(corpus.values()) + derived_polygons + multi_column_polygons(60)
+    graphs = [build_graph(p) for p in polygons + [focus_ladder([1] * 8), multiplicity_probe(64)]]
+    counts = Counter()
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__"):
+        method = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda *args, f=method, name=name: counts.update([name]) or f(*args))
+    init = GraphVertex.__init__
+    monkeypatch.setattr(GraphVertex, "__init__", lambda *args, **kw: counts.update(["GraphVertex"]) or init(*args, **kw))
+    ties = 0
+    for graph in graphs:
+        counts.clear()
+        canonical_graph(graph)
+        emit_dot(graph)
+        assert not counts, counts
+        form = canonical_form(graph)
+        assert counts == {"GraphVertex": len(graph.vertices)}, counts
+        ties += len(form.vertices) - len({v.label for v in form.vertices})
+    assert ties > 64  # tie blocks are ordered too
 
 
 class TestBetti:

@@ -30,7 +30,9 @@ the other tree's, when it could not make its own) in its own process:
 * library, on the parsed polygon, or for a file that does not parse on the
   polygon built from it without validation (where one can be built):
   ``validate``, ``dh_function``,
-  ``dh_jump_report``, ``build_graph``, ``canonical_graph``,
+  ``dh_jump_report``, ``build_graph``, ``canonical_graph``, the records of
+  ``canonical_form`` (their repr holds every field ``==`` compares),
+  ``serialize_graph`` and ``emit_dot`` of the built graph,
   ``validate`` compared by ``==`` with the report of a deep copy and with
   a ``ValidationReport`` rebuilt from its classifications and violations,
   ``shear_normal_form``, ``transform_polygon`` under four fixed global
@@ -258,6 +260,7 @@ def _readers(polygon) -> dict:
         GlobalShear,
         boundary_chains,
         build_graph,
+        canonical_form,
         canonical_graph,
         chop_allowance,
         classify_vertex,
@@ -265,10 +268,12 @@ def _readers(polygon) -> dict:
         cut_endpoint,
         dh_function,
         dh_jump_report,
+        emit_dot,
         is_delzant_polygon,
         isotropy_weights,
         orbit_counts,
         outgoing_primitives,
+        serialize_graph,
         shear_normal_form,
         slice_heights,
         transform_polygon,
@@ -286,6 +291,9 @@ def _readers(polygon) -> dict:
         "dh_jump_report": lambda: dh_jump_report(polygon),
         "build_graph": lambda: build_graph(polygon),
         "canonical_graph": lambda: canonical_graph(build_graph(polygon)),
+        "canonical_form": lambda: canonical_form(build_graph(polygon)),
+        "serialize_graph": lambda: serialize_graph(build_graph(polygon)),
+        "emit_dot": lambda: emit_dot(build_graph(polygon)),
         "shear_normal_form": lambda: shear_normal_form(polygon),
         "boundary_chains": lambda: boundary_chains(polygon),
         "vertical_edge_endpoints": lambda: sorted(vertical_edge_endpoints(polygon)),
