@@ -132,17 +132,15 @@ def _blocks(vertices: Sequence[GraphVertex]) -> list[list[int]]:
     Fraction is compared; only a run of equal labels is sorted again, by the rest of the key.  Both sorts are
     stable, so each block keeps its vertices' input order.
     """
-    labels = [(*v.label.as_integer_ratio(), i) for i, v in enumerate(vertices)]
-    labels.sort(key=_by_ratio if len({q for _, q, _ in labels}) > 1 else itemgetter(0))  # one q: the p order
-    blocks = [[i] for _, _, i in labels[:1]]
-    for (lp, lq, _), (p, q, i) in zip(labels, labels[1:]):  # equal labels have equal pairs
-        if p == lp and q == lq:
-            blocks[-1].append(i)
+    rest = lambda i: _rest_key(vertices[i])
+    labels = sorted(((*v.label.as_integer_ratio(), i) for i, v in enumerate(vertices)), key=_by_ratio)
+    blocks = []
+    for _, run in groupby(labels, key=itemgetter(0, 1)):  # equal labels have equal pairs
+        ids = [i for _, _, i in run]
+        if len(ids) == 1:
+            blocks.append(ids)
         else:
-            blocks.append([i])
-    for k in [k for k, run in enumerate(blocks) if len(run) > 1][::-1]:  # from the last, so k stays put
-        run = sorted(blocks[k], key=lambda i: _rest_key(vertices[i]))
-        blocks[k : k + 1] = [list(block) for _, block in groupby(run, key=lambda i: _rest_key(vertices[i]))]
+            blocks.extend(list(block) for _, block in groupby(sorted(ids, key=rest), key=rest))
     return blocks
 
 
