@@ -159,9 +159,9 @@ def orbit_counts(polygon: SemitoricPolygon, x: Fraction) -> OrbitCounts:
     facts = polygon.facts
     if not facts.j_min < x < facts.j_max:
         raise DomainError(f"orbit counts are defined for interior columns only, got x = {describe(x)}")
-    verts, kinds = facts.vertices, facts._kinds
-    # a doubled vertex reads its first copy's kind, as classify_vertex does
-    ee = sum(_class_of(kinds[facts.position(verts[i])]) is not VertexKind.FAKE for i in facts.vertices_at.get(x, ()))
+    verts, kinds, first, (xn, xd) = facts.vertices, facts._kinds, facts._first, x.as_integer_ratio()
+    # the column's vertices in polygon order; a doubled vertex reads its first copy's kind, as classify_vertex does
+    ee = sum(_class_of(kinds[first[r]]) is not VertexKind.FAKE for r in facts._ratios if r[0] == xn and r[1] == xd)
     zk = sum(verts[start].x < x < verts[end].x for _, _, start, end in facts._poles)
     return OrbitCounts(ee=ee, ff=sum(m.multiplicity for m in facts.marks_at.get(x, ())), zk=zk)
 

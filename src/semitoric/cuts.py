@@ -39,7 +39,7 @@ pass starts at that shear, and each member lands in normal form directly.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from math import gcd, prod
 from typing import Iterator, Optional
 
@@ -78,24 +78,21 @@ class SignProduct(_Record, Sequence):
     def __bool__(self) -> bool:
         return all(self.factors)
 
-    def _item(self, signs: tuple[int, ...], turns: Optional[dict] = None):
-        return signs if self.base is None else (signs, _flip_cuts(self.base, signs, None, None, turns))
-
     def __getitem__(self, index):
         codes = range(self.size)[index]
         return tuple(map(self._at, codes)) if isinstance(index, slice) else self._at(codes)
 
-    def _at(self, code: int):
+    def _at(self, code: int, turns: Optional[dict] = None):
         blocks = []
         for factor in self.factors:
             code, digit = divmod(code, len(factor))
             blocks.append(factor[digit])
-        return self._item(tuple(chain.from_iterable(blocks)))
+        signs = tuple(chain.from_iterable(blocks))
+        return signs if self.base is None else (signs, _flip_cuts(self.base, signs, None, None, turns))
 
     def __iter__(self) -> Iterator:
         turns: dict = {}  # each flipped column's verdict, decided once for this listing (see _flip_cuts)
-        for choice in product(*reversed(self.factors)):  # the last factor varies slowest
-            yield self._item(tuple(chain.from_iterable(reversed(choice))), turns)
+        return (self._at(code, turns) for code in range(self.size))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, SignProduct)):

@@ -14,9 +14,10 @@ integers (p, q, r, s), x = p/q and y = r/s, off the ``Fraction`` values, and
 walks the edges once: primitive directions, structure, the chain split and
 J_max.  Every other fact is computed on first read from that walk, and a fact
 whose computation fails is not kept.  Each vertex's kind is decided once, in
-``PolygonFacts._kinds``.  A degenerate polygon is rejected without a vertex
-being classified, loading a polygon hashes no ``Point``, and no fact refers
-back to its facts or polygon, so a polygon is freed with its last reference.
+``PolygonFacts._kinds``, by the lattice rules this module imports from
+``vertices``.  A degenerate polygon is rejected without a vertex being
+classified, loading a polygon hashes no ``Point``, and no fact refers back
+to its facts or polygon, so a polygon is freed with its last reference.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import ClassificationError, DomainError, GeometryError, SemitoricError, ValidationFailure
 from .geometry import LatticeVector, Point, _by_ratio, _exact, _Record, cross, describe, det2
+from .vertices import _class_at, classify_corners, extract_k_runs
 
 _Slice = tuple[Fraction, Fraction, Optional[int], Optional[int], int, int]  # one column, see PolygonFacts._walk
 
@@ -159,8 +161,6 @@ class _Classifications:
 
     @cached_property
     def _dict(self) -> dict[Point, object]:
-        from .vertices import _class_at  # deferred: the lattice rules live there
-
         facts = self._facts
         classes = (_class_at(facts, i) for i in range(len(facts.vertices)))
         return {v: c for v, c in zip(facts.vertices, classes) if not isinstance(c, SemitoricError)}
@@ -207,19 +207,18 @@ class PolygonFacts:
             self._positions = range(right + 1), [0, *top] if self.edges[-1].a else top
 
     @cached_property
-    def vertices_at(self) -> dict[Fraction, list[int]]:
-        """Column -> its vertices' positions, in polygon order."""
-        out: dict[Fraction, list[int]] = {}
-        for i, v in enumerate(self.vertices):
-            out.setdefault(v.x, []).append(i)
-        return out
+    def _first(self) -> dict[tuple[int, int, int, int], int]:
+        """Each vertex's reduced integers (:attr:`_ratios`) -> its first position, so a doubled vertex reads its
+        first copy; fewer entries than vertices where a vertex is doubled."""
+        ratios = self._ratios
+        return dict(zip(reversed(ratios), range(len(ratios) - 1, -1, -1)))
 
     def position(self, vertex: Point) -> int:
-        """The vertex's first position in ``vertices``, found in its column; DomainError off the vertices."""
+        """The vertex's first position in ``vertices``, found by its integers; DomainError off the vertices."""
         if isinstance(vertex, Point):
-            for i in self.vertices_at.get(vertex.x, ()):
-                if self.vertices[i].y == vertex.y:
-                    return i
+            i = self._first.get(vertex.x.as_integer_ratio() + vertex.y.as_integer_ratio())
+            if i is not None:
+                return i
         raise DomainError(f"{describe(vertex)} is not a vertex of the polygon")
 
     @cached_property
@@ -343,15 +342,11 @@ class PolygonFacts:
     @cached_property
     def _kinds(self) -> tuple[object, ...]:
         """Each vertex's VertexKind, or the SemitoricError classifying it raised (read: a fresh copy)."""
-        from .vertices import classify_corners  # deferred: the lattice rules live there
-
         return classify_corners(self)
 
     @cached_property
     def _poles(self) -> tuple[tuple[int, str, int, int], ...]:
         """Each k-run of both chains as (k, side, the positions of its start and of its end vertex)."""
-        from .vertices import extract_k_runs  # deferred: the lattice rules live there
-
         return extract_k_runs(self)
 
 
@@ -388,7 +383,7 @@ def _structure_violations(facts: PolygonFacts, edges: tuple[Optional[LatticeVect
     verts = facts.vertices
     if len(verts) < 3:
         return [Violation("too-few-vertices", "polygon", f"{len(verts)} vertices, need at least 3")]
-    if any(len({verts[i].y for i in col}) < len(col) for col in facts.vertices_at.values() if len(col) > 1):
+    if len(facts._first) < len(verts):
         return [Violation("duplicate-vertex", "polygon", "vertices are not pairwise distinct")]
     # each edge is a positive multiple of its primitive direction, so these are the turns' signs
     turns = [det2(edges[i - 1], edges[i]) for i in range(len(verts))]

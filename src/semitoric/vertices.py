@@ -16,7 +16,8 @@ det(u Aw) is pinned to -s: the cut-switched presentation must again be
 convex, and that presentation has the masked corner as a real corner.
 
 :func:`classify_corners` and :func:`extract_k_runs` run once per polygon,
-when its ``PolygonFacts`` first reads the kinds or the k-runs, and a vertex
+when its ``PolygonFacts`` first reads the kinds or the k-runs (``polygon``
+imports them, and this module its types for annotations alone), and a vertex
 that fits no class keeps its error there; every reader of a vertex's kind,
 ``orbit_counts`` too, reads that record by position, and the k-runs walk the
 chains' vertex positions; :func:`zk_chains` alone builds their records.  A
@@ -32,11 +33,13 @@ there and by the column rule.  The cut endpoints and their tally
 from __future__ import annotations
 
 from enum import Enum
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 from .errors import ClassificationError, DomainError, GeometryError, SemitoricError
 from .geometry import LatticeVector, Point, _Record, describe, det2, format_rational, shear_vector
-from .polygon import MarkedPoint, PolygonFacts, SemitoricPolygon
+
+if TYPE_CHECKING:  # annotations only: polygon imports the rules here
+    from .polygon import MarkedPoint, PolygonFacts, SemitoricPolygon
 
 
 class VertexKind(Enum):
@@ -258,7 +261,7 @@ def is_smooth_class(c: VertexClassification) -> bool:
 def is_delzant_polygon(polygon: SemitoricPolygon) -> bool:
     """True when every vertex is smooth; only the vertices whose recorded kind is not Delzant are classified."""
     facts = polygon.facts
-    at = range(len(facts.vertices)) if facts._turns else map(facts.position, facts.vertices)
+    at = range(len(facts.vertices)) if facts._turns else map(facts._first.__getitem__, facts._ratios)
     return all(facts._kinds[i] is VertexKind.DELZANT or is_smooth_class(_class_of(_class_at(facts, i))) for i in at)
 
 

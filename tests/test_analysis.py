@@ -498,8 +498,7 @@ class TestPerColumnSearch:
                 except PresentationError:
                     built = None
                 else:
-                    column = shape.facts.vertices_at.get(x, ())  # vertex positions
-                    built = all(is_smooth_vertex(shape, shape.vertices[i]) for i in column)
+                    built = all(is_smooth_vertex(shape, v) for v in shape.vertices if v.x == x)
                 assert column_verdict(sides, len(signs), signs.count(1), shift) == built, (unit, x, shift)
                 yield built
 

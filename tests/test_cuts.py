@@ -9,6 +9,7 @@ from semitoric import (
     MarkedPoint,
     Point,
     SemitoricPolygon,
+    SignProduct,
     ValidationFailure,
     cut_degrees,
     cut_endpoint,
@@ -158,9 +159,19 @@ class TestEnumeratePresentations:
         assert repr(members) == repr(enumerate_presentations(corpus["NONADAPT3"]).members)
 
     def test_slices_are_tuples_of_members(self, corpus):
-        for polygon in (corpus["NONADAPT3"], split_marks(corpus["NONADAPT3"])):
-            members = enumerate_presentations(polygon).members
+        # iteration, indexing and the first factor varying fastest give one order, on factors of unequal lengths too
+        from itertools import chain, product
+
+        unit = split_marks(corpus["NONADAPT3"])
+        uneven = (((1, 2, 3), (4, 5, 6), (7, 8, 9)), ((10,),), ((11,), (12,)), ((13, 14), (15, 16), (17, 18), (19, 20)))
+        products = [enumerate_presentations(p).members for p in (corpus["NONADAPT3"], unit)]
+        products += [SignProduct(uneven), SignProduct((((-1, 1), (1, -1), (1, 1)), ((-1,),)), unit)]
+        for members in products:
             built = tuple(members)
+            assert list(built) == [members[i] for i in range(members.size)]
+            signs = [item if members.base is None else item[0] for item in built]
+            earlier = product(*reversed(members.factors))  # the last factor varying slowest
+            assert signs == [tuple(chain.from_iterable(reversed(choice))) for choice in earlier]
             for s in (slice(1, 3), slice(-2, None), slice(None, -1), slice(None, None, 2), slice(-1, None, -3),
                       slice(5, 1), slice(1, 100)):
                 assert members[s] == built[s], s

@@ -296,24 +296,29 @@ def test_validation_hashes_each_vertex_once(corpus, monkeypatch):
 
 
 def test_point_readers_build_no_point_map(corpus, monkeypatch):
-    # a vertex given by its Point is found by a scan of its column, then read by position
+    # past the load, which validates, a vertex given by its Point is found by its reduced integers, then read by
+    # position: no Point or Fraction is hashed, nor where validation refuses a doubled vertex
     from conftest import fuzz_derivatives
 
     polygons = [parse_polygon(serialize_polygon(p)) for p in list(corpus.values()) + fuzz_derivatives(50)]
+    square = corpus["SQUARE"].vertices
+    doubled = SemitoricPolygon(square[:2] + square[1:], ())
     hashes = []
-    point_hash = Point.__hash__
-    monkeypatch.setattr(Point, "__hash__", lambda point: hashes.append(point) or point_hash(point))
+    for cls in (Point, Fraction):
+        monkeypatch.setattr(cls, "__hash__", lambda value, found=cls.__hash__: hashes.append(value) or found(value))
+    assert [v.rule for v in validate(doubled).violations] == ["duplicate-vertex"]
+    assert hashes == []
     calls = 0
     for polygon in polygons:
         for vertex in polygon.vertices:
-            for reader in (classify_vertex, outgoing_primitives, isotropy_weights, chop_allowance):
+            for reader in (classify_vertex, is_smooth_vertex, outgoing_primitives, isotropy_weights, chop_allowance):
                 try:
                     reader(polygon, vertex)
                 except DomainError:  # isotropy weights at a fake vertex or on a vertical edge
                     pass
                 calls += 1
         assert hashes == [], (polygon, hashes[:3])
-    assert calls > 900
+    assert calls > 1100
 
 
 @pytest.mark.parametrize(
@@ -525,6 +530,23 @@ def test_cut_family_privates_stay_in_cuts():
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.ImportFrom):
                     assert not private & {alias.name for alias in node.names}, path.name
+
+
+def test_no_sibling_import_inside_a_function():
+    # a module imports its siblings at its top, or under TYPE_CHECKING when it names them in annotations alone,
+    # so the direction of every import between them shows in the module headers
+    package = Path(semitoric.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.ImportFrom):
+                    names = [f"{'.' * node.level}{node.module or ''}"]
+                else:
+                    names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+                for name in names:
+                    assert not name.startswith((".", "semitoric")), (path.name, function.name, name)
 
 
 def test_no_recursion():

@@ -353,6 +353,39 @@ class TestAgainstOracle:
             assert_same_text(graph)
             checked += 1
 
+    def test_random_graphs(self):
+        # the ordering pass's whole domain: edges either way, self-loops, parallel edges, tied fat vertices and a
+        # kind of neither sort; it refuses exactly where a tied block has more than two isolated vertices with
+        # edges, or two of which one has two outgoing edges, and elsewhere writes the oracle's bytes
+        rng = random.Random(1)
+        outcomes = Counter()
+        while len(outcomes) < 2 or min(outcomes.values()) < 300:
+            vertices = []
+            for _ in range(rng.randint(2, 14)):
+                label, kind = Fraction(rng.randrange(8), rng.choice((1, 1, 2))), rng.random()
+                if kind < 0.2:
+                    vertices.append(GraphVertex("fat", label, genus=rng.randrange(2), area=Fraction(rng.randint(1, 2))))
+                else:
+                    vertices.append(GraphVertex("isolated" if kind < 0.95 else "other", label))
+            n = len(vertices)
+            edges = [GraphEdge(rng.randrange(n), rng.randrange(n), rng.randint(2, 4)) for _ in range(rng.randint(0, 6))]
+            graph = KarshonGraph(tuple(vertices), tuple(edges))
+            blocks: dict = {}
+            for i, v in enumerate(vertices):
+                blocks.setdefault(graph_oracle._sort_key(v), []).append(i)
+            tied = [block for key, block in blocks.items() if len(block) > 1 and key[1] == "isolated"]
+            if max(map(len, blocks.values())) > 4 or prod(factorial(len(block)) for block in tied) > 576:
+                continue
+            touched, out = {v for e in edges for v in (e.source, e.target)}, Counter(e.source for e in edges)
+            bearing = [[v for v in block if v in touched] for block in tied]
+            refused = any(len(b) > 2 or len(b) == 2 and max(out[v] for v in b) > 1 for b in bearing)
+            if refused:
+                with pytest.raises(ValueError, match="more than two vertices with edges, or a fork"):
+                    canonical_graph(graph)
+            else:
+                assert canonical_graph(graph) == graph_oracle.canonical_graph(graph), graph
+            outcomes[refused] += 1
+
 
 def text_or_error(write, graph):
     """What ``write`` makes of the graph, or the type and message of what it raised."""
