@@ -19,11 +19,11 @@ for a presentation that is a Delzant polygon (``cuts._delzant_signs``,
 beside the family's builder and column rule, as is the Delzant listing
 ``delzant_presentations``).  The two verdicts must agree; a disagreement
 raises instead of guessing.  Both read the valid polygon's own facts by
-position, once, and neither reads the other.  The orbit count reads each
-mark column's two points (``PolygonFacts.heights`` and ``sides``) and the
-k-runs' pole positions.  The cut family exists only for a valid polygon,
-so ``adaptability`` refuses an invalid one with ValidationFailure, from the
-report kept on it.
+position, once, and neither reads the other.  One orbit rule, at any
+interior column in O(log n), reads the column's bottom and top boundary
+point from one walk along each chain (``PolygonFacts._walk``).  The cut
+family exists only for a valid polygon, so ``adaptability`` refuses an
+invalid one with ValidationFailure, from the report kept on it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Literal
 from .cuts import SignProduct, _delzant_signs
 from .errors import DomainError, SemitoricError
 from .geometry import _exact, _Record, describe
-from .polygon import PolygonFacts, SemitoricPolygon, require_valid
+from .polygon import MarkedPoint, PolygonFacts, SemitoricPolygon, _Slice, require_valid
 from .vertices import VertexKind, _class_of, _outgoing
 
 
@@ -159,30 +159,27 @@ def orbit_counts(polygon: SemitoricPolygon, x: Fraction) -> OrbitCounts:
     facts = polygon.facts
     if not facts.j_min < x < facts.j_max:
         raise DomainError(f"orbit counts are defined for interior columns only, got x = {describe(x)}")
-    verts, kinds, first, (xn, xd) = facts.vertices, facts._kinds, facts._first, x.as_integer_ratio()
-    # the column's vertices in polygon order; a doubled vertex reads its first copy's kind, as classify_vertex does
-    ee = sum(_class_of(kinds[first[r]]) is not VertexKind.FAKE for r in facts._ratios if r[0] == xn and r[1] == xd)
-    zk = sum(verts[start].x < x < verts[end].x for _, _, start, end in facts._poles)
-    return OrbitCounts(ee=ee, ff=sum(m.multiplicity for m in facts.marks_at.get(x, ())), zk=zk)
+    if facts.structure:  # no chains to walk: the class error of the column's first vertex in polygon order comes first
+        xn, xd = x.as_integer_ratio()  # a doubled vertex reads its first copy's kind, as classify_vertex does
+        for r in (r for r in facts._ratios if r[0] == xn and r[1] == xd):
+            _class_of(facts._kinds[facts._first[r]])
+    counts = _orbits(facts, facts._walk([x])[0], facts.marks_at.get(x, ()))
+    facts._poles  # raises where the k-runs do not extract
+    return counts
 
 
-def _mark_column_orbits(facts: PolygonFacts) -> list[tuple[Fraction, int, int, int]]:
-    """(x, ee, ff, zk) of :func:`orbit_counts` at each mark column of a valid polygon, from its two points.
-
-    Only a mark column can have three non-free orbits: a fake vertex ends a
-    cut, and a chain's point on any other interior column is either a
-    non-fake vertex (one elliptic-elliptic orbit) or inside at most one
-    k-run (one orbit of finite isotropy).  A point is inside a k-run where
-    it lies inside an edge of first component >= 2 or on a fake joint of two
-    such edges (a fake vertex joins edges of equal first components), so
-    the tangent left of it (``PolygonFacts.sides``) decides.
-    """
-    out = []
-    for (x, marks), slice_, sides in zip(facts.marks_at.items(), facts.heights.values(), facts.sides):
-        ee = [v is not None and facts._kinds[v] is not VertexKind.FAKE for v in slice_[2:4]]
-        zk = sum(abs(u.a) >= 2 for elliptic, (_, u, _) in zip(ee, sides) if not elliptic)
-        out.append((x, sum(ee), sum(m.multiplicity for m in marks), zk))
-    return out
+def _orbits(facts: PolygonFacts, slice_: _Slice, marks: tuple[MarkedPoint, ...]) -> OrbitCounts:
+    """The orbits over one interior column, from its :meth:`PolygonFacts._walk` record: a boundary point that is a
+    non-fake vertex is one elliptic-elliptic orbit; any other is inside a k-run exactly when the edge left of it has
+    first component >= 2 (inside that edge, or on a fake joint of two such edges, which joins equal components)."""
+    ee = zk = 0
+    for side, at in enumerate(facts._positions):  # bottom, then top: polygon order on an interior column
+        vertex = slice_[2 + side]
+        if vertex is not None and _class_of(facts._kinds[vertex]) is not VertexKind.FAKE:
+            ee += 1
+        elif abs(facts.edges[at[slice_[4 + side] - 1 + side]].a) >= 2:  # the top runs against polygon order
+            zk += 1
+    return OrbitCounts(ee=ee, ff=sum(m.multiplicity for m in marks), zk=zk)
 
 
 class AdaptabilityVerdict(_Record):
@@ -213,8 +210,11 @@ def adaptability(polygon: SemitoricPolygon) -> AdaptabilityVerdict:
     polygon is invalid, and CriteriaDisagreement when the two verdicts
     differ, which signals a bug rather than a legal state.
     """
-    orbits = _mark_column_orbits(require_valid(polygon).facts)
-    violating = [(x, OrbitCounts(ee=ee, ff=ff, zk=zk)) for x, ee, ff, zk in orbits if ee + ff + zk >= 3]
+    facts = require_valid(polygon).facts
+    # only a mark column can have three non-free orbits: a fake vertex ends a cut, and elsewhere each of a column's
+    # two boundary points is one elliptic-elliptic orbit or inside at most one k-run
+    violating = [(x, counts) for (x, marks), slice_ in zip(facts.marks_at.items(), facts.heights.values())
+                 if (counts := _orbits(facts, slice_, marks)).total >= 3]
     by_counts = not violating
     delzant = _delzant_signs(polygon)
     by_existence = bool(delzant)

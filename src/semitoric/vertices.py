@@ -18,8 +18,8 @@ convex, and that presentation has the masked corner as a real corner.
 :func:`classify_corners` and :func:`extract_k_runs` run once per polygon,
 when its ``PolygonFacts`` first reads the kinds or the k-runs (``polygon``
 imports them, and this module its types for annotations alone), and a vertex
-that fits no class keeps its error there; every reader of a vertex's kind,
-``orbit_counts`` too, reads that record by position, and the k-runs walk the
+that fits no class keeps its error there, read by position (``orbit_counts``
+at a column's two boundary points alone), and the k-runs walk the
 chains' vertex positions; :func:`zk_chains` alone builds their records.  A
 vertex's whole class is read through :func:`_class_at` alone, by position,
 by :func:`classify_vertex`, CLI ``classify`` and the validation report; the

@@ -6,20 +6,34 @@ This is the library's earlier Delzant-presentation search: it builds all
 ones, so its cost doubles with each focus-focus point.  The library now
 searches one column at a time; the differential tests check that both give
 the same verdicts, sign vectors, presentations and errors on families small
-enough to enumerate.
+enough to enumerate.  Its orbit counts are the library's earlier rule too,
+read from public readers alone: the classes of the column's vertices and
+the spans of the k-runs.
 """
 
 import presentation_oracle
 from semitoric import (
     AdaptabilityVerdict,
     CriteriaDisagreement,
+    OrbitCounts,
     SemitoricPolygon,
+    VertexKind,
+    classify_vertex,
     is_delzant_polygon,
-    orbit_counts,
     require_valid,
     shear_normal_form,
     split_marks,
+    zk_chains,
 )
+
+
+def orbit_counts(polygon: SemitoricPolygon, x) -> OrbitCounts:
+    """The non-free circle orbits over the interior column at ``x``: one elliptic-elliptic orbit per
+    non-fake vertex on the column, classified in polygon order, one per mark multiplicity, and one per
+    k-run whose open span covers the column."""
+    ee = sum(classify_vertex(polygon, v).kind is not VertexKind.FAKE for v in polygon.vertices if v.x == x)
+    zk = sum(chain.start_vertex.x < x < chain.end_vertex.x for chain in zk_chains(polygon))
+    return OrbitCounts(ee=ee, ff=sum(m.multiplicity for m in polygon.marks if m.position.x == x), zk=zk)
 
 
 def _delzant_members(polygon: SemitoricPolygon):

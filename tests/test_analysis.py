@@ -1,7 +1,9 @@
 import sys
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from functools import cache
+from math import ceil, log2
 from operator import attrgetter
 
 import pytest
@@ -352,18 +354,42 @@ class TestOrbitCounts:
                     assert counts.ff >= 1
                     assert counts.ee + counts.zk <= 2
 
-    def test_mark_column_walk_matches_orbit_counts(self, corpus, derived_polygons):
-        # adaptability's one walk gives orbit_counts' (ee, ff, zk) at every mark column of a valid polygon
-        from semitoric.analysis import _mark_column_orbits
-
+    def test_matches_the_reference_rule(self, corpus, derived_polygons, chopped_polygons):
+        # the column's two boundary points give the earlier rule's counts, and its errors, in its order
+        triangle = SemitoricPolygon((pt(0, 0), pt(2, 0), pt(1, Fraction(1, 2))),
+                                    (MarkedPoint(pt(1, Fraction(1, 4)), 1, -1),))  # its k-runs do not extract
+        reflex = SemitoricPolygon(tuple(pt(x, y) for x, y in (  # not convex: its chains cannot be walked
+            (0, 0), ("4/5", 0), ("24/25", "4/25"), ("-1/3", "6/25"), (1, "13/15"), ("13/15", 1), ("1/5", 1),
+            (0, "4/5"))))
         columns = 0
-        for polygon in column_families(corpus, derived_polygons):
-            if not validate(polygon).valid:
-                continue
-            walk = [(x, OrbitCounts(ee, ff, zk)) for x, ee, ff, zk in _mark_column_orbits(polygon.facts)]
-            assert walk == [(x, orbit_counts(polygon, x)) for x in polygon.facts.marks_at], polygon
-            columns += len(walk)
-        assert columns > 600
+        for polygon in column_families(corpus, derived_polygons) + chopped_polygons + [triangle, reflex]:
+            xs = sorted({v.x for v in polygon.vertices} | {m.position.x for m in polygon.marks})
+            for x in xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]:
+                if polygon.j_min < x < polygon.j_max:
+                    expected = outcome(lambda p: adaptability_oracle.orbit_counts(p, x), polygon)
+                    assert outcome(lambda p: orbit_counts(p, x), polygon) == expected, (polygon, x)
+                    columns += 1
+        assert columns > 5000
+        assert outcome(lambda p: orbit_counts(p, Fraction(1, 2)), triangle)[0] is ClassificationError
+        message = "(0, 4/5) touches a vertical edge at an interior column"
+        assert outcome(lambda p: orbit_counts(p, Fraction(0)), reflex) == (ClassificationError, message)
+
+    def test_one_column_compares_logarithmically_many_fractions(self, chopped_polygons, monkeypatch):
+        # a bisection along each chain, not a comparison with the poles of every k-run
+        queries = []
+        for polygon in chopped_polygons:
+            xs = polygon.facts.columns
+            orbit_counts(polygon, xs[1])  # the first call reads the polygon's facts
+            queries += [(polygon, x) for x in xs[1:-1] + tuple((a + b) / 2 for a, b in zip(xs, xs[1:]))]
+        counts = Counter()
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            method = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, lambda *args, f=method, name=name: counts.update([name]) or f(*args))
+        for polygon, x in queries:
+            counts.clear()
+            orbit_counts(polygon, x)
+            assert sum(counts.values()) <= 2 * ceil(log2(len(polygon.vertices))) + 4, (x, counts)
+        assert len(queries) > 1000
 
 
 class TestAdaptability:

@@ -42,8 +42,8 @@ the other tree's, when it could not make its own) in its own process:
   ``classify_vertex``, ``outgoing_primitives``, ``isotropy_weights`` and
   ``chop_allowance`` at every vertex, ``slice_heights`` at every vertex
   and mark column and at the midpoints between them, and ``orbit_counts``
-  at the interior ones; on
-  a valid polygon also ``adaptability``, ``delzant_presentations``, the
+  at the interior ones and at every midpoint (a column between vertices);
+  on a valid polygon also ``adaptability``, ``delzant_presentations``, the
   first 64 members of ``enumerate_presentations``, ``switch_cut`` at
   every mark index (and one index past the end), ``self_intersection`` on
   both sides, and ``chop_allowance`` and ``corner_chop`` (by half the
@@ -302,7 +302,7 @@ def _readers(polygon) -> dict:
         "zk_chains": lambda: zk_chains(polygon),
         "is_delzant_polygon": lambda: is_delzant_polygon(polygon),
         "slice_heights": lambda: [_library_answer(lambda: slice_heights(polygon, x)) for x in columns + midpoints],
-        "orbit_counts": lambda: [_library_answer(lambda: orbit_counts(polygon, x)) for x in columns[1:-1]],
+        "orbit_counts": lambda: [_library_answer(lambda: orbit_counts(polygon, x)) for x in columns[1:-1] + midpoints],
     }
     for slope, offset in SHEARS:
         shear = GlobalShear(slope, offset)
