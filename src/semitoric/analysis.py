@@ -6,12 +6,13 @@ length of the polygon; its slope jumps at a critical column x satisfy
     jump = -e_top - e_bottom - (mark multiplicity at x)
 
 where e_side = -1/(a*b) if the boundary point of that side at x is an
-elliptic-elliptic vertex with isotropy weights a, b, and 0 otherwise.  The
-jump report recomputes both sides of this identity from independent data,
-in integers from one walk along the chains (``PolygonFacts._slices``, which
-also holds the density's values, each built once per polygon): the slopes
-from the slice lengths alone, the weights from the edges out of each vertex
-that is not fake (``PolygonFacts._kinds``).
+elliptic-elliptic vertex with isotropy weights a, b, and 0 otherwise.  One
+integer pass (``_jumps``) recomputes both sides from independent data and
+compares them as reduced pairs: the slopes from the slice lengths of one
+walk along the chains (``PolygonFacts._slices``) alone, the weights from the
+edges out of each non-fake vertex (``PolygonFacts._kinds``).  The jump
+report, the density (built once per polygon) and the command line's ``dh``,
+which writes its JSON as text from the pairs, all read that one pass.
 
 Adaptability (the circle action extends to a torus action) is decided
 twice: by orbit counting per column, and by searching the cut-sign family
@@ -34,7 +35,7 @@ from typing import Literal
 
 from .cuts import SignProduct, _delzant_signs
 from .errors import DomainError, SemitoricError
-from .geometry import _exact, _Record, describe
+from .geometry import _exact, _fraction, _Record, _reduced, describe
 from .polygon import MarkedPoint, PolygonFacts, SemitoricPolygon, _Slice, require_valid
 from .vertices import VertexKind, _class_of, _outgoing
 
@@ -61,8 +62,9 @@ class PiecewiseLinear(_Record):
 
 
 def dh_function(polygon: SemitoricPolygon) -> PiecewiseLinear:
-    """Density of the pushforward of the Liouville measure: slice length per column, each built once per polygon."""
-    return PiecewiseLinear(polygon.facts.columns, tuple(length for _, length, *_ in polygon.facts._slices))
+    """Density of the pushforward of the Liouville measure: slice length per column, built once per polygon."""
+    facts = polygon.facts
+    return PiecewiseLinear(facts.columns, facts._lengths)
 
 
 class JumpEntry(_Record):
@@ -101,30 +103,36 @@ class JumpReport(_Record):
 
 def dh_jump_report(polygon: SemitoricPolygon) -> JumpReport:
     """Check the slope-jump identity at every interior critical column; each field's Fraction is built once."""
-    facts, zero = polygon.facts, Fraction(0)
-    slices, kinds = facts._slices, facts._kinds
-    slopes = []  # each segment's slope as its reduced numerator and denominator, and as a Fraction
-    for (x, _, n, d, *_), (x1, _, n1, d1, *_) in zip(slices, slices[1:]):
-        (p, q), (p1, q1) = x.as_integer_ratio(), x1.as_integer_ratio()
-        slope = Fraction((n1 * d - n * d1) * q * q1, d * d1 * (p1 * q - p * q1))
-        slopes.append((*slope.as_integer_ratio(), slope))
+    facts, rows = polygon.facts, _jumps(polygon.facts)
+    slopes = [_fraction(*row[1]) for row in rows[:1]] + [_fraction(*row[2]) for row in rows]  # each slope once
+    return JumpReport(tuple(JumpEntry(facts.columns[i], slopes[k], slopes[k + 1], *(_fraction(*f) for f in fields), m)
+                            for k, (i, _, _, *fields, m) in enumerate(rows)))
+
+
+def _jumps(facts: PolygonFacts) -> list[tuple]:
+    """The one pass behind :func:`dh_jump_report` and the command line's ``dh``: at each interior column, left to
+    right, (its index, left slope, right slope, observed jump, predicted jump, e_top, e_bottom, mark multiplicity),
+    the rationals as reduced integer pairs (n, d), d > 0, so equal values have equal pairs."""
+    slices, kinds, edges = facts._slices, facts._kinds, facts.edges
+    slopes = [_reduced((n1 * d - n * d1) * q * q1, d * d1 * (p1 * q - p * q1))
+              for (p, q, n, d, *_), (p1, q1, n1, d1, *_) in zip(slices, slices[1:])]
     multiplicity = [0] * len(slices)  # at each column, found by bisection: no column is hashed
     for x, marks in facts.marks_at.items():
         multiplicity[bisect_left(facts.columns, x)] = sum(m.multiplicity for m in marks)
-    entries = []
+    out = []
     for i in range(1, len(slices) - 1):
-        (ln, ld, left), (rn, rd, right), marks_here = slopes[i - 1], slopes[i], multiplicity[i]
+        (ln, ld), (rn, rd), marks_here = slopes[i - 1], slopes[i], multiplicity[i]
         num, den, e = -marks_here, 1, []  # predicted = -e_top - e_bottom - marks_here, with e = -1/(a*b) or 0
         for vertex in slices[i][5:3:-1]:  # top, then bottom
             if vertex is None or _class_of(kinds[vertex]) is VertexKind.FAKE:
-                e.append(zero)
+                e.append((0, 1))
                 continue
-            a, b = (d.a for d in _outgoing(facts, vertex))  # an interior column has no vertex of a vertical edge
-            num, den = num * a * b + den, den * a * b
-            e.append(Fraction(-1, a * b))
-        observed = Fraction(rn * ld - ln * rd, rd * ld)  # right - left
-        entries.append(JumpEntry(slices[i][0], left, right, observed, Fraction(num, den), *e, marks_here))
-    return JumpReport(tuple(entries))
+            ab = -edges[vertex - 1].a * edges[vertex].a  # of the edges out of it: none vertical, none None
+            num, den = num * ab + den, den * ab
+            e.append((-1, ab) if ab > 0 else (1, -ab))  # -1/(a*b), reduced
+        observed = _reduced(rn * ld - ln * rd, rd * ld)  # right - left
+        out.append((i, slopes[i - 1], slopes[i], observed, _reduced(num, den), *e, marks_here))
+    return out
 
 
 class OrbitCounts(_Record):

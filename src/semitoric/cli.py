@@ -12,12 +12,12 @@ import json
 import os
 import sys
 
-from .analysis import adaptability, dh_function, dh_jump_report, self_intersection
+from .analysis import _jumps, adaptability, self_intersection
 from .chop import corner_chop
 from .corpus import corpus_get, corpus_names
 from .cuts import _distinct_delzant, enumerate_presentations, switch_cut
 from .errors import DomainError, ParseError, SemitoricError, ValidationFailure
-from .geometry import Point, format_rational, parse_rational
+from .geometry import Point, _pair_text, format_rational, parse_rational
 from .graph import build_graph, canonical_graph
 from .polygon import SemitoricPolygon, require_valid
 from .serialization import emit_dot, parse_polygon, polygon_data, serialize_polygon
@@ -130,30 +130,21 @@ def _cmd_graph(args, out) -> int:
 
 
 def _cmd_dh(args, out) -> int:
-    polygon = _load(args.file)
-    density, entries = dh_function(polygon), dh_jump_report(polygon).entries
-    slopes = [format_rational(e.left_slope) for e in entries[:1]] + [format_rational(e.right_slope) for e in entries]
-    jumps = [
-        {
-            "x": format_rational(e.x),
-            "left_slope": slopes[i],  # entry i - 1's right slope, formatted once
-            "right_slope": slopes[i + 1],
-            "observed": format_rational(e.observed),
-            "predicted": format_rational(e.predicted),
-            "e_top": format_rational(e.e_top),
-            "e_bottom": format_rational(e.e_bottom),
-            "focus_multiplicity": e.focus_multiplicity,
-            "consistent": e.consistent,
-        }
-        for i, e in enumerate(entries)
-    ]
-    payload = {
-        "breakpoints": [format_rational(x) for x in density.breakpoints],
-        "values": [format_rational(v) for v in density.values],
-        "jumps": jumps,
-        "consistent": all(jump["consistent"] for jump in jumps),  # the report's verdict, each entry's compared once
-    }
-    print(json.dumps(payload, separators=(",", ":")), file=out)
+    # the bytes of json.dumps(document, separators=(",", ":")), from the DH pass's integer pairs, before one write
+    facts = _load(args.file).facts
+    slices, rows, jumps, consistent = facts._slices, _jumps(facts), [], True
+    slopes = [_pair_text(*row[1]) for row in rows[:1]] + [_pair_text(*row[2]) for row in rows]
+    for k, (i, _, _, observed, predicted, e_top, e_bottom, marks_here) in enumerate(rows):
+        agree = observed == predicted  # reduced pairs, denominators positive: equal exactly when the values are
+        consistent &= agree
+        jumps.append(f'{{"x":"{_pair_text(*slices[i][:2])}","left_slope":"{slopes[k]}","right_slope":"{slopes[k + 1]}",'
+                     f'"observed":"{_pair_text(*observed)}","predicted":"{_pair_text(*predicted)}",'
+                     f'"e_top":"{_pair_text(*e_top)}","e_bottom":"{_pair_text(*e_bottom)}",'
+                     f'"focus_multiplicity":{marks_here},"consistent":{"true" if agree else "false"}}}')
+    breakpoints = ",".join(f'"{_pair_text(p, q)}"' for p, q, *_ in slices)
+    values = ",".join(f'"{_pair_text(n, d)}"' for _, _, n, d, *_ in slices)
+    out.write(f'{{"breakpoints":[{breakpoints}],"values":[{values}],"jumps":[{",".join(jumps)}],'
+              f'"consistent":{"true" if consistent else "false"}}}\n')
     return EXIT_OK
 
 

@@ -61,9 +61,28 @@ def format_rational(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError:  # longer than sys.get_int_max_str_digits()
-        raise GeometryError(
-            f"a computed rational exceeds {sys.get_int_max_str_digits()} digits in p or q"
-        ) from None
+        raise GeometryError(f"a computed rational exceeds {sys.get_int_max_str_digits()} digits in p or q") from None
+
+
+def _pair_text(p: int, q: int) -> str:
+    """:func:`format_rational` of p/q, given reduced with q > 0, written from the integers: no Fraction is built."""
+    try:
+        return f"{p}/{q}" if q != 1 else f"{p}"
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise GeometryError(f"a computed rational exceeds {sys.get_int_max_str_digits()} digits in p or q") from None
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d, d != 0, as its reduced integers with d > 0, as a Fraction holds them: equal values have equal pairs."""
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
+    return n // g, d // g
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction of n/d given reduced with d > 0, built as Fraction's arithmetic builds its results: no gcd."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = n, d
+    return value
 
 
 def _number_text(number: int | Fraction) -> str:

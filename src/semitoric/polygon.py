@@ -31,7 +31,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import ClassificationError, DomainError, GeometryError, SemitoricError, ValidationFailure
-from .geometry import LatticeVector, Point, _by_ratio, _exact, _Record, cross, describe, det2
+from .geometry import LatticeVector, Point, _by_ratio, _exact, _fraction, _Record, _reduced, cross, describe, det2
 from .vertices import _class_at, classify_corners, extract_k_runs
 
 _Slice = tuple[Fraction, Fraction, Optional[int], Optional[int], int, int]  # one column, see PolygonFacts._walk
@@ -192,7 +192,7 @@ class PolygonFacts:
     (:func:`_walk_boundary`); every other fact on first read.  A fact whose computation raises is not kept, so
     every read raises again; only :attr:`_kinds` holds errors, one per unclassifiable vertex.
     Facts of single vertices are indexed by position, found from a Point by :meth:`position`.  The DH record
-    :attr:`_slices` keeps each column's slice length as integers, from the walk along each chain.
+    :attr:`_slices` keeps each column's x and slice length as reduced integer pairs, from the walk along each chain.
     """
 
     def __init__(self, vertices: tuple[Point, ...], marks: tuple[MarkedPoint, ...]):
@@ -288,14 +288,20 @@ class PolygonFacts:
         return dict(zip(inside, self._walk(inside)))
 
     @cached_property
-    def _slices(self) -> list[tuple[Fraction, Fraction, int, int, Optional[int], Optional[int]]]:
-        """At every column, for the DH density: (x, slice length, its reduced integers n and d, bottom vertex, top
-        vertex), from one walk along each chain in integers (:meth:`_along`), each length built once."""
+    def _slices(self) -> list[tuple[int, int, int, int, Optional[int], Optional[int]]]:
+        """At every column, for the DH density: (p, q, n, d, bottom vertex, top vertex), x = p/q and the slice length
+        n/d reduced with q, d > 0 (the top chain's own d is negative between its vertices: it runs leftward), from
+        one walk along each chain in integers (:meth:`_along`); no Fraction is built."""
         for x in self.marks_at if len(self.heights) < len(self.marks_at) else ():
             self.slice_at(x)  # raises at the first mark off the moment interval
         xs = self.columns
-        return [(x, length := Fraction(tn * bd - bn * td, td * bd), *length.as_integer_ratio(), bv, tv)
+        return [(*x.as_integer_ratio(), *_reduced(tn * bd - bn * td, td * bd), bv, tv)
                 for x, (bn, bd, bv, _), (tn, td, tv, _) in zip(xs, self._along(0, xs), self._along(1, xs))]
+
+    @cached_property
+    def _lengths(self) -> tuple[Fraction, ...]:
+        """The slice length at every column, as :attr:`_slices` holds it: the DH density's values, built once."""
+        return tuple(_fraction(n, d) for _, _, n, d, _, _ in self._slices)
 
     @cached_property
     def sides(self) -> tuple[tuple[tuple[Point, LatticeVector, LatticeVector], ...], ...]:

@@ -1,3 +1,5 @@
+import io
+import json
 import sys
 from bisect import bisect_left
 from collections import Counter
@@ -93,6 +95,17 @@ class TestDhFunction:
             with pytest.raises(DomainError) as exc:
                 density.value_at(x)
             assert str(exc.value) == message
+
+    def test_built_once_per_polygon(self, chopped_polygons):
+        # a later call shares the kept values, so one value_at costs a bisection; the record stays frozen
+        from dataclasses import FrozenInstanceError
+
+        polygon = chopped_polygons[1]
+        first, second = dh_function(polygon), dh_function(polygon)
+        assert first == second and first.values is second.values and len(first.values) > 200
+        assert second.values == tuple(Fraction(n, d) for _, _, n, d, *_ in polygon.facts._slices)
+        with pytest.raises(FrozenInstanceError):
+            first.values = ()
 
     def test_mark_off_the_moment_interval(self, corpus):
         polygon = SemitoricPolygon(corpus["FF1"].vertices, (MarkedPoint(Point(Fraction(3), Fraction(0))),))
@@ -195,12 +208,34 @@ class TestJumpReportTwoSided:
         polygon = focus_ladder([1, 2, 1, 1])
         clean = dh_jump_report(polygon)
         assert clean.consistent and len(clean.entries) == 4
-        x, length, n, d, *ends = polygon.facts._slices[2]
-        polygon.facts._slices[2] = (x, length, n + d, d, *ends)
+        length = dh_function(polygon).values[2]  # the density is kept once built, so the tamper reaches the pass alone
+        p, q, n, d, *ends = polygon.facts._slices[2]
+        polygon.facts._slices[2] = (p, q, n + d, d, *ends)
         tampered = dh_jump_report(polygon)
         assert [entry.consistent for entry in tampered.entries] == [False, False, False, True]
         assert not tampered.consistent and dh_function(polygon).values[2] == length
         assert [e.predicted for e in tampered.entries] == [e.predicted for e in clean.entries]
+
+    def test_a_tampered_slice_length_shows_in_the_cli(self, monkeypatch):
+        # the command line writes each row's verdict from the same integer pass: the same three rows and the
+        # document's verdict turn false, and every predicted jump stays
+        import semitoric.cli as cli
+
+        def dh(polygon):
+            monkeypatch.setattr(cli, "_load", lambda source: polygon)
+            out = io.StringIO()
+            assert cli.run_cli(["dh", "tampered"], out, io.StringIO()) == 0
+            return out.getvalue(), json.loads(out.getvalue())
+
+        polygon = focus_ladder([1, 2, 1, 1])
+        _, clean = dh(polygon)
+        p, q, n, d, *ends = polygon.facts._slices[2]
+        polygon.facts._slices[2] = (p, q, n + d, d, *ends)
+        text, tampered = dh(polygon)
+        assert [row["consistent"] for row in tampered["jumps"]] == [False, False, False, True]
+        assert tampered["consistent"] is False and text.count('"consistent":false') == 4
+        assert [row["predicted"] for row in tampered["jumps"]] == [row["predicted"] for row in clean["jumps"]]
+        assert clean["consistent"] is True and tampered["values"][2] == str(Fraction(n + d, d))
 
 
 # (polygon, error of dh_function, error of dh_jump_report, message), as the Fraction-arithmetic DH raised them

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_polygons_under_ops, focus_ladder, multi_column_polygons, multiplicity_probe
+from conftest import (
+    corpus_polygons_under_ops,
+    focus_ladder,
+    multi_column_polygons,
+    multiplicity_probe,
+    same_answers_tool,
+)
 from semitoric import (
     DomainError,
     GeometryError,
@@ -586,6 +592,15 @@ class TestHostileInput:
         text = json.dumps({"vertices": vertices}).encode()
         assert self.run_file(tmp_path, text)[0] == 0
         code, out, err = self.run_file(tmp_path, text, command="classify")
+        assert (code, out) == (1, "")
+        assert err == f"error: a computed rational exceeds {sys.get_int_max_str_digits()} digits in p or q\n"
+
+    def test_dh_refuses_an_oversized_slope(self, tmp_path):
+        # SQUARE chopped to 32 vertices with 400-digit denominators (same_answers' digits family): valid, but some
+        # slice lengths pass the int-string limit, so dh writes nothing
+        text = same_answers_tool().digits_texts(digits=(400,))[0].encode()
+        assert self.run_file(tmp_path, text)[0] == 0
+        code, out, err = self.run_file(tmp_path, text, command="dh")
         assert (code, out) == (1, "")
         assert err == f"error: a computed rational exceeds {sys.get_int_max_str_digits()} digits in p or q\n"
 

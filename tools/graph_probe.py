@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the graph stage against the load, and the command-line graph of one high-multiplicity mark.
+"""Time the graph and DH stages against the load, and the command-line graph of one high-multiplicity mark.
 
     python3 tools/graph_probe.py [--src DIR]
 
@@ -13,14 +13,19 @@ files.  Three tables, then one JSON line with every number:
   of corner chops (each round chops every Delzant corner it can by a third of
   its allowance, halved until the chop keeps clear of the marks and of every
   other vertex's column, so no two graph labels tie).  Per polygon:
-  parse+validate (``parse_polygon`` of the file) and the graph stage
-  (``canonical_graph(build_graph(p))`` on a freshly parsed polygon), each
-  the median of REPEATS runs, in ms;
+  parse+validate (``parse_polygon`` of the file), the graph stage
+  (``canonical_graph(build_graph(p))``), the library's DH stage
+  (``dh_function(p)`` and ``dh_jump_report(p)``) and the command line's
+  ``dh`` (``run_cli(["dh", ...])`` with its load answering p, so argument
+  parsing and the JSON text are in, the parse is not), each on a freshly
+  parsed polygon p and the median of REPEATS runs, in ms;
 * growth in the size of the numbers (ROADMAP item 8): SQUARE chopped to
   n = 32 vertices, step i chopping the corner with the largest allowance a
   (the first on ties) by a / (2 + 1/(10^d + 7i)), so that every chop brings
   in a new d-digit denominator, for d = 10, 100 and 400.  The graph stage is
-  split into ``build_graph`` and ``canonical_graph``, to show which pays;
+  split into ``build_graph`` and ``canonical_graph``, to show which pays.
+  The command line's ``dh`` at d = 400 ends in exit 1, a computed rational
+  being past the int-string limit, and is timed to that answer;
 * the multiplicity axis (ROADMAP item 10): one process of
   ``python3 -m semitoric.cli graph FILE`` on ``multiplicity_probe(k)`` of
   ``tools/same_answers.py`` for k = 10^3, 10^4 and 10^5: wall time, bytes
@@ -32,6 +37,7 @@ Stdlib only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import statistics
@@ -92,11 +98,22 @@ def digits_chopped(d: int):
     return shape
 
 
+def cli_dh(polygon) -> None:
+    """The command line's ``dh`` on the polygon, its load answering the polygon itself."""
+    from semitoric import cli
+
+    load, cli._load = cli._load, lambda source: polygon
+    try:
+        cli.run_cli(["dh", "polygon"], io.StringIO(), io.StringIO())
+    finally:
+        cli._load = load
+
+
 def stages(text: str, split: bool = False) -> dict:
-    """Parse+validate and the graph stage of one polygon file, each the median of ``REPEATS`` runs in ms; with
-    ``split`` also ``build_graph`` and ``canonical_graph`` alone.  The graph is built on a freshly parsed polygon,
-    so no graph fact is cached."""
-    from semitoric import build_graph, canonical_graph, parse_polygon
+    """Parse+validate, the graph stage and the DH stages of one polygon file, each the median of ``REPEATS`` runs
+    in ms; with ``split`` also ``build_graph`` and ``canonical_graph`` alone.  Each stage runs on a freshly parsed
+    polygon, so no graph or DH fact is cached."""
+    from semitoric import build_graph, canonical_graph, dh_function, dh_jump_report, parse_polygon
 
     def ms(work, prepare=parse_polygon) -> float:
         times = []
@@ -108,7 +125,9 @@ def stages(text: str, split: bool = False) -> dict:
         return round(1000 * statistics.median(times), 3)
 
     out = {"parse_validate_ms": ms(parse_polygon, prepare=lambda t: t),
-           "graph_ms": ms(lambda polygon: canonical_graph(build_graph(polygon)))}
+           "graph_ms": ms(lambda polygon: canonical_graph(build_graph(polygon))),
+           "dh_ms": ms(lambda polygon: (dh_function(polygon), dh_jump_report(polygon))),
+           "cli_dh_ms": ms(cli_dh)}
     if split:
         out["build_graph_ms"] = ms(build_graph)
         out["canonical_graph_ms"] = ms(canonical_graph, prepare=lambda t: build_graph(parse_polygon(t)))
@@ -152,13 +171,15 @@ def main() -> None:
         for n in SIZES:
             found = growth[f"{base} n={n}"] = stages(S.to_json(grown(W.CORPUS[base], n)))
             print(f"{base:6s} n={n:5d}  parse+validate {found['parse_validate_ms']:8.2f} ms  "
-                  f"graph {found['graph_ms']:8.2f} ms", flush=True)
+                  f"graph {found['graph_ms']:8.2f} ms  dh {found['dh_ms']:8.2f} ms  "
+                  f"cli dh {found['cli_dh_ms']:8.2f} ms", flush=True)
     for d in DIGITS:
         text = S.to_json(digits_chopped(d))
         found = digits[f"d={d}"] = {"file_bytes": len(text), **stages(text, split=True)}
         print(f"d={d:3d} n={DIGITS_SIZE}  {found['file_bytes']:7d} bytes  parse+validate "
               f"{found['parse_validate_ms']:7.2f} ms  graph {found['graph_ms']:7.2f} ms (build_graph "
-              f"{found['build_graph_ms']:.2f}, canonical_graph {found['canonical_graph_ms']:.2f})", flush=True)
+              f"{found['build_graph_ms']:.2f}, canonical_graph {found['canonical_graph_ms']:.2f})  dh "
+              f"{found['dh_ms']:7.2f} ms  cli dh {found['cli_dh_ms']:7.2f} ms", flush=True)
     with tempfile.TemporaryDirectory() as work:
         for k in MULTIPLICITIES:
             path = os.path.join(work, f"multiplicity{k}.json")

@@ -24,7 +24,11 @@ its vertex list rotated to each of its first eight starts and its marks in
 reverse order, and seeded mutations of those files (a coordinate replaced, a
 vertex doubled, dropped or inserted, or a field given a hostile value such
 as ``"1.5"``, ``"1/0"``, ``"+1"``, a Unicode digit, a number, null or a p or
-q past the int-string limit).  Each tree then answers its own inputs (or
+q past the int-string limit), and the digits family (see ``digits_texts``):
+SQUARE chopped to 32 vertices with 10-, 100- and 400-digit denominators, as
+``tools/graph_probe.py`` builds it, with coordinates of hundreds of
+digits; its ``dh`` at d = 400 ends in exit 1, a computed rational being past
+the int-string limit.  Each tree then answers its own inputs (or
 the other tree's, when it could not make its own) in its own process:
 
 * library, on the parsed polygon, or for a file that does not parse on the
@@ -90,6 +94,7 @@ CHOPPED = ("SQUARE", "FF1", "NONADAPT3")  # corpus polygons grown by corner chop
 CHOPPED_SIZE = 256  # vertices of each grown polygon
 RAW_STARTS = 8  # rotations of the vertex list written per polygon of the raw-text family
 RAW_MUTATIONS = 400  # seeded mutations of the raw-text family
+DIGITS = (10, 100, 400)  # denominator digits of the digits family
 HOSTILE = ("1.5", "1/0", "+1", " 1", "\u0661", "1/\u0662", 7, None, "1" * 5000, "1/" + "1" * 5000)  # field values
 
 
@@ -197,6 +202,17 @@ def raw_texts(seeds) -> list[str]:
     return texts
 
 
+def digits_texts(tree: str = ROOT, digits: tuple[int, ...] = DIGITS) -> list[str]:
+    """The digits family as polygon files: SQUARE chopped to 32 vertices, each chop bringing in a new d-digit
+    denominator, for each d of ``digits``, made by ``digits_chopped`` of ``tools/graph_probe.py`` from the
+    ``perfbench/`` shapes of ``tree``, not with the library."""
+    sys.path[:0] = [os.path.join(tree, "perfbench"), os.path.join(ROOT, "tools")]
+    import graph_probe
+    import shapes
+
+    return [shapes.to_json(graph_probe.digits_chopped(d)) for d in digits]
+
+
 def write_inputs(tree: str, directory: str) -> list[str]:
     """Write every input polygon, made with the library of ``tree``, to ``directory``; return the file names."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "tests")]
@@ -212,7 +228,7 @@ def write_inputs(tree: str, directory: str) -> list[str]:
     polygons += [multiplicity_probe(k) for k in MULTIPLICITIES]
     polygons += [chopped(corpus_get(name).polygon) for name in CHOPPED]
     polygons += [probe for polygon in seeds + multi for probe in extra_marks(polygon)]
-    texts = [serialize_polygon(polygon) for polygon in dict.fromkeys(polygons)] + raw_texts(seeds)
+    texts = [serialize_polygon(polygon) for polygon in dict.fromkeys(polygons)] + raw_texts(seeds) + digits_texts(tree)
     names = []
     for text in dict.fromkeys(texts):
         names.append(f"{len(names):04d}.json")
