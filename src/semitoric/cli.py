@@ -53,7 +53,7 @@ def _load(source: str) -> SemitoricPolygon:
     try:
         with open(source, "rb") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
         raise ParseError(f"cannot read {source}: {exc}") from None
     return parse_polygon(text)
 

@@ -15,19 +15,26 @@ Everything else is invalid data.  For a hidden Delzant vertex the sign of
 det(u Aw) is pinned to -s: the cut-switched presentation must again be
 convex, and that presentation has the masked corner as a real corner.
 
-:func:`classify_corners` and :func:`extract_k_runs` run once per polygon,
-when its ``PolygonFacts`` first reads the kinds or the k-runs (``polygon``
-imports them, and this module its types for annotations alone), and a vertex
-that fits no class keeps its error there, read by position (``orbit_counts``
-at a column's two boundary points alone), and the k-runs walk the
-chains' vertex positions; :func:`zk_chains` alone builds their records.  A
-vertex's whole class is read through :func:`_class_at` alone, by position,
-by :func:`classify_vertex`, CLI ``classify`` and the validation report; the
-class of a corner given its frame and cuts (:func:`lattice_class`) is read
-there and by the column rule.  The cut endpoints and their tally
-(:func:`cut_endpoint`, :func:`cut_degrees`) are computed on each call;
-``cut_degrees`` reads the facts' tally by position
-(``PolygonFacts._degrees``) first, so it raises that tally's errors.
+Where each of these is computed and read:
+
+* :func:`classify_corners` and :func:`extract_k_runs` run once per polygon,
+  when its ``PolygonFacts`` first reads the kinds or the k-runs.
+  ``polygon`` imports them; this module imports its types for annotations
+  only.
+* A vertex that fits no class keeps its error in the kinds.  The kinds are
+  read by position.  ``orbit_counts`` reads those of a column's two
+  boundary points only.
+* The k-runs walk the chains' vertex positions.  Only :func:`zk_chains`
+  builds their records.
+* A vertex's whole class is read only through :func:`_class_at`, by
+  position.  :func:`classify_vertex`, CLI ``classify`` and the validation
+  report read it there.
+* :func:`lattice_class` gives the class of a corner from its frame and
+  cuts.  ``_class_at``, :func:`classify_corners` and the column rule of
+  ``cuts`` call it.
+* :func:`cut_endpoint` and :func:`cut_degrees` compute the cut endpoints and
+  their tally on each call.  ``cut_degrees`` first reads the facts' tally by
+  position (``PolygonFacts._degrees``), so it raises that tally's errors.
 """
 
 from __future__ import annotations

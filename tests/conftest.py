@@ -161,13 +161,17 @@ def multiplicity_probe(k: int) -> SemitoricPolygon:
     return require_valid(SemitoricPolygon(vertices, (MarkedPoint(Point(1, 1), k, -1),)))
 
 
-def same_answers_tool():
-    """``tools/same_answers.py`` as a module, for the input families the tests share with it."""
-    tool = Path(__file__).parents[1] / "tools" / "same_answers.py"
-    spec = importlib.util.spec_from_file_location("same_answers", tool)
+def tool(name: str):
+    """``tools/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).parents[1] / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def same_answers_tool():
+    """``tools/same_answers.py`` as a module, for the input families the tests share with it."""
+    return tool("same_answers")
 
 
 @pytest.fixture(scope="session")

@@ -404,6 +404,15 @@ class TestCli:
         code, _, err = self.run("validate", "/does/not/exist.json")
         assert code == 2
 
+    @pytest.mark.parametrize("options", [["validate"], ["classify"], ["graph"], ["dh"], ["adaptable"],
+                                         ["switch-cut", "--index", "0"], ["presentations"],
+                                         ["self-intersection", "--side", "left"],
+                                         ["chop", "--vertex", "0,0", "--size", "1/3"]])
+    def test_path_with_nul_byte(self, options):
+        # open() raises ValueError, not OSError, on such a path: it is still a file that cannot be read
+        code, out, err = self.run(options[0], "polygon\x00.json", *options[1:])
+        assert (code, out) == (2, "") and "cannot read" in err
+
     def test_classify(self):
         code, out, _ = self.run("classify", "corpus:HD1")
         assert code == 0

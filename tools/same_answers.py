@@ -26,7 +26,7 @@ vertex doubled, dropped or inserted, or a field given a hostile value such
 as ``"1.5"``, ``"1/0"``, ``"+1"``, a Unicode digit, a number, null or a p or
 q past the int-string limit), and the digits family (see ``digits_texts``):
 SQUARE chopped to 32 vertices with 10-, 100- and 400-digit denominators, as
-``tools/graph_probe.py`` builds it, with coordinates of hundreds of
+``tools/growth.py`` builds it, with coordinates of hundreds of
 digits; its ``dh`` at d = 400 ends in exit 1, a computed rational being past
 the int-string limit.  Each tree then answers its own inputs (or
 the other tree's, when it could not make its own) in its own process:
@@ -204,13 +204,13 @@ def raw_texts(seeds) -> list[str]:
 
 def digits_texts(tree: str = ROOT, digits: tuple[int, ...] = DIGITS) -> list[str]:
     """The digits family as polygon files: SQUARE chopped to 32 vertices, each chop bringing in a new d-digit
-    denominator, for each d of ``digits``, made by ``digits_chopped`` of ``tools/graph_probe.py`` from the
+    denominator, for each d of ``digits``, made by ``digits_chopped`` of ``tools/growth.py`` from the
     ``perfbench/`` shapes of ``tree``, not with the library."""
     sys.path[:0] = [os.path.join(tree, "perfbench"), os.path.join(ROOT, "tools")]
-    import graph_probe
+    import growth
     import shapes
 
-    return [shapes.to_json(graph_probe.digits_chopped(d)) for d in digits]
+    return [shapes.to_json(growth.digits_chopped(d)) for d in digits]
 
 
 def write_inputs(tree: str, directory: str) -> list[str]:
